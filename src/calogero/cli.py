@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -98,14 +99,18 @@ def cmd_verify(args, parser) -> int:
 # -- transport ------------------------------------------------------------------
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
 def cmd_transport(args, parser) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         print(f"error: cannot read path file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         print(f"error: malformed path JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -277,9 +282,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose values may begin with a minus sign.
+_SIGNED_VALUE_OPTIONS = ("--x", "--p", "--c", "--prefactor")
+_NEGATIVE_START = re.compile(r"-[0-9.]")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--x -1,0,1`` as ``--x=-1,0,1``.
+
+    argparse reads a token that starts with ``-`` and is not a plain number
+    as an option, so a vector such as ``-1,0,1`` or a rational such as
+    ``-1/2`` would be refused as a missing argument.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and _NEGATIVE_START.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     return args.func(args, parser)
 
 

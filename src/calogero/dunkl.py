@@ -68,7 +68,7 @@ class DunklContext:
 
 
 def apply_dunkl(ctx: DunklContext, k: int, f: RationalSection) -> RationalSection:
-    """nabla_k f, exact and reduced."""
+    """nabla_k f, exact."""
     if not 0 <= k < ctx.n:
         raise ValueError(f"coordinate index {k} out of range")
     result = f.partial(k)

@@ -2,12 +2,16 @@
 polynomials, rational sections with pair-difference denominators, and the
 symmetric-group action on all of them.
 
-Scalars are polynomials in a formal coupling constant ``c`` with Fraction
-coefficients (:class:`CouplingPoly`), so identities can be certified for all
-couplings at once.  A :class:`RationalSection` is a polynomial numerator over
-a product of pair-difference powers ``prod (x_i - x_j)^d_ij``; this class of
-functions is closed under all the operators used in this package (partial
-derivatives, coordinate swaps, multiplication by ``1/(x_i - x_j)``).
+Scalars are polynomials in a formal coupling constant ``c`` with exact
+rational coefficients (:class:`CouplingPoly`), so identities can be certified
+for all couplings at once.  A coefficient is a Python ``int`` and becomes a
+``Fraction`` only when it needs a denominator; both compare, hash and print
+alike.  A :class:`RationalSection` is a polynomial numerator over a product
+of pair-difference powers ``prod (x_i - x_j)^d_ij``; this class of functions
+is closed under all the operators used in this package (partial derivatives,
+coordinate swaps, multiplication by ``1/(x_i - x_j)``).  Section arithmetic
+does not cancel common pair-difference factors; only :meth:`RationalSection.to_text`
+reduces, so serialised sections are canonical.
 
 Coordinates are 0-indexed: ``x0 .. x_{N-1}``.
 """
@@ -38,12 +42,24 @@ class PoleError(ZeroDivisionError):
         super().__init__(f"evaluation point lies on the pole x{pair[0]} = x{pair[1]}")
 
 
-def _as_rat(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_rat(value) -> int | Fraction:
+    """An exact rational: ``int`` when integral, ``Fraction`` otherwise."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _coupling_from(coeffs: list) -> "CouplingPoly":
+    """CouplingPoly over already-exact coefficients; strips trailing zeros."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    p = object.__new__(CouplingPoly)
+    p.coeffs = tuple(coeffs)
+    return p
 
 
 class CouplingPoly:
@@ -59,7 +75,7 @@ class CouplingPoly:
         cs = [_as_rat(v) for v in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[int | Fraction, ...] = tuple(cs)
 
     @classmethod
     def const(cls, value) -> "CouplingPoly":
@@ -77,11 +93,11 @@ class CouplingPoly:
         """Degree in c; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def component(self, power: int) -> Fraction:
+    def component(self, power: int) -> int | Fraction:
         """Coefficient of c**power."""
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
-        return Fraction(0)
+        return 0
 
     def eval_at(self, cval) -> Fraction:
         cval = _as_rat(cval)
@@ -94,7 +110,7 @@ class CouplingPoly:
         """Multiply by c**power."""
         if power == 0 or self.is_zero():
             return self
-        return CouplingPoly((Fraction(0),) * power + self.coeffs)
+        return _coupling_from([0] * power + list(self.coeffs))
 
     def __add__(self, other: "CouplingPoly") -> "CouplingPoly":
         a, b = self.coeffs, other.coeffs
@@ -103,30 +119,31 @@ class CouplingPoly:
         out = list(a)
         for i, v in enumerate(b):
             out[i] += v
-        return CouplingPoly(out)
+        return _coupling_from(out)
 
     def __neg__(self) -> "CouplingPoly":
-        return CouplingPoly(tuple(-v for v in self.coeffs))
+        return _coupling_from([-v for v in self.coeffs])
 
     def __sub__(self, other: "CouplingPoly") -> "CouplingPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "CouplingPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, CouplingPoly):
+            a, b = self.coeffs, other.coeffs
+            if a and len(b) > 1:
+                out = [0] * (len(a) + len(b) - 1)
+                for i, va in enumerate(a):
+                    if va == 0:
+                        continue
+                    for j, vb in enumerate(b):
+                        out[i + j] += va * vb
+                return _coupling_from(out)
+            q = b[0] if b else 0
+        else:
             q = _as_rat(other)
-            if q == 0:
-                return CouplingPoly()
-            return CouplingPoly(tuple(v * q for v in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return CouplingPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, va in enumerate(a):
-            if va == 0:
-                continue
-            for j, vb in enumerate(b):
-                out[i + j] += va * vb
-        return CouplingPoly(out)
+        if q == 0:
+            return CouplingPoly.ZERO
+        return _coupling_from([v * q for v in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -188,6 +205,14 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def _poly_from(arity: int, terms: dict) -> "MultiPoly":
+    """MultiPoly over a dict already free of zero coefficients (no copy)."""
+    p = object.__new__(MultiPoly)
+    p.arity = arity
+    p.terms = terms
+    return p
 
 
 class MultiPoly:
@@ -252,7 +277,7 @@ class MultiPoly:
             r = coef.component(power)
             if r != 0:
                 out[exp] = CouplingPoly.const(r)
-        return MultiPoly(self.arity, out)
+        return _poly_from(self.arity, out)
 
     def specialize_coupling(self, cval) -> "MultiPoly":
         out = {}
@@ -260,7 +285,7 @@ class MultiPoly:
             v = coef.eval_at(cval)
             if v != 0:
                 out[exp] = CouplingPoly.const(v)
-        return MultiPoly(self.arity, out)
+        return _poly_from(self.arity, out)
 
     # -- ring operations -------------------------------------------------
 
@@ -278,16 +303,10 @@ class MultiPoly:
                 out.pop(exp, None)
             else:
                 out[exp] = s
-        res = MultiPoly.__new__(MultiPoly)
-        res.arity = self.arity
-        res.terms = out
-        return res
+        return _poly_from(self.arity, out)
 
     def __neg__(self) -> "MultiPoly":
-        res = MultiPoly.__new__(MultiPoly)
-        res.arity = self.arity
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return _poly_from(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -307,10 +326,7 @@ class MultiPoly:
                     out.pop(exp, None)
                 else:
                     out[exp] = s
-        res = MultiPoly.__new__(MultiPoly)
-        res.arity = self.arity
-        res.terms = out
-        return res
+        return _poly_from(self.arity, out)
 
     __rmul__ = __mul__
 
@@ -318,7 +334,7 @@ class MultiPoly:
         factor = _coupling(factor)
         if factor.is_zero():
             return MultiPoly.zero(self.arity)
-        return MultiPoly(self.arity, {e: c * factor for e, c in self.terms.items()})
+        return _poly_from(self.arity, {e: c * factor for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -349,14 +365,14 @@ class MultiPoly:
             if e == 0:
                 continue
             newexp = exp[:k] + (e - 1,) + exp[k + 1:]
-            add = coef * Fraction(e)
+            add = coef * e
             cur = out.get(newexp)
             s = add if cur is None else cur + add
             if s.is_zero():
                 out.pop(newexp, None)
             else:
                 out[newexp] = s
-        return MultiPoly(self.arity, out)
+        return _poly_from(self.arity, out)
 
     def substitute_var(self, i: int, j: int) -> "MultiPoly":
         """Substitute x_i -> x_j (exponent of i folded onto j)."""
@@ -372,7 +388,7 @@ class MultiPoly:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return MultiPoly(self.arity, out)
+        return _poly_from(self.arity, out)
 
     def substitute_shift(self, k: int, j: int, alpha) -> "MultiPoly":
         """Substitute x_k -> x_k + alpha * x_j (exact; j != k)."""
@@ -401,7 +417,7 @@ class MultiPoly:
             c = coef * q ** exp[k]
             if not c.is_zero():
                 out[exp] = c
-        return MultiPoly(self.arity, out)
+        return _poly_from(self.arity, out)
 
     def permute(self, sigma: "Permutation") -> "MultiPoly":
         """Action on functions: x_k is mapped to x_{sigma(k)}."""
@@ -411,7 +427,7 @@ class MultiPoly:
         out = {}
         for exp, coef in self.terms.items():
             out[tuple(exp[inv(j)] for j in range(self.arity))] = coef
-        return MultiPoly(self.arity, out)
+        return _poly_from(self.arity, out)
 
     def eval(self, point: Sequence[Fraction | int], cval=0) -> Fraction:
         if len(point) != self.arity:
@@ -456,15 +472,26 @@ class MultiPoly:
             out = out + q * MultiPoly.monomial(self.arity, tuple(m if t == i else 0 for t in range(self.arity)))
         return out
 
+    def mul_difference(self, i: int, j: int) -> "MultiPoly":
+        """Multiply by (x_i - x_j): each term moves to exp + e_i, and its
+        negative to exp + e_j."""
+        out = self.shift_var(i).terms
+        for exp, coef in self.terms.items():
+            key = exp[:j] + (exp[j] + 1,) + exp[j + 1:]
+            cur = out.get(key)
+            s = -coef if cur is None else cur - coef
+            if s.is_zero():
+                del out[key]
+            else:
+                out[key] = s
+        return _poly_from(self.arity, out)
+
     def shift_var(self, j: int) -> "MultiPoly":
         """Multiply by x_j."""
         out = {}
         for exp, coef in self.terms.items():
             out[exp[:j] + (exp[j] + 1,) + exp[j + 1:]] = coef
-        res = MultiPoly.__new__(MultiPoly)
-        res.arity = self.arity
-        res.terms = out
-        return res
+        return _poly_from(self.arity, out)
 
     # -- text form ---------------------------------------------------------
 
@@ -570,17 +597,29 @@ def _pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-class RationalSection:
-    """``num / prod_{i<j} (x_i - x_j)^d_ij`` in reduced canonical form.
+def _section_from(num: MultiPoly, den: dict[tuple[int, int], int]) -> "RationalSection":
+    """RationalSection over a denominator dict already keyed by pairs i < j
+    with positive exponents (no copy)."""
+    s = object.__new__(RationalSection)
+    s.num = num
+    s.den = den
+    return s
 
-    Reduced means no pair difference with positive exponent divides the
-    numerator, which makes structural equality canonical.
+
+class RationalSection:
+    """``num / prod_{i<j} (x_i - x_j)^d_ij``.
+
+    Arithmetic keeps whatever common pair-difference factors it produces, so
+    two equal sections may be stored differently; ``==`` compares values.  A
+    section is zero exactly when its numerator is.  :meth:`reduced` cancels
+    every pair difference that divides the numerator, which gives the unique
+    canonical form that :meth:`to_text` serialises.  Sections are immutable;
+    results may share ``num`` and ``den`` with their operands.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MultiPoly, den: Mapping[tuple[int, int], int] | None = None,
-                 reduce: bool = True):
+    def __init__(self, num: MultiPoly, den: Mapping[tuple[int, int], int] | None = None):
         self.num = num
         clean: dict[tuple[int, int], int] = {}
         if den:
@@ -590,57 +629,53 @@ class RationalSection:
                 if d > 0:
                     clean[_pair(i, j)] = clean.get(_pair(i, j), 0) + d
         self.den = clean
-        if reduce:
-            self._reduce()
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "RationalSection":
-        return cls(p, None, reduce=False)
+        return cls(p)
 
     @classmethod
     def zero(cls, arity: int) -> "RationalSection":
-        return cls(MultiPoly.zero(arity), None, reduce=False)
+        return cls(MultiPoly.zero(arity))
 
     @classmethod
     def one(cls, arity: int) -> "RationalSection":
-        return cls(MultiPoly.one(arity), None, reduce=False)
+        return cls(MultiPoly.one(arity))
 
     @classmethod
     def monomial(cls, arity: int, exponents: Sequence[int], coeff=1) -> "RationalSection":
-        return cls(MultiPoly.monomial(arity, exponents, coeff), None, reduce=False)
+        return cls(MultiPoly.monomial(arity, exponents, coeff))
 
     @classmethod
     def inverse_difference(cls, arity: int, i: int, j: int, power: int = 1) -> "RationalSection":
         """1 / (x_i - x_j)^power; for i > j the sign moves to the numerator."""
         sign = 1 if i < j else (-1) ** power
-        return cls(MultiPoly.constant(arity, sign), {_pair(i, j): power}, reduce=False)
+        return cls(MultiPoly.constant(arity, sign), {_pair(i, j): power})
 
     # -- canonical form ---------------------------------------------------
 
-    def _reduce(self) -> None:
-        if self.num.is_zero():
-            self.den = {}
-            return
-        changed = True
-        while changed and self.den:
-            changed = False
-            for (i, j), d in list(self.den.items()):
-                while d > 0:
-                    q = self.num.divide_by_difference(i, j)
-                    if q is None:
-                        break
-                    self.num = q
-                    d -= 1
-                    changed = True
-                if d == 0:
-                    del self.den[(i, j)]
-                else:
-                    self.den[(i, j)] = d
-                if self.num.is_zero():
-                    self.den = {}
-                    return
+    def reduced(self) -> "RationalSection":
+        """The same section with no pair difference dividing the numerator.
+
+        One pass suffices: the pair differences are distinct irreducibles, so
+        dividing by one never makes another divide.
+        """
+        num = self.num
+        if num.is_zero():
+            return RationalSection.zero(self.arity)
+        den = {}
+        for (i, j), d in self.den.items():
+            while d:
+                q = num.divide_by_difference(i, j)
+                if q is None:
+                    break
+                num = q
+                d -= 1
+            if d:
+                den[(i, j)] = d
+        return _section_from(num, den)
 
     @property
     def arity(self) -> int:
@@ -662,11 +697,8 @@ class RationalSection:
             extra = d - self.den.get(pair, 0)
             if extra < 0:
                 raise ValueError("target denominator is not a multiple")
-            if extra:
-                i, j = pair
-                diff = MultiPoly.variable(self.arity, i) - MultiPoly.variable(self.arity, j)
-                for _ in range(extra):
-                    num = num * diff
+            for _ in range(extra):
+                num = num.mul_difference(*pair)
         return num
 
     def __add__(self, other: "RationalSection") -> "RationalSection":
@@ -678,10 +710,10 @@ class RationalSection:
         target = dict(self.den)
         for pair, d in other.den.items():
             target[pair] = max(target.get(pair, 0), d)
-        return RationalSection(self._raise_to_den(target) + other._raise_to_den(target), target)
+        return _section_from(self._raise_to_den(target) + other._raise_to_den(target), target)
 
     def __neg__(self) -> "RationalSection":
-        return RationalSection(-self.num, self.den, reduce=False)
+        return _section_from(-self.num, self.den)
 
     def __sub__(self, other: "RationalSection") -> "RationalSection":
         return self + (-other)
@@ -693,7 +725,7 @@ class RationalSection:
         den = dict(self.den)
         for pair, d in other.den.items():
             den[pair] = den.get(pair, 0) + d
-        return RationalSection(self.num * other.num, den)
+        return _section_from(self.num * other.num, den)
 
     __rmul__ = __mul__
 
@@ -701,22 +733,30 @@ class RationalSection:
         factor = _coupling(factor)
         if factor.is_zero():
             return RationalSection.zero(self.arity)
-        return RationalSection(self.num.scale(factor), self.den, reduce=False)
+        return _section_from(self.num.scale(factor), self.den)
 
     def mul_inverse_difference(self, i: int, j: int, power: int = 1) -> "RationalSection":
         """Multiply by 1/(x_i - x_j)^power."""
-        return self * RationalSection.inverse_difference(self.arity, i, j, power)
+        if power < 0:
+            raise ValueError("denominator exponents must be >= 0")
+        if power == 0:
+            return self
+        pair = _pair(i, j)
+        den = dict(self.den)
+        den[pair] = den.get(pair, 0) + power
+        num = -self.num if i > j and power % 2 else self.num
+        return _section_from(num, den)
 
     def partial(self, k: int) -> "RationalSection":
-        """Quotient-rule derivative; exact and reduced."""
-        result = RationalSection(self.num.partial(k), self.den)
+        """Quotient-rule derivative; exact."""
+        result = _section_from(self.num.partial(k), self.den)
         for (i, j), d in self.den.items():
             if k != i and k != j:
                 continue
             sign = 1 if k == i else -1
             den = dict(self.den)
             den[(i, j)] = d + 1
-            result = result + RationalSection(self.num.scale(Fraction(-d * sign)), den)
+            result = result + _section_from(self.num.scale(-d * sign), den)
         return result
 
     def permute(self, sigma: Permutation) -> "RationalSection":
@@ -731,13 +771,13 @@ class RationalSection:
             den[_pair(a, b)] = den.get(_pair(a, b), 0) + d
         if flip % 2:
             num = -num
-        return RationalSection(num, den, reduce=False)
+        return _section_from(num, den)
 
     def coupling_component(self, power: int) -> "RationalSection":
-        return RationalSection(self.num.coupling_component(power), self.den)
+        return _section_from(self.num.coupling_component(power), self.den)
 
     def specialize_coupling(self, cval) -> "RationalSection":
-        return RationalSection(self.num.specialize_coupling(cval), self.den)
+        return _section_from(self.num.specialize_coupling(cval), self.den)
 
     def eval(self, point: Sequence[Fraction | int], cval=0) -> Fraction:
         pt = [_as_rat(v) for v in point]
@@ -752,17 +792,23 @@ class RationalSection:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalSection):
             return NotImplemented
-        return self.den == other.den and self.num == other.num
+        if self.arity != other.arity:
+            return False
+        if self.den == other.den:
+            return self.num == other.num
+        return (self - other).is_zero()
 
     __hash__ = None
 
     # -- canonical text form ------------------------------------------------
 
     def to_text(self) -> str:
-        num = self.num.to_text()
-        if not self.den:
+        """Text of the reduced form, so equal sections print alike."""
+        r = self.reduced()
+        num = r.num.to_text()
+        if not r.den:
             return num
-        den = " ".join(f"(x{i}-x{j})^{d}" for (i, j), d in sorted(self.den.items()))
+        den = " ".join(f"(x{i}-x{j})^{d}" for (i, j), d in sorted(r.den.items()))
         return f"[{num}] / [{den}]"
 
     def __str__(self) -> str:
@@ -825,5 +871,5 @@ def parse_section(text: str, arity: int | None = None) -> RationalSection:
         den = {}
         for m in _DEN_RE.finditer(dentext.strip()[1:-1]):
             den[(int(m.group(1)), int(m.group(2)))] = int(m.group(3))
-        return RationalSection(num, den, reduce=False)
+        return RationalSection(num, den)
     return RationalSection.from_poly(_parse_multipoly(text, arity))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from .dunkl import (
     DunklContext,

@@ -260,6 +260,13 @@ class ChamberPath:
     margin: float = 1e-6
 
     def __post_init__(self):
+        # non-finite input is malformed, not a chamber violation: every
+        # comparison with NaN is false, so the checks below would pass it
+        if not math.isfinite(self.margin):
+            raise ValueError(f"margin {self.margin} is not finite")
+        for w in self.waypoints:
+            if not all(math.isfinite(v) for v in w):
+                raise ValueError(f"waypoint {w} is not finite")
         if len(self.waypoints) < 1:
             raise PathValidationError("path needs at least one waypoint")
         if self.margin <= 0:

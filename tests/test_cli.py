@@ -106,6 +106,27 @@ class TestTransportCommand:
         code, _, _ = run_cli(capsys, "transport", "--path", str(path), "--p", "1,2,3")
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"N": 2, "margin": NaN, "waypoints": [[0.0, 1.0]]}',
+        '{"N": 2, "margin": 0.1, "waypoints": [[0.0, Infinity]]}',
+        '{"N": 2, "margin": 0.1, "waypoints": [[-Infinity, 1.0]]}',
+    ])
+    def test_non_finite_json_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "transport", "--path", str(path), "--p", "1,2")
+        assert code == 2
+        assert "non-finite" in err
+
+    def test_values_may_start_with_minus(self, capsys, tmp_path):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(LOOP3))
+        code, out, _ = run_cli(capsys, "transport", "--path", str(path),
+                               "--p", "-1/2,1/3,1/4", "--c", "-1/2")
+        report = json.loads(out)
+        assert code == 0
+        assert report["p"] == ["-1/2", "1/3", "1/4"] and report["c"] == "-1/2"
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "transport",
                              "--path", str(tmp_path / "none.json"), "--p", "1,2")
@@ -129,6 +150,14 @@ class TestSimulateCommand:
         report = json.loads(out)
         assert code == 0
         assert report["traceInvariantsChecked"] is False
+
+    def test_positions_and_momenta_may_start_with_minus(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--x", "-1,0,1", "--p", "-0.5,0,0.5",
+                               "--t", "0.1", "--dt", "1e-3")
+        report = json.loads(out)
+        assert code == 0
+        assert report["config"]["x"] == [-1.0, 0.0, 1.0]
+        assert report["config"]["p"] == [-0.5, 0.0, 0.5]
 
     def test_unordered_initial_positions(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--x", "1,0", "--p", "0,0")

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from calogero import suites
 from calogero.dunkl import (
     DunklContext,
     SymmetryError,
@@ -11,6 +12,7 @@ from calogero.dunkl import (
     calogero_apply,
     commutator_dunkl,
     laplacian,
+    pair_potential,
     restricted_projection,
     sum_of_squares,
     sum_of_squares_normal_form,
@@ -18,7 +20,14 @@ from calogero.dunkl import (
     vandermonde,
     verify_intertwining,
 )
-from calogero.exactalg import CouplingPoly, MultiPoly, Permutation, RationalSection
+from calogero.exactalg import (
+    CouplingPoly,
+    MultiPoly,
+    Permutation,
+    RationalSection,
+    monomial_exponents,
+    parse_section,
+)
 
 C = CouplingPoly.c()
 G_PLUS = CouplingPoly((0, 1, 1))    # c(c+1)
@@ -218,3 +227,34 @@ def test_context_basis_spans_all_low_degree_monomials():
     assert len(basis) == 10  # 1 + 3 + 6 monomials of degree <= 2
     degrees = sorted(f.num.total_degree() for f in basis)
     assert degrees == [0] + [1] * 3 + [2] * 6
+
+
+def _flipped_term_residual(term):
+    """Operator minus a normal form whose ``term`` has the wrong sign."""
+    if term == "laplacian":
+        return lambda ctx, f: laplacian(ctx, f).scale(2)
+    # the c^2 term runs over ordered pairs, twice pair_potential
+    return lambda ctx, f: pair_potential(ctx, f).scale(C * C * -4)
+
+
+@pytest.mark.parametrize("term, powers", [("laplacian", []), ("c^2", [2])])
+def test_sign_mutation_in_normal_form_is_reported(monkeypatch, term, powers):
+    # Section arithmetic keeps unreduced intermediates, so a suite must still
+    # see a wrong normal form, and its failure texts must still be canonical.
+    residual_of = _flipped_term_residual(term)
+    monkeypatch.setattr(suites, "sum_of_squares_normal_form",
+                        lambda ctx, f: sum_of_squares_normal_form(ctx, f) - residual_of(ctx, f))
+    for n, degree in ((2, 3), (3, 2)):
+        ctx = DunklContext(n)
+        record = suites.sum_squares_suite(n, degree)
+        expected = [list(e) for e in monomial_exponents(n, degree)
+                    if not residual_of(ctx, RationalSection.monomial(n, e)).is_zero()]
+        assert expected
+        assert [f["monomial"] for f in record["failures"]] == expected
+        for failure in record["failures"]:
+            assert failure["nonzeroCouplingPowers"] == powers
+            text = failure["residual"]
+            parsed = parse_section(text, arity=n)
+            assert parsed.to_text() == text
+            assert parsed.reduced().to_text() == text
+            assert parsed == residual_of(ctx, RationalSection.monomial(n, failure["monomial"]))

@@ -89,6 +89,22 @@ class TestMultiPoly:
         assert q == (x0 - x1) * var(3, 2)
         assert var(3, 2).divide_by_difference(0, 1) is None
 
+    def test_mul_difference_matches_general_product(self):
+        rng = random.Random(5)
+        for n in (2, 3, 4):
+            for _ in range(10):
+                p = random_section(rng, n).num
+                for i in range(n):
+                    for j in range(n):
+                        if i != j:
+                            assert p.mul_difference(i, j) == p * (var(n, i) - var(n, j))
+
+    def test_integral_coefficients_stay_int(self):
+        p = MultiPoly.monomial(2, (3, 0), F(4, 2)).partial(0)
+        assert all(type(v) is int for c in p.terms.values() for v in c.coeffs)
+        half = CouplingPoly([F(1, 2)])
+        assert type(half.component(0)) is F and type(half.component(1)) is int
+
 
 class TestPermutation:
     def test_composition_convention(self):
@@ -166,6 +182,15 @@ class TestRationalSection:
         # 1/(x0-x1) + 1/(x1-x2) = (x0-x2)/((x0-x1)(x1-x2))
         expected = RationalSection(var(3, 0) - var(3, 2), {(0, 1): 1, (1, 2): 1})
         assert total == expected
+
+    def test_arithmetic_defers_reduction_to_text(self):
+        x0, x1 = var(2, 0), var(2, 1)
+        f = RationalSection.one(2).mul_inverse_difference(0, 1)
+        g = f * RationalSection.from_poly(x0 - x1)
+        assert g.den == {(0, 1): 1}            # kept as built
+        assert g == RationalSection.one(2)
+        assert g.reduced().den == {} and g.to_text() == RationalSection.one(2).to_text()
+        assert (g - RationalSection.one(2)).is_zero()
 
     def test_scale_by_zero(self):
         f = RationalSection.inverse_difference(2, 0, 1)

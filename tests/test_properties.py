@@ -63,6 +63,20 @@ def test_permutation_left_action(f, sigma, tau):
     assert f.permute(tau).permute(sigma) == f.permute(sigma * tau)
 
 
+@settings(max_examples=60, deadline=None)
+@given(sections, sections)
+def test_text_does_not_depend_on_construction_path(a, b):
+    back = (a + b) - b
+    assert back == a
+    assert back.to_text() == a.to_text()
+
+
+@settings(max_examples=40, deadline=None)
+@given(sections, st.integers(min_value=0, max_value=2))
+def test_derivative_text_matches_reduced_input(a, k):
+    assert a.partial(k).to_text() == a.reduced().partial(k).to_text()
+
+
 @settings(max_examples=40, deadline=None)
 @given(sections, st.integers(min_value=0, max_value=2))
 def test_derivative_is_linear_and_leibniz(f, k):

@@ -145,6 +145,18 @@ class TestChamberPath:
         with pytest.raises(PathValidationError):
             ChamberPath(((1.0, 0.0),), margin=0.1)
 
+    @pytest.mark.parametrize("waypoints, margin", [
+        (((0.0, float("nan")),), 0.1),
+        (((0.0, 1.0), (float("-inf"), 2.0)), 0.1),
+        (((0.0, 1.0),), float("nan")),
+        (((0.0, 1.0),), float("inf")),
+    ])
+    def test_non_finite_input_is_malformed_not_a_chamber_violation(self, waypoints, margin):
+        with pytest.raises(ValueError) as err:
+            ChamberPath(waypoints, margin=margin)
+        assert not isinstance(err.value, PathValidationError)
+        assert "not finite" in str(err.value)
+
     def test_json_round_trip(self, tmp_path):
         path = ChamberPath(((0.0, 1.0), (0.5, 2.0)), margin=0.25)
         file = tmp_path / "path.json"
