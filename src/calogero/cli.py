@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -57,6 +58,26 @@ def _float_vector(text: str) -> tuple[float, ...]:
         return tuple(float(part.strip()) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a float vector: {text!r}") from exc
+
+
+def _positive_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -136,10 +157,14 @@ def cmd_transport(args, parser) -> int:
     comparison = None
     if args.compare_dyson:
         order, steps = args.compare_dyson
-        dyson = transport_dyson(conn, path, order=int(order), steps=int(steps))
+        try:
+            dyson = transport_dyson(conn, path, order=order, steps=steps)
+        except ValueError as exc:  # grid above the memory bound
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         comparison = {
-            "order": int(order),
-            "steps": int(steps),
+            "order": order,
+            "steps": steps,
             "deviation": float(np.max(np.abs(dyson.matrix - result.matrix))),
         }
     report = {
@@ -246,11 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_rational_vector, required=True,
                    help="momenta, comma-separated rationals")
     p.add_argument("--c", type=_rational, default=Fraction(1), help="coupling")
-    p.add_argument("--tol", type=float, default=1e-10, help="local error tolerance")
+    p.add_argument("--tol", type=_positive_finite, default=1e-10,
+                   help="local error tolerance (finite, > 0)")
     p.add_argument("--prefactor", type=_rational, default=None,
                    help="override the off-diagonal connection coefficient (default: c)")
-    p.add_argument("--compare-dyson", nargs=2, metavar=("ORDER", "STEPS"), default=None,
-                   help="also run the iterated-integral series and report the deviation")
+    p.add_argument("--compare-dyson", nargs=2, type=_positive_int, metavar=("ORDER", "STEPS"),
+                   default=None,
+                   help="also run the iterated-integral series (integers >= 1) and report "
+                        "the deviation")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_transport)
 

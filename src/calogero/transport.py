@@ -14,6 +14,16 @@ connection (checked exactly in rational arithmetic) certifies the
 vectorization; transport along chamber paths is then computed numerically by
 an embedded Runge-Kutta 5(4) pair and, independently, by truncated
 time-ordered iterated integrals.
+
+The connection has one representation: its exact entries, from which
+construction derives index and coefficient arrays once.  Numeric evaluation
+is a scatter of those arrays (batched over many points at once for the
+iterated integrals).  Exact flatness scales each point's residuals to integers:
+with L the lcm of the numerators of the pair differences, every
+``L / (x_a - x_b)`` is an integer, so the curvature is a sum of Python ints and
+only a nonzero total becomes a ``Fraction``.  The iterated integrals hold three
+complex d x d matrices per grid node and refuse grids above
+``DYSON_MAX_BYTES``.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ __all__ = [
     "PathValidationError",
     "TransportStepError",
     "EquivarianceError",
+    "DYSON_MAX_BYTES",
     "build_local_system",
     "verify_flatness",
     "transport_ode",
@@ -74,7 +85,17 @@ class ConnectionMatrix:
     """Per-coordinate N! x N! connection of the vectorized eigenproblem.
 
     ``diag[k][row]`` is the rational momentum carried by the imaginary
-    diagonal; ``off[k]`` lists the exact off-diagonal entries.
+    diagonal; ``off[k]`` lists the exact off-diagonal entries.  These exact
+    entries are the one representation: construction derives from them, once,
+    the arrays every evaluator reads.
+
+    * Numeric: the entries of all coordinates in order, as flat ``row*d+col``
+      positions with their coordinate, pair ``(a, b)`` and float coefficient,
+      plus the float diagonal of shape ``(n, d)``.  ``velocity_matrix``
+      scatters them with one ``np.bincount``.
+    * Exact: the coefficients as integers over their common denominator, and
+      the momenta as integers over theirs, so the flatness and equivariance
+      residuals at a rational point are sums of Python ints.
     """
 
     n: int
@@ -84,58 +105,85 @@ class ConnectionMatrix:
     diag: tuple[tuple[Fraction, ...], ...]
     off: tuple[tuple[_OffEntry, ...], ...]
 
+    def __post_init__(self):
+        entries = [(k, e) for k, off_k in enumerate(self.off) for e in off_k]
+        d = self.dim
+        derived = {
+            "_k": np.array([k for k, _ in entries], dtype=np.intp),
+            "_flat": np.array([e.row * d + e.col for _, e in entries], dtype=np.intp),
+            "_a": np.array([e.a for _, e in entries], dtype=np.intp),
+            "_b": np.array([e.b for _, e in entries], dtype=np.intp),
+            "_coef": np.array([float(e.coeff) for _, e in entries], dtype=float),
+            "_diag": np.array([[float(q) for q in dk] for dk in self.diag],
+                              dtype=float).reshape(self.n, d),
+            "_coef_den": math.lcm(*(e.coeff.denominator for _, e in entries)),
+            "_diag_den": math.lcm(*(q.denominator for dk in self.diag for q in dk)),
+        }
+        derived["_coef_num"] = tuple(
+            tuple(_scaled_int(e.coeff, derived["_coef_den"]) for e in off_k)
+            for off_k in self.off)
+        derived["_diag_num"] = tuple(
+            tuple(_scaled_int(q, derived["_diag_den"]) for q in dk) for dk in self.diag)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
     @property
     def dim(self) -> int:
         return len(self.perms)
 
     # -- float evaluation (transport) -------------------------------------
 
-    def eval_numeric(self, k: int, x: np.ndarray) -> np.ndarray:
-        d = self.dim
-        out = np.zeros((d, d), dtype=complex)
-        out[np.arange(d), np.arange(d)] = 1j * np.array([float(v) for v in self.diag[k]])
-        for e in self.off[k]:
-            out[e.row, e.col] += float(e.coeff) / (x[e.a] - x[e.b])
-        return out
-
     def velocity_matrix(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """sum_k v_k Omega_k(x)."""
+        """sum_k v_k Omega_k(x) as a (d, d) matrix, or as an (m, d, d) stack
+        when ``x`` has shape (m, n)."""
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
         d = self.dim
-        out = np.zeros((d, d), dtype=complex)
+        xs = np.atleast_2d(x)
+        m = len(xs)
+        vals = v[self._k] * self._coef / (xs[:, self._a] - xs[:, self._b])
+        flat = self._flat if m == 1 else (np.arange(m)[:, None] * (d * d) + self._flat)
+        out = np.bincount(flat.ravel(), weights=vals.ravel(), minlength=m * d * d)
+        out = out.astype(complex).reshape(m, d, d)
         idx = np.arange(d)
-        for k in range(self.n):
-            if v[k] == 0.0:
-                continue
-            out[idx, idx] += 1j * v[k] * np.array([float(q) for q in self.diag[k]])
-            for e in self.off[k]:
-                out[e.row, e.col] += v[k] * float(e.coeff) / (x[e.a] - x[e.b])
-        return out
+        out[:, idx, idx] = 1j * (v @ self._diag)
+        return out if x.ndim > 1 else out[0]
+
+    def eval_numeric(self, k: int, x: np.ndarray) -> np.ndarray:
+        """Omega_k(x)."""
+        return self.velocity_matrix(x, np.eye(self.n)[k])
+
+    def _phase_matrix(self, dx: np.ndarray) -> np.ndarray:
+        """exp(i sum_k dx_k D_k): transport of the diagonal (c=0) part over
+        the displacement ``dx``."""
+        return np.diag(np.exp(1j * (np.asarray(dx, dtype=float) @ self._diag)))
 
     # -- exact evaluation (flatness, equivariance) -------------------------
 
-    def eval_exact(self, k: int, point: Sequence[Fraction]):
-        """Real and imaginary parts as dense Fraction matrices (im is diagonal)."""
-        d = self.dim
-        re = [[Fraction(0)] * d for _ in range(d)]
-        for e in self.off[k]:
-            re[e.row][e.col] += e.coeff / (point[e.a] - point[e.b])
-        im = list(self.diag[k])
-        return re, im
-
-    def _sparse_rows(self, k: int, point: Sequence[Fraction]):
-        rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.dim)]
-        for e in self.off[k]:
-            rows[e.row].append((e.col, e.coeff / (point[e.a] - point[e.b])))
+    def _scaled_rows(self, k: int, inv: list[list[int]]) -> list[list[tuple[int, int]]]:
+        """Entries of Omega_k grouped by row as ``(col, value * coef_den * L)``,
+        all Python ints, given ``inv[a][b] = L / (x_a - x_b)``."""
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
+        for e, q in zip(self.off[k], self._coef_num[k]):
+            rows[e.row].append((e.col, q * inv[e.a][e.b]))
         return rows
 
-    def _sparse_rows_derivative(self, k: int, j: int, point: Sequence[Fraction]):
-        rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.dim)]
-        for e in self.off[k]:
-            delta = (1 if j == e.a else 0) - (1 if j == e.b else 0)
-            if delta:
-                val = -e.coeff * delta / (point[e.a] - point[e.b]) ** 2
-                rows[e.row].append((e.col, val))
-        return rows
+
+def _scaled_int(q: Fraction | int, den: int) -> int:
+    """The integer q * den, for den a multiple of q's denominator."""
+    return q.numerator * (den // q.denominator)
+
+
+def _inverse_differences(point: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
+    """L, the lcm of the numerators of the pair differences x_a - x_b, and the
+    integers ``inv[a][b] = L / (x_a - x_b)`` for a < b."""
+    n = len(point)
+    diffs = [(a, b, point[a] - point[b]) for a in range(n) for b in range(a + 1, n)]
+    lcm = math.lcm(*(dv.numerator for _, _, dv in diffs))
+    inv = [[0] * n for _ in range(n)]
+    for a, b, dv in diffs:
+        inv[a][b] = lcm * dv.denominator // dv.numerator
+    return lcm, inv
 
 
 def build_local_system(n: int, p: Sequence[Fraction | int], c: Fraction | int,
@@ -155,6 +203,7 @@ def build_local_system(n: int, p: Sequence[Fraction | int], c: Fraction | int,
         raise ValueError("momentum vector has wrong length")
     c = Fraction(c)
     scale = c if prefactor is None else Fraction(prefactor)
+    neg = -scale
     perms = tuple(Permutation.all_elements(n))
     index = {sig.images: i for i, sig in enumerate(perms)}
     diag: list[tuple[Fraction, ...]] = []
@@ -163,19 +212,21 @@ def build_local_system(n: int, p: Sequence[Fraction | int], c: Fraction | int,
         dk = []
         ok = []
         for row, sig in enumerate(perms):
-            inv = sig.inverse()
-            m0 = inv(k)
+            images = sig.images
+            m0 = images.index(k)  # sigma^-1(k)
             dk.append(p[m0])
             for m in range(n):
                 if m == m0:
                     continue
-                tau = sig * Permutation.transposition(n, m, m0)
-                col = index[tau.images]
-                a, b = sig(m), k
-                if a < b:
-                    ok.append(_OffEntry(row, col, scale, a, b))
+                # sigma * (m m0): the images of sigma with slots m, m0 swapped
+                swapped = list(images)
+                swapped[m], swapped[m0] = images[m0], images[m]
+                col = index[tuple(swapped)]
+                a = images[m]
+                if a < k:
+                    ok.append(_OffEntry(row, col, scale, a, k))
                 else:
-                    ok.append(_OffEntry(row, col, -scale, b, a))
+                    ok.append(_OffEntry(row, col, neg, k, a))
         diag.append(tuple(dk))
         off.append(tuple(ok))
     return ConnectionMatrix(n=n, p=p, c=c, perms=perms,
@@ -185,65 +236,75 @@ def build_local_system(n: int, p: Sequence[Fraction | int], c: Fraction | int,
 # -- exact flatness ----------------------------------------------------------
 
 
-def _sparse_commutator(rows_a, rows_b, dim: int):
-    """[A, B] for sparse row-list matrices, as a dict keyed by (row, col)."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for r in range(dim):
-        for t, va in rows_a[r]:
-            for cidx, vb in rows_b[t]:
-                key = (r, cidx)
-                out[key] = out.get(key, Fraction(0)) + va * vb
-        for t, vb in rows_b[r]:
-            for cidx, va in rows_a[t]:
-                key = (r, cidx)
-                out[key] = out.get(key, Fraction(0)) - vb * va
-    return out
+def _curvature(conn: ConnectionMatrix, rows, inv: list[list[int]], j: int, k: int):
+    """Scaled curvature of the pair j < k as two dicts keyed by ``row*d+col``.
+
+    With R the off-diagonal and D the diagonal (momentum) parts, the real
+    part is d_j R_k - d_k R_j + [R_j, R_k], scaled by (coef_den * L)^2, and
+    the imaginary part [D_j, R_k] - [D_k, R_j], scaled by diag_den *
+    coef_den * L.  Keys appear in the order the terms are accumulated.
+    """
+    d = conn.dim
+    real: dict[int, int] = {}
+    rows_j, rows_k = rows[j], rows[k]
+    for r in range(d):
+        base = r * d
+        for t, va in rows_j[r]:
+            for col, vb in rows_k[t]:
+                real[base + col] = real.get(base + col, 0) + va * vb
+        for t, vb in rows_k[r]:
+            for col, va in rows_j[t]:
+                real[base + col] = real.get(base + col, 0) - vb * va
+    imag: dict[int, int] = {}
+    den = conn._coef_den
+    for sign, kk, i in ((1, k, j), (-1, j, k)):
+        dn = conn._diag_num[i]
+        for e, q in zip(conn.off[kk], conn._coef_num[kk]):
+            key = e.row * d + e.col
+            v = q * inv[e.a][e.b]
+            # d_i (q / (x_a - x_b)) = -q (delta_ia - delta_ib) / (x_a - x_b)^2
+            delta = (i == e.a) - (i == e.b)
+            if delta:
+                real[key] = real.get(key, 0) - sign * delta * den * v * inv[e.a][e.b]
+            dv = dn[e.row] - dn[e.col]
+            if dv:
+                imag[key] = imag.get(key, 0) + sign * dv * v
+    return real, imag
 
 
 def verify_flatness(conn: ConnectionMatrix, points: Sequence[Sequence[Fraction]]) -> dict:
     """Exact curvature d_j Omega_k - d_k Omega_j + [Omega_j, Omega_k] at each
-    point; returns a report with any nonzero residual entries."""
+    point; returns a report with any nonzero residual entries.
+
+    At each point the residuals are integer sums (see ``_curvature``); only a
+    nonzero total becomes a ``Fraction`` for the report text.
+    """
     failures = []
     checked = 0
+    d = conn.dim
     for point in points:
         point = [Fraction(v) for v in point]
         for i in range(len(point) - 1):
             if point[i] >= point[i + 1]:
                 raise PathValidationError(f"point {point} is not strictly ordered")
-        rows = [conn._sparse_rows(k, point) for k in range(conn.n)]
+        lcm, inv = _inverse_differences(point)
+        rows = [conn._scaled_rows(k, inv) for k in range(conn.n)]
+        real_scale = (conn._coef_den * lcm) ** 2
+        imag_scale = conn._diag_den * conn._coef_den * lcm
         for j in range(conn.n):
             for k in range(j + 1, conn.n):
                 checked += 1
-                # real part: d_j R_k - d_k R_j + [R_j, R_k]
-                resid = _sparse_commutator(rows[j], rows[k], conn.dim)
-                for row, entries in enumerate(conn._sparse_rows_derivative(k, j, point)):
-                    for cidx, v in entries:
-                        resid[(row, cidx)] = resid.get((row, cidx), Fraction(0)) + v
-                for row, entries in enumerate(conn._sparse_rows_derivative(j, k, point)):
-                    for cidx, v in entries:
-                        resid[(row, cidx)] = resid.get((row, cidx), Fraction(0)) - v
-                nonzero_real = {kk: v for kk, v in resid.items() if v != 0}
-                # imaginary part: [D_j, R_k] - [D_k, R_j] entrywise
-                imag: dict[tuple[int, int], Fraction] = {}
-                for e in conn.off[k]:
-                    dv = conn.diag[j][e.row] - conn.diag[j][e.col]
-                    if dv:
-                        val = dv * e.coeff / (point[e.a] - point[e.b])
-                        key = (e.row, e.col)
-                        imag[key] = imag.get(key, Fraction(0)) + val
-                for e in conn.off[j]:
-                    dv = conn.diag[k][e.row] - conn.diag[k][e.col]
-                    if dv:
-                        val = dv * e.coeff / (point[e.a] - point[e.b])
-                        key = (e.row, e.col)
-                        imag[key] = imag.get(key, Fraction(0)) - val
-                nonzero_imag = {kk: v for kk, v in imag.items() if v != 0}
+                real, imag = _curvature(conn, rows, inv, j, k)
+                nonzero_real = {key: v for key, v in real.items() if v}
+                nonzero_imag = {key: v for key, v in imag.items() if v}
                 if nonzero_real or nonzero_imag:
                     failures.append({
                         "point": [str(v) for v in point],
                         "pair": [j, k],
-                        "real": {f"{a},{b}": str(v) for (a, b), v in nonzero_real.items()},
-                        "imag": {f"{a},{b}": str(v) for (a, b), v in nonzero_imag.items()},
+                        "real": {"%d,%d" % divmod(key, d): str(Fraction(v, real_scale))
+                                 for key, v in nonzero_real.items()},
+                        "imag": {"%d,%d" % divmod(key, d): str(Fraction(v, imag_scale))
+                                 for key, v in nonzero_imag.items()},
                     })
     return {"identity": "flatness", "N": conn.n, "pointCount": len(points),
             "caseCount": checked, "failures": failures}
@@ -335,30 +396,24 @@ class TransportResult:
     method: str
     step_stats: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "matrix": [[[float(v.real), float(v.imag)] for v in row]
-                       for row in self.matrix],
-            "stepStats": self.step_stats,
-        }
-
 
 # -- embedded Runge-Kutta 5(4), Dormand-Prince coefficients -------------------
 
+# Row s of _DP_A weights the stages before s.  Row 6 equals _DP_B5, so the
+# last stage is f(t + h, y5) and, once the step is accepted, the first stage
+# of the next one (first same as last).
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+_DP_A = np.array([
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0),
+    (44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
+])
+_DP_B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+                   187 / 2100, 1 / 40))
 
 _MIN_STEP = 1e-14
 
@@ -366,28 +421,35 @@ _MIN_STEP = 1e-14
 def _integrate_dp45(fun: Callable[[float, np.ndarray], np.ndarray],
                     t0: float, t1: float, y0: np.ndarray, tol: float,
                     max_step: Callable[[float], float]) -> tuple[np.ndarray, dict]:
-    """One-directional embedded Dormand-Prince integration of y' = fun(t, y)."""
+    """One-directional embedded Dormand-Prince integration of y' = fun(t, y).
+
+    The stages live in one stacked array; each stage input and both
+    solutions are a single contraction of the tableau row with that stack.
+    """
     t, y = t0, y0
     h = min(t1 - t0, max_step(t0))
     steps = 0
     rejected = 0
     max_err = 0.0
+    shape = np.shape(y0)
+    k = np.empty((7, np.size(y0)), dtype=complex)  # stage s, flattened
+    k[0] = fun(t, y).ravel()
     while t < t1:
         h = min(h, t1 - t, max_step(t))
         if h < _MIN_STEP:
             raise TransportStepError(
                 f"step size underflow at t={t:.6g} (chamber margin too tight)")
-        k = [fun(t, y)]
         for s in range(1, 7):
-            ys = y + h * sum(a * ki for a, ki in zip(_DP_A[s], k))
-            k.append(fun(t + _DP_C[s] * h, ys))
-        y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
-        y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k))
+            ys = y + h * (_DP_A[s, :s] @ k[:s]).reshape(shape)
+            k[s] = fun(t + _DP_C[s] * h, ys).ravel()
+        y5 = ys
+        y4 = y + h * (_DP_B4 @ k).reshape(shape)
         scale = tol * (1.0 + np.max(np.abs(y)))
         err = np.max(np.abs(y5 - y4)) / scale
         if err <= 1.0:
             t += h
             y = y5
+            k[0] = k[6]
             steps += 1
             max_err = max(max_err, float(err * scale))
         else:
@@ -410,8 +472,8 @@ def transport_ode(conn: ConnectionMatrix, path: ChamberPath,
     """
     if path.n != conn.n:
         raise PathValidationError("path dimension does not match the system")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance {tol} must be finite and positive")
     d = conn.dim
     w = np.eye(d, dtype=complex)
     stats = {"steps": 0, "rejected": 0, "maxLocalError": 0.0}
@@ -445,41 +507,28 @@ def free_transport(conn: ConnectionMatrix, path: ChamberPath) -> np.ndarray:
     """Exact transport of the decoupled (c=0) part: the diagonal free phases."""
     a = np.asarray(path.waypoints[0], dtype=float)
     b = np.asarray(path.waypoints[-1], dtype=float)
-    d = conn.dim
-    out = np.zeros((d, d), dtype=complex)
-    for row in range(d):
-        phase = sum(float(conn.diag[k][row]) * (b[k] - a[k]) for k in range(conn.n))
-        out[row, row] = np.exp(1j * phase)
-    return out
+    return conn._phase_matrix(b - a)
 
 
 # -- time-ordered iterated integrals -------------------------------------------
 
 
-def _segment_nodes(path: ChamberPath, steps: int):
+# Bound on what transport_dyson holds: three stacks of one complex d x d
+# matrix per grid node (the connection, and the series terms of the previous
+# and the current order).  At N=5 (d=120) it allows about 770 grid nodes.
+DYSON_MAX_BYTES = 512 * 2**20
+
+
+def _segment_grids(path: ChamberPath, steps: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """Distribute an even number of intervals over each segment, proportional
-    to arc length; returns per-segment (points, h) with h in segment units."""
+    to arc length; returns per-segment (start, end, interval count)."""
     segs = list(path.segments())
     lengths = [float(np.linalg.norm(b - a)) for a, b in segs]
     total = sum(lengths)
     out = []
     for (a, b), ln in zip(segs, lengths):
         share = steps * ln / total if total > 0 else steps / len(segs)
-        m = max(2, 2 * math.ceil(share / 2))
-        ts = np.linspace(0.0, 1.0, m + 1)
-        out.append(((a, b), ts, 1.0 / m))
-    return out
-
-
-def _cumulative_simpson(values: list[np.ndarray], h: float) -> list[np.ndarray]:
-    """Cumulative integral at every node of a uniform grid with an even
-    number of intervals, quadratic through each consecutive node triple."""
-    n = len(values) - 1
-    out = [np.zeros_like(values[0])]
-    for i in range(0, n, 2):
-        f0, f1, f2 = values[i], values[i + 1], values[i + 2]
-        out.append(out[i] + h * (5 * f0 + 8 * f1 - f2) / 12.0)
-        out.append(out[i] + h * (f0 + 4 * f1 + f2) / 3.0)
+        out.append((a, b, max(2, 2 * math.ceil(share / 2))))
     return out
 
 
@@ -487,7 +536,13 @@ def transport_dyson(conn: ConnectionMatrix, path: ChamberPath,
                     order: int = 8, steps: int = 400) -> TransportResult:
     """Truncated time-ordered series 1 + int A + int int A A + ... computed by
     composite quadrature on a fixed grid; converges to the ODE transport as
-    order and steps grow."""
+    order and steps grow.
+
+    Term n+1 at every node is the cumulative integral of A T_n, quadratic
+    through each consecutive node triple (Simpson's rule at the even nodes).
+    The grid is refused with ``ValueError`` before anything is allocated when
+    its node stacks would exceed ``DYSON_MAX_BYTES``.
+    """
     if order < 1:
         raise ValueError("series order must be >= 1")
     if steps < 1:
@@ -498,32 +553,44 @@ def transport_dyson(conn: ConnectionMatrix, path: ChamberPath,
     if len(path.waypoints) < 2:
         return TransportResult(matrix=np.eye(d, dtype=complex), method="dyson",
                                step_stats={"order": order, "steps": 0})
-    grids = _segment_nodes(path, steps)
-    a_vals: list[np.ndarray] = []
-    h_list: list[tuple[int, int, float]] = []  # (start index, node count, h)
+    per_node = 3 * d * d * np.dtype(complex).itemsize
+    # every grid has more than `steps` nodes: refusing on that first keeps a
+    # huge step count away from the float arc-length shares
+    nodes = steps + 1
+    if nodes * per_node <= DYSON_MAX_BYTES:
+        grids = _segment_grids(path, steps)
+        nodes = sum(m + 1 for _, _, m in grids)
+    if nodes * per_node > DYSON_MAX_BYTES:
+        raise ValueError(
+            f"Dyson series with {steps} steps needs at least {nodes} grid nodes "
+            f"of {d}x{d} matrices, above the {DYSON_MAX_BYTES // 2**20} MiB bound")
+    a_vals = np.empty((nodes, d, d), dtype=complex)
+    spans = []  # (node slice, h) per segment
     pos = 0
-    for (a, b), ts, h in grids:
+    for a, b, m in grids:
+        ts = np.linspace(0.0, 1.0, m + 1)
         v = b - a
-        nodes = [conn.velocity_matrix(a + t * v, v) for t in ts]
-        a_vals.extend(nodes)
-        h_list.append((pos, len(nodes), h))
-        pos += len(nodes)
-    eye = np.eye(d, dtype=complex)
-    total = eye.copy()
-    prev = [eye.copy() for _ in range(pos)]  # T_0 at every node
-    total_intervals = sum(cnt - 1 for _, cnt, _ in h_list)
-    for _ in range(order):
-        integrand = [a_vals[i] @ prev[i] for i in range(pos)]
-        nxt: list[np.ndarray] = []
+        a_vals[pos:pos + m + 1] = conn.velocity_matrix(a + ts[:, None] * v, v)
+        spans.append((slice(pos, pos + m + 1), 1.0 / m))
+        pos += m + 1
+    total = np.eye(d, dtype=complex)
+    prev, nxt = np.empty_like(a_vals), np.empty_like(a_vals)
+    for term in range(order):
         carry = np.zeros((d, d), dtype=complex)
-        for start, cnt, h in h_list:
-            cum = _cumulative_simpson(integrand[start:start + cnt], h)
-            nxt.extend(carry + c for c in cum)
-            carry = carry + cum[-1]
-        prev = nxt
+        for seg, h in spans:
+            # T_0 = 1 at every node, so the first integrand is A itself
+            f = a_vals[seg] @ prev[seg] if term else a_vals[seg]
+            f0, f1, f2 = f[:-1:2], f[1::2], f[2::2]
+            cum = nxt[seg]
+            cum[0] = 0.0
+            np.cumsum(h * (f0 + 4 * f1 + f2) / 3.0, axis=0, out=cum[2::2])
+            cum[1::2] = cum[:-1:2] + h * (5 * f0 + 8 * f1 - f2) / 12.0
+            cum += carry
+            carry = cum[-1].copy()
+        prev, nxt = nxt, prev
         total = total + prev[-1]
     return TransportResult(matrix=total, method="dyson",
-                           step_stats={"order": order, "steps": total_intervals})
+                           step_stats={"order": order, "steps": nodes - len(grids)})
 
 
 # -- plane-wave (scattering) map ------------------------------------------------
@@ -549,22 +616,14 @@ def plane_wave_map(conn: ConnectionMatrix, base_point: Sequence[float],
     if margin is None:
         margin = 0.5 * float(np.min(np.diff(x0)))
 
-    def phase_matrix(lam: float) -> np.ndarray:
-        d = conn.dim
-        out = np.zeros((d, d), dtype=complex)
-        for row in range(d):
-            ph = sum(float(conn.diag[k][row]) * lam * x0[k] for k in range(conn.n))
-            out[row, row] = np.exp(1j * ph)
-        return out
-
     w = np.eye(conn.dim, dtype=complex)
     frames = []
-    d1 = phase_matrix(lambdas[0])
+    d1 = conn._phase_matrix(lambdas[0] * x0)
     for i, lam in enumerate(lambdas):
         if i > 0:
             seg = ChamberPath((tuple(lambdas[i - 1] * x0), tuple(lam * x0)), margin)
             w = transport_ode(conn, seg, tol).matrix @ w
-        stripped = np.linalg.inv(phase_matrix(lam)) @ w @ d1
+        stripped = np.linalg.inv(conn._phase_matrix(lam * x0)) @ w @ d1
         frames.append(stripped)
     diffs = [float(np.max(np.abs(frames[i + 1] - frames[i])))
              for i in range(len(frames) - 1)]
@@ -612,24 +671,43 @@ def equivariance_check(conn_p: ConnectionMatrix, conn_sp: ConnectionMatrix,
         "left": [index[(sigma * s).images] for s in perms],
         "left-inverse": [index[(inv_sigma * s).images] for s in perms],
     }
+    # per point, each system's scaled entries keyed by (row, col): value *
+    # coef_den * L, with L common to both systems
+    n, d = conn_p.n, conn_p.dim
+    scaled = []
+    for point in points:
+        lcm, inv = _inverse_differences([Fraction(v) for v in point])
+        entries = ([], [])
+        for conn, out in zip((conn_p, conn_sp), entries):
+            for k in range(n):
+                ent: dict[tuple[int, int], int] = {}
+                for r, row in enumerate(conn._scaled_rows(k, inv)):
+                    for col, v in row:
+                        ent[r, col] = ent.get((r, col), 0) + v
+                out.append(ent)
+        scaled.append((lcm, entries))
+    den_p, den_s = conn_p._coef_den, conn_sp._coef_den
     results = {}
     for name, rho in candidates.items():
+        back = [0] * d
+        for rr, r in enumerate(rho):
+            back[r] = rr
         worst = Fraction(0)
         exact = True
-        for point in points:
-            point = [Fraction(v) for v in point]
-            for k in range(conn_p.n):
-                re_p, im_p = conn_p.eval_exact(k, point)
-                re_s, im_s = conn_sp.eval_exact(k, point)
-                for rr in range(conn_p.dim):
-                    if im_s[rr] != im_p[rho[rr]]:
+        for lcm, (ents_p, ents_s) in scaled:
+            for k in range(n):
+                for rr in range(d):
+                    if conn_sp.diag[k][rr] != conn_p.diag[k][rho[rr]]:
                         exact = False
-                        worst = max(worst, abs(im_s[rr] - im_p[rho[rr]]))
-                    for cc in range(conn_p.dim):
-                        dv = re_s[rr][cc] - re_p[rho[rr]][rho[cc]]
-                        if dv != 0:
-                            exact = False
-                            worst = max(worst, abs(dv))
+                        worst = max(worst, abs(conn_sp.diag[k][rr] - conn_p.diag[k][rho[rr]]))
+                # Omega(p) conjugated by rho; entries absent from both are zero
+                ep = {(back[r], back[col]): v for (r, col), v in ents_p[k].items()}
+                es = ents_s[k]
+                for key in es.keys() | ep.keys():
+                    dv = es.get(key, 0) * den_p - ep.get(key, 0) * den_s
+                    if dv:
+                        exact = False
+                        worst = max(worst, Fraction(abs(dv), den_p * den_s * lcm))
         results[name] = {"exact": exact, "maxResidual": str(worst)}
     matches = [name for name, r in results.items() if r["exact"]]
     if not matches:

@@ -127,6 +127,28 @@ class TestTransportCommand:
         assert code == 0
         assert report["p"] == ["-1/2", "1/3", "1/4"] and report["c"] == "-1/2"
 
+    @pytest.mark.parametrize("args", [
+        ["--tol", "nan"], ["--tol", "0"], ["--tol", "inf"], ["--tol", "-1e-10"],
+        ["--compare-dyson", "abc", "400"], ["--compare-dyson", "0", "400"],
+        ["--compare-dyson", "8", "-5"], ["--compare-dyson", "8", "1.5"],
+    ])
+    def test_bad_tolerance_or_series_size_is_usage_error(self, capsys, tmp_path, args):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(LOOP3))
+        code, out, err = run_cli(capsys, "transport", "--path", str(path),
+                                 "--p", "1/2,-1/3,1/4", *args)
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+
+    @pytest.mark.parametrize("steps", ["1000000000", "9" * 400])
+    def test_dyson_grid_above_memory_bound_is_usage_error(self, capsys, tmp_path, steps):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(LOOP3))
+        code, out, err = run_cli(capsys, "transport", "--path", str(path),
+                                 "--p", "1/2,-1/3,1/4", "--compare-dyson", "8", steps)
+        assert code == 2
+        assert out == "" and "MiB bound" in err
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "transport",
                              "--path", str(tmp_path / "none.json"), "--p", "1,2")

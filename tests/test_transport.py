@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from calogero.exactalg import Permutation, RationalSection
 from calogero.transport import (
+    DYSON_MAX_BYTES,
     ChamberPath,
     EquivarianceError,
     PathValidationError,
@@ -23,6 +26,54 @@ from calogero.transport import (
 from conftest import BENCHMARK_C, BENCHMARK_P
 
 P3 = (F(1, 2), F(-1, 3), F(1, 4))
+LOOP3 = ((0.0, 1.0, 2.0), (0.3, 1.2, 2.5), (-0.2, 0.9, 2.1), (0.0, 1.0, 2.0))
+LOOP4 = ((0.0, 1.0, 2.0, 3.2), (0.3, 1.2, 2.5, 3.0), (-0.2, 0.9, 2.1, 3.5),
+         (0.0, 1.0, 2.0, 3.2))
+
+
+def _entry_loop_velocity(conn, x, v):
+    """Reference sum_k v_k Omega_k(x), one entry at a time from the exact
+    entries, independent of the arrays the connection derives from them."""
+    d = conn.dim
+    out = np.zeros((d, d), dtype=complex)
+    for k in range(conn.n):
+        for row in range(d):
+            out[row, row] += 1j * v[k] * float(conn.diag[k][row])
+        for e in conn.off[k]:
+            out[e.row, e.col] += v[k] * float(e.coeff) / (x[e.a] - x[e.b])
+    return out
+
+
+def _dense_curvature(conn, point, j, k):
+    """Curvature of the pair (j, k) at a rational point from dense Fraction
+    matrices: nonzero real and imaginary entries as {"row,col": text}."""
+    d = conn.dim
+
+    def off_part(kk, deriv=None):
+        # Omega_kk's off-diagonal part, or its derivative along x_deriv
+        m = [[F(0)] * d for _ in range(d)]
+        for e in conn.off[kk]:
+            gap = point[e.a] - point[e.b]
+            if deriv is None:
+                m[e.row][e.col] += e.coeff / gap
+            else:
+                m[e.row][e.col] -= ((deriv == e.a) - (deriv == e.b)) * e.coeff / gap ** 2
+        return m
+
+    rj, rk = off_part(j), off_part(k)
+    dj_rk, dk_rj = off_part(k, deriv=j), off_part(j, deriv=k)
+    dj, dk = conn.diag[j], conn.diag[k]
+    real, imag = {}, {}
+    for r in range(d):
+        for c in range(d):
+            comm = sum(rj[r][t] * rk[t][c] - rk[r][t] * rj[t][c] for t in range(d))
+            re = dj_rk[r][c] - dk_rj[r][c] + comm
+            im = (dj[r] - dj[c]) * rk[r][c] - (dk[r] - dk[c]) * rj[r][c]
+            if re:
+                real[f"{r},{c}"] = str(re)
+            if im:
+                imag[f"{r},{c}"] = str(im)
+    return real, imag
 
 
 class TestBuildLocalSystem:
@@ -46,6 +97,25 @@ class TestBuildLocalSystem:
                 per_row[e.row] = per_row.get(e.row, 0) + 1
             assert len(per_row) == 6
             assert all(count == 2 for count in per_row.values())
+
+    def test_velocity_matrix_matches_entry_loop(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 4, 5):
+            conn = build_local_system(n, [F(i + 1, 3) - 1 for i in range(n)], F(5, 4))
+            xs = np.cumsum(rng.uniform(0.2, 1.5, size=(4, n)), axis=1)
+            v = rng.normal(size=n)
+            batch = conn.velocity_matrix(xs, v)
+            assert batch.shape == (4, conn.dim, conn.dim)
+            for x, m in zip(xs, batch):
+                ref = _entry_loop_velocity(conn, x, v)
+                # off-diagonal entries are summed in the same order; only the
+                # diagonal's n-term sum may round differently
+                assert np.max(np.abs(m - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+                assert np.array_equal(conn.velocity_matrix(x, v), m)
+                for k in range(n):
+                    unit = np.eye(n)[k]
+                    assert np.allclose(conn.eval_numeric(k, x),
+                                       _entry_loop_velocity(conn, x, unit), rtol=0, atol=1e-14)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
@@ -81,6 +151,28 @@ class TestFlatness:
             conn = build_local_system(n, p, c)
             pts = [random_chamber_point(n, rng) for _ in range(4)]
             assert verify_flatness(conn, pts)["failures"] == []
+
+    def test_tampered_coefficient_reports_exact_residuals(self):
+        # one off-diagonal coefficient of Omega_1 moved from -1 or 1 to 7/5:
+        # the connection is no longer flat, and every residual the report
+        # names must equal the dense Fraction curvature
+        conn = build_local_system(3, P3, F(1))
+        off = [list(o) for o in conn.off]
+        off[1][0] = dataclasses.replace(off[1][0], coeff=F(7, 5))
+        bad = dataclasses.replace(conn, off=tuple(tuple(o) for o in off))
+        points = [(F(0), F(1), F(3)), (F(-1, 2), F(2, 3), F(9, 4))]
+        expected = []
+        for point in points:
+            for j, k in ((0, 1), (0, 2), (1, 2)):
+                assert _dense_curvature(conn, point, j, k) == ({}, {})
+                real, imag = _dense_curvature(bad, point, j, k)
+                if real or imag:
+                    expected.append({"point": [str(v) for v in point], "pair": [j, k],
+                                     "real": real, "imag": imag})
+        report = verify_flatness(bad, points)
+        assert report["failures"] == expected
+        assert any(f["real"] for f in expected) and any(f["imag"] for f in expected)
+        assert verify_flatness(conn, points)["failures"] == []
 
     def test_unordered_point_rejected(self):
         conn = build_local_system(2, [F(1), F(2)], 1)
@@ -250,6 +342,12 @@ class TestTransportOde:
         with pytest.raises(ValueError):
             transport_ode(conn, benchmark_path, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_tolerance_must_be_finite(self, benchmark_path, tol):
+        conn = build_local_system(3, BENCHMARK_P, BENCHMARK_C)
+        with pytest.raises(ValueError):
+            transport_ode(conn, benchmark_path, tol=tol)
+
     def test_dimension_mismatch_rejected(self, benchmark_path):
         conn = build_local_system(2, (F(1), F(2)), F(1))
         with pytest.raises(PathValidationError):
@@ -300,6 +398,49 @@ class TestTransportDyson:
         conn = build_local_system(2, (F(1), F(2)), F(1))
         res = transport_dyson(conn, ChamberPath(((0.0, 1.0),), margin=0.1))
         assert np.allclose(res.matrix, np.eye(2))
+
+    @pytest.mark.parametrize("steps", [10**12, 10**400])
+    def test_grid_above_memory_bound_refused_before_allocating(self, benchmark_path, steps):
+        # 10**12 steps would need petabytes, so allocating them would raise
+        # MemoryError, not ValueError; 10**400 does not even fit a float
+        conn = build_local_system(3, BENCHMARK_P, BENCHMARK_C)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MiB bound"):
+                transport_dyson(conn, benchmark_path, order=8, steps=steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 < DYSON_MAX_BYTES
+
+
+class TestScipyOracle:
+    """DOP853 from scipy on W' = Omega(x(t)) W, with Omega from the per-entry
+    reference loop, against transport_ode after every segment."""
+
+    @pytest.mark.parametrize("waypoints, p", [
+        (LOOP3, P3),
+        (LOOP4, (F(1, 2), F(-1, 3), F(1, 4), F(2, 3))),
+    ])
+    def test_dop853_agrees_with_transport_ode(self, waypoints, p):
+        integrate = pytest.importorskip("scipy.integrate")
+        conn = build_local_system(len(p), p, F(1))
+        d = conn.dim
+        w = np.eye(d, dtype=complex)
+        path = ChamberPath(waypoints, margin=0.1)
+        for i, (a, b) in enumerate(path.segments()):
+            v = b - a
+
+            def rhs(t, y, a=a, v=v):
+                return (_entry_loop_velocity(conn, a + t * v, v) @ y.reshape(d, d)).ravel()
+
+            sol = integrate.solve_ivp(rhs, (0.0, 1.0), w.ravel(), method="DOP853",
+                                      rtol=1e-12, atol=1e-12)
+            assert sol.success
+            w = sol.y[:, -1].reshape(d, d)
+            prefix = ChamberPath(waypoints[:i + 2], margin=0.1)
+            ours = transport_ode(conn, prefix, tol=1e-10).matrix
+            assert np.max(np.abs(ours - w)) <= 1e-8
 
 
 class TestPlaneWaveMap:
