@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
-    CouplingPoly,
     MultiPoly,
     Permutation,
     RationalSection,
@@ -40,9 +39,6 @@ __all__ = [
     "antisymmetric_basis",
     "vandermonde",
 ]
-
-_C = CouplingPoly.c()
-
 
 class SymmetryError(ValueError):
     """Input section does not have the declared S_N symmetry type."""
@@ -76,7 +72,7 @@ def apply_dunkl(ctx: DunklContext, k: int, f: RationalSection) -> RationalSectio
         if i == k:
             continue
         swapped = f.permute(Permutation.transposition(ctx.n, i, k))
-        result = result - swapped.mul_inverse_difference(i, k).scale(_C)
+        result = result - swapped.mul_inverse_difference(i, k).mul_coupling()
     return result
 
 
@@ -131,11 +127,10 @@ def sum_of_squares_normal_form(ctx: DunklContext, f: RationalSection) -> Rationa
     while the mixed-index quadratic terms cancel by the cyclic identity.
     """
     out = laplacian(ctx, f)
-    c2 = _C * _C
     for i, j in itertools.permutations(range(ctx.n), 2):
         swapped = f.permute(Permutation.transposition(ctx.n, i, j))
-        out = out - swapped.mul_inverse_difference(i, j, 2).scale(_C)
-        out = out - f.mul_inverse_difference(i, j, 2).scale(c2)
+        out = out - swapped.mul_inverse_difference(i, j, 2).mul_coupling()
+        out = out - f.mul_inverse_difference(i, j, 2).mul_coupling(2)
     return out
 
 
@@ -182,19 +177,22 @@ def restricted_projection(ctx: DunklContext, f: RationalSection,
             raise SymmetryError("section is not antisymmetric")
         swap_value = -1
     out = laplacian(ctx, f)
-    c2 = _C * _C
     for i, j in itertools.permutations(range(ctx.n), 2):
-        out = out - f.mul_inverse_difference(i, j, 2).scale(_C * swap_value)
-        out = out - f.mul_inverse_difference(i, j, 2).scale(c2)
+        inv2 = f.mul_inverse_difference(i, j, 2)
+        out = out - inv2.mul_coupling().scale(swap_value) - inv2.mul_coupling(2)
     return out
 
 
 def calogero_apply(ctx: DunklContext, f: RationalSection,
-                   g: CouplingPoly | Fraction | int) -> RationalSection:
-    """Calogero Hamiltonian action: -1/2 Laplacian f + g * sum_{i<j} (x_i-x_j)^-2 f."""
-    if not isinstance(g, CouplingPoly):
-        g = CouplingPoly.const(g)
-    return laplacian(ctx, f).scale(Fraction(-1, 2)) + pair_potential(ctx, f).scale(g)
+                   g: MultiPoly | Fraction | int) -> RationalSection:
+    """Calogero Hamiltonian action: -1/2 Laplacian f + g * sum_{i<j} (x_i-x_j)^-2 f.
+
+    The coupling ``g`` is an exact rational or a polynomial in c such as
+    c(c+1); a polynomial is multiplied in as a section.
+    """
+    if isinstance(g, MultiPoly):
+        g = RationalSection.from_poly(g)
+    return laplacian(ctx, f).scale(Fraction(-1, 2)) + pair_potential(ctx, f) * g
 
 
 def vandermonde(n: int) -> RationalSection:
@@ -224,7 +222,7 @@ def symmetric_basis(n: int, max_degree: int) -> list[RationalSection]:
             if len(lam) > n:
                 continue
             exps = set(itertools.permutations(tuple(lam) + (0,) * (n - len(lam))))
-            poly = MultiPoly(n, {e: CouplingPoly.ONE for e in exps})
+            poly = MultiPoly(n, {e + (0,): 1 for e in exps})
             out.append(RationalSection.from_poly(poly))
     return out
 

@@ -1,17 +1,18 @@
-"""Exact arithmetic foundation: coupling polynomials, sparse multivariate
-polynomials, rational sections with pair-difference denominators, and the
-symmetric-group action on all of them.
+"""Exact arithmetic foundation: sparse polynomials in the coordinates and
+the formal coupling, rational sections with pair-difference denominators, and
+the symmetric-group action on them.
 
-Scalars are polynomials in a formal coupling constant ``c`` with exact
-rational coefficients (:class:`CouplingPoly`), so identities can be certified
-for all couplings at once.  A coefficient is a Python ``int`` and becomes a
-``Fraction`` only when it needs a denominator; both compare, hash and print
-alike.  A :class:`RationalSection` is a polynomial numerator over a product
-of pair-difference powers ``prod (x_i - x_j)^d_ij``; this class of functions
-is closed under all the operators used in this package (partial derivatives,
-coordinate swaps, multiplication by ``1/(x_i - x_j)``).  Section arithmetic
-does not cancel common pair-difference factors; only :meth:`RationalSection.to_text`
-reduces, so serialised sections are canonical.
+The coupling constant ``c`` is one more polynomial variable: a
+:class:`MultiPoly` in ``x0 .. x_{N-1}`` stores exponent tuples of length
+``N + 1`` whose last slot is the power of ``c``, so identities can be
+certified for all couplings at once.  A coefficient is a Python ``int`` and
+becomes a ``Fraction`` only when it needs a denominator; both compare, hash
+and print alike.  A :class:`RationalSection` is a polynomial numerator over a
+product of pair-difference powers ``prod (x_i - x_j)^d_ij``; this class of
+functions is closed under all the operators used in this package (partial
+derivatives, coordinate swaps, multiplication by ``1/(x_i - x_j)``).  Section
+arithmetic does not cancel common pair-difference factors; only
+:meth:`RationalSection.to_text` reduces, so serialised sections are canonical.
 
 Coordinates are 0-indexed: ``x0 .. x_{N-1}``.
 """
@@ -21,10 +22,10 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import add
+from typing import Iterator, Mapping, Sequence
 
 __all__ = [
-    "CouplingPoly",
     "MultiPoly",
     "Permutation",
     "RationalSection",
@@ -51,142 +52,6 @@ def _as_rat(value) -> int | Fraction:
     if isinstance(value, int):
         return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-def _coupling_from(coeffs: list) -> "CouplingPoly":
-    """CouplingPoly over already-exact coefficients; strips trailing zeros."""
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    p = object.__new__(CouplingPoly)
-    p.coeffs = tuple(coeffs)
-    return p
-
-
-class CouplingPoly:
-    """Exact univariate polynomial in the formal coupling ``c``.
-
-    Canonical form: the highest stored coefficient is nonzero; the zero
-    polynomial is the empty tuple.  All arithmetic is exact.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [_as_rat(v) for v in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[int | Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def const(cls, value) -> "CouplingPoly":
-        return cls((_as_rat(value),))
-
-    @classmethod
-    def c(cls, power: int = 1) -> "CouplingPoly":
-        """The monomial c**power."""
-        return cls((0,) * power + (1,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree in c; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def component(self, power: int) -> int | Fraction:
-        """Coefficient of c**power."""
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return 0
-
-    def eval_at(self, cval) -> Fraction:
-        cval = _as_rat(cval)
-        acc = Fraction(0)
-        for coef in reversed(self.coeffs):
-            acc = acc * cval + coef
-        return acc
-
-    def shift(self, power: int) -> "CouplingPoly":
-        """Multiply by c**power."""
-        if power == 0 or self.is_zero():
-            return self
-        return _coupling_from([0] * power + list(self.coeffs))
-
-    def __add__(self, other: "CouplingPoly") -> "CouplingPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return _coupling_from(out)
-
-    def __neg__(self) -> "CouplingPoly":
-        return _coupling_from([-v for v in self.coeffs])
-
-    def __sub__(self, other: "CouplingPoly") -> "CouplingPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "CouplingPoly":
-        if isinstance(other, CouplingPoly):
-            a, b = self.coeffs, other.coeffs
-            if a and len(b) > 1:
-                out = [0] * (len(a) + len(b) - 1)
-                for i, va in enumerate(a):
-                    if va == 0:
-                        continue
-                    for j, vb in enumerate(b):
-                        out[i + j] += va * vb
-                return _coupling_from(out)
-            q = b[0] if b else 0
-        else:
-            q = _as_rat(other)
-        if q == 0:
-            return CouplingPoly.ZERO
-        return _coupling_from([v * q for v in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CouplingPoly.const(other)
-        if not isinstance(other, CouplingPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, v in enumerate(self.coeffs):
-            if v == 0:
-                continue
-            if k == 0:
-                parts.append(str(v))
-            elif k == 1:
-                parts.append(f"{v} c")
-            else:
-                parts.append(f"{v} c^{k}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"CouplingPoly({self})"
-
-
-CouplingPoly.ZERO = CouplingPoly()
-CouplingPoly.ONE = CouplingPoly.const(1)
-
-
-def _coupling(value) -> CouplingPoly:
-    if isinstance(value, CouplingPoly):
-        return value
-    return CouplingPoly.const(_as_rat(value))
 
 
 def monomial_exponents(arity: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -216,23 +81,28 @@ def _poly_from(arity: int, terms: dict) -> "MultiPoly":
 
 
 class MultiPoly:
-    """Sparse exact polynomial in x0..x_{N-1} with CouplingPoly coefficients.
+    """Sparse exact polynomial in x0..x_{N-1} and the coupling c.
 
-    ``terms`` maps exponent tuples (length == arity) to nonzero coefficients.
+    ``terms`` maps exponent tuples of length ``arity + 1`` to nonzero exact
+    rationals: ``exp[k]`` is the power of x_k and the last slot, the coupling
+    slot, is the power of c.  Degrees, permutations and substitutions act on
+    the x slots only.
     """
 
     __slots__ = ("arity", "terms")
 
-    def __init__(self, arity: int, terms: Mapping[tuple[int, ...], CouplingPoly] | None = None):
+    def __init__(self, arity: int, terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         if arity < 1:
             raise ValueError("arity must be >= 1")
         self.arity = arity
-        clean: dict[tuple[int, ...], CouplingPoly] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for exp, coef in terms.items():
-                if len(exp) != arity:
-                    raise ValueError(f"exponent {exp} has wrong length for arity {arity}")
-                if not coef.is_zero():
+                if len(exp) != arity + 1:
+                    raise ValueError(f"exponent {exp} has wrong length for arity {arity} "
+                                     "(one slot per coordinate plus the coupling slot)")
+                coef = _as_rat(coef)
+                if coef:
                     clean[tuple(exp)] = coef
         self.terms = clean
 
@@ -244,7 +114,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, arity: int, value) -> "MultiPoly":
-        return cls(arity, {(0,) * arity: _coupling(value)})
+        return cls(arity, {(0,) * (arity + 1): value})
 
     @classmethod
     def one(cls, arity: int) -> "MultiPoly":
@@ -256,7 +126,13 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, arity: int, exponents: Sequence[int], coeff=1) -> "MultiPoly":
-        return cls(arity, {tuple(exponents): _coupling(coeff)})
+        """coeff * x^exponents, with one exponent per coordinate."""
+        return cls(arity, {tuple(exponents) + (0,): coeff})
+
+    @classmethod
+    def coupling(cls, arity: int, power: int = 1) -> "MultiPoly":
+        """The monomial c**power."""
+        return cls(arity, {(0,) * arity + (power,): 1})
 
     # -- structure -------------------------------------------------------
 
@@ -265,27 +141,22 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Max total degree in x; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def coupling_degree(self) -> int:
-        return max((c.degree() for c in self.terms.values()), default=-1)
+        return max((sum(e) - e[-1] for e in self.terms), default=-1)
 
     def coupling_component(self, power: int) -> "MultiPoly":
         """The polynomial multiplying c**power (a coupling-free MultiPoly)."""
-        out = {}
-        for exp, coef in self.terms.items():
-            r = coef.component(power)
-            if r != 0:
-                out[exp] = CouplingPoly.const(r)
-        return _poly_from(self.arity, out)
+        a = self.arity
+        return _poly_from(a, {e[:a] + (0,): v for e, v in self.terms.items() if e[a] == power})
 
     def specialize_coupling(self, cval) -> "MultiPoly":
-        out = {}
+        """The polynomial at c = cval (coupling-free)."""
+        cval = _as_rat(cval)
+        a = self.arity
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for exp, coef in self.terms.items():
-            v = coef.eval_at(cval)
-            if v != 0:
-                out[exp] = CouplingPoly.const(v)
-        return _poly_from(self.arity, out)
+            key = exp[:a] + (0,)
+            out[key] = out.get(key, 0) + coef * cval ** exp[a]
+        return MultiPoly(a, out)
 
     # -- ring operations -------------------------------------------------
 
@@ -293,46 +164,49 @@ class MultiPoly:
         if self.arity != other.arity:
             raise ValueError(f"arity mismatch: {self.arity} != {other.arity}")
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def _merge(self, other: "MultiPoly", negate: bool) -> "MultiPoly":
+        """self + other, or self - other when ``negate``."""
         self._check(other)
         out = dict(self.terms)
         for exp, coef in other.terms.items():
-            cur = out.get(exp)
-            s = coef if cur is None else cur + coef
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
+            s = out.get(exp, 0)
+            s = s - coef if negate else s + coef
+            if s:
                 out[exp] = s
+            else:
+                del out[exp]
         return _poly_from(self.arity, out)
+
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        return self._merge(other, False)
+
+    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
+        return self._merge(other, True)
 
     def __neg__(self) -> "MultiPoly":
         return _poly_from(self.arity, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction, CouplingPoly)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out: dict[tuple[int, ...], CouplingPoly] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exp = tuple(a + b for a, b in zip(ea, eb))
-                prod = ca * cb
-                cur = out.get(exp)
-                s = prod if cur is None else cur + prod
-                if s.is_zero():
-                    out.pop(exp, None)
-                else:
+                exp = tuple(map(add, ea, eb))
+                s = out.get(exp, 0) + ca * cb
+                if s:
                     out[exp] = s
+                else:
+                    del out[exp]
         return _poly_from(self.arity, out)
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "MultiPoly":
-        factor = _coupling(factor)
-        if factor.is_zero():
+        """Multiply by an exact rational."""
+        factor = _as_rat(factor)
+        if not factor:
             return MultiPoly.zero(self.arity)
         return _poly_from(self.arity, {e: c * factor for e, c in self.terms.items()})
 
@@ -359,35 +233,26 @@ class MultiPoly:
 
     def partial(self, k: int) -> "MultiPoly":
         """Exact partial derivative with respect to x_k."""
-        out: dict[tuple[int, ...], CouplingPoly] = {}
+        out = {}
         for exp, coef in self.terms.items():
             e = exp[k]
-            if e == 0:
-                continue
-            newexp = exp[:k] + (e - 1,) + exp[k + 1:]
-            add = coef * e
-            cur = out.get(newexp)
-            s = add if cur is None else cur + add
-            if s.is_zero():
-                out.pop(newexp, None)
-            else:
-                out[newexp] = s
+            if e:
+                out[exp[:k] + (e - 1,) + exp[k + 1:]] = coef * e
         return _poly_from(self.arity, out)
 
     def substitute_var(self, i: int, j: int) -> "MultiPoly":
         """Substitute x_i -> x_j (exponent of i folded onto j)."""
-        out: dict[tuple[int, ...], CouplingPoly] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for exp, coef in self.terms.items():
             e = list(exp)
             e[j] += e[i]
             e[i] = 0
             key = tuple(e)
-            cur = out.get(key)
-            s = coef if cur is None else cur + coef
-            if s.is_zero():
-                out.pop(key, None)
-            else:
+            s = out.get(key, 0) + coef
+            if s:
                 out[key] = s
+            else:
+                del out[key]
         return _poly_from(self.arity, out)
 
     def substitute_shift(self, k: int, j: int, alpha) -> "MultiPoly":
@@ -395,18 +260,16 @@ class MultiPoly:
         alpha = _as_rat(alpha)
         if j == k:
             raise ValueError("shift source and target must differ")
-        out = MultiPoly.zero(self.arity)
-        xk = MultiPoly.variable(self.arity, k)
-        xj_scaled = MultiPoly.variable(self.arity, j).scale(alpha)
-        shifted = xk + xj_scaled
+        a = self.arity
+        shifted = MultiPoly.variable(a, k) + MultiPoly.variable(a, j).scale(alpha)
         # binomial expansion per term, grouped by the exponent of x_k
-        powers: dict[int, MultiPoly] = {0: MultiPoly.one(self.arity)}
-        maxe = max((e[k] for e in self.terms), default=0)
-        for m in range(1, maxe + 1):
-            powers[m] = powers[m - 1] * shifted
+        powers = [MultiPoly.one(a)]
+        for _ in range(max((e[k] for e in self.terms), default=0)):
+            powers.append(powers[-1] * shifted)
+        out = MultiPoly.zero(a)
         for exp, coef in self.terms.items():
             rest = exp[:k] + (0,) + exp[k + 1:]
-            out = out + powers[exp[k]].scale(coef) * MultiPoly.monomial(self.arity, rest)
+            out = out + powers[exp[k]] * _poly_from(a, {rest: coef})
         return out
 
     def substitute_scale(self, k: int, q) -> "MultiPoly":
@@ -415,27 +278,25 @@ class MultiPoly:
         out = {}
         for exp, coef in self.terms.items():
             c = coef * q ** exp[k]
-            if not c.is_zero():
+            if c:
                 out[exp] = c
         return _poly_from(self.arity, out)
 
     def permute(self, sigma: "Permutation") -> "MultiPoly":
-        """Action on functions: x_k is mapped to x_{sigma(k)}."""
+        """Action on functions: x_k is mapped to x_{sigma(k)}; c stays."""
         if sigma.size != self.arity:
             raise ValueError("permutation size does not match arity")
-        inv = sigma.inverse()
-        out = {}
-        for exp, coef in self.terms.items():
-            out[tuple(exp[inv(j)] for j in range(self.arity))] = coef
-        return _poly_from(self.arity, out)
+        order = sigma.inverse().images + (self.arity,)
+        return _poly_from(self.arity, {tuple([exp[t] for t in order]): coef
+                                       for exp, coef in self.terms.items()})
 
     def eval(self, point: Sequence[Fraction | int], cval=0) -> Fraction:
         if len(point) != self.arity:
             raise ValueError("point has wrong dimension")
-        pt = [_as_rat(v) for v in point]
+        pt = [_as_rat(v) for v in point] + [_as_rat(cval)]
         total = Fraction(0)
         for exp, coef in self.terms.items():
-            val = coef.eval_at(cval)
+            val = coef
             for x, e in zip(pt, exp):
                 if e:
                     val *= x ** e
@@ -450,26 +311,15 @@ class MultiPoly:
         if self.is_zero():
             return self
         # coefficients of x_i^m, exponent slot i zeroed
-        by_deg: dict[int, dict[tuple[int, ...], CouplingPoly]] = {}
+        by_deg: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
         for exp, coef in self.terms.items():
-            m = exp[i]
-            key = exp[:i] + (0,) + exp[i + 1:]
-            by_deg.setdefault(m, {})[key] = coef
-        top = max(by_deg)
-        coeffs = {m: MultiPoly(self.arity, t) for m, t in by_deg.items()}
-        zero = MultiPoly.zero(self.arity)
-        quot: dict[int, MultiPoly] = {}
-        carry = zero
-        for m in range(top, 0, -1):
-            q = coeffs.get(m, zero) + carry
-            quot[m - 1] = q
+            by_deg.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1:]] = coef
+        out = carry = MultiPoly.zero(self.arity)
+        for m in range(max(by_deg), 0, -1):
+            q = _poly_from(self.arity, by_deg.get(m, {})) + carry
+            out = out + q.shift_var(i, m - 1)
             carry = q.shift_var(j)
         # remainder must vanish (guaranteed by the substitution test)
-        out = MultiPoly.zero(self.arity)
-        for m, q in quot.items():
-            if q.is_zero():
-                continue
-            out = out + q * MultiPoly.monomial(self.arity, tuple(m if t == i else 0 for t in range(self.arity)))
         return out
 
     def mul_difference(self, i: int, j: int) -> "MultiPoly":
@@ -478,30 +328,35 @@ class MultiPoly:
         out = self.shift_var(i).terms
         for exp, coef in self.terms.items():
             key = exp[:j] + (exp[j] + 1,) + exp[j + 1:]
-            cur = out.get(key)
-            s = -coef if cur is None else cur - coef
-            if s.is_zero():
-                del out[key]
-            else:
+            s = out.get(key, 0) - coef
+            if s:
                 out[key] = s
+            else:
+                del out[key]
         return _poly_from(self.arity, out)
 
-    def shift_var(self, j: int) -> "MultiPoly":
-        """Multiply by x_j."""
+    def shift_var(self, j: int, power: int = 1) -> "MultiPoly":
+        """Multiply by x_j**power; ``j == arity`` is the coupling slot, so
+        ``shift_var(arity, k)`` multiplies by c**k."""
         out = {}
         for exp, coef in self.terms.items():
-            out[exp[:j] + (exp[j] + 1,) + exp[j + 1:]] = coef
+            out[exp[:j] + (exp[j] + power,) + exp[j + 1:]] = coef
         return _poly_from(self.arity, out)
 
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
+        """Terms grouped by x-exponent in sorted order, each group printed as
+        ``(q0 + q1 c + q2 c^2) x^(e0,...)`` with zero powers of c left out."""
         if not self.terms:
             return "0"
-        parts = []
+        groups: dict[tuple[int, ...], list[str]] = {}
         for exp in sorted(self.terms):
-            parts.append(f"({self.terms[exp]}) x^({','.join(map(str, exp))})")
-        return " + ".join(parts)
+            coef, k = self.terms[exp], exp[-1]
+            groups.setdefault(exp[:-1], []).append(
+                str(coef) if k == 0 else f"{coef} c" if k == 1 else f"{coef} c^{k}")
+        return " + ".join(f"({' + '.join(cs)}) x^({','.join(map(str, x))})"
+                          for x, cs in groups.items())
 
     def __str__(self) -> str:
         return self.to_text()
@@ -701,25 +556,30 @@ class RationalSection:
                 num = num.mul_difference(*pair)
         return num
 
-    def __add__(self, other: "RationalSection") -> "RationalSection":
+    def _merge(self, other: "RationalSection", negate: bool) -> "RationalSection":
+        """self + other, or self - other when ``negate``."""
         self._check(other)
-        if self.is_zero():
-            return other
         if other.is_zero():
             return self
+        if self.is_zero():
+            return -other if negate else other
         target = dict(self.den)
         for pair, d in other.den.items():
             target[pair] = max(target.get(pair, 0), d)
-        return _section_from(self._raise_to_den(target) + other._raise_to_den(target), target)
+        num = self._raise_to_den(target)._merge(other._raise_to_den(target), negate)
+        return _section_from(num, target)
+
+    def __add__(self, other: "RationalSection") -> "RationalSection":
+        return self._merge(other, False)
+
+    def __sub__(self, other: "RationalSection") -> "RationalSection":
+        return self._merge(other, True)
 
     def __neg__(self) -> "RationalSection":
         return _section_from(-self.num, self.den)
 
-    def __sub__(self, other: "RationalSection") -> "RationalSection":
-        return self + (-other)
-
     def __mul__(self, other) -> "RationalSection":
-        if isinstance(other, (int, Fraction, CouplingPoly)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
         den = dict(self.den)
@@ -730,10 +590,12 @@ class RationalSection:
     __rmul__ = __mul__
 
     def scale(self, factor) -> "RationalSection":
-        factor = _coupling(factor)
-        if factor.is_zero():
-            return RationalSection.zero(self.arity)
+        """Multiply by an exact rational."""
         return _section_from(self.num.scale(factor), self.den)
+
+    def mul_coupling(self, power: int = 1) -> "RationalSection":
+        """Multiply by c**power (a shift of the coupling slot)."""
+        return _section_from(self.num.shift_var(self.arity, power), self.den)
 
     def mul_inverse_difference(self, i: int, j: int, power: int = 1) -> "RationalSection":
         """Multiply by 1/(x_i - x_j)^power."""
@@ -825,38 +687,26 @@ _TERM_RE = re.compile(r"\((?P<coef>[^()]*)\) x\^\((?P<exp>[-\d,\s]*)\)")
 _CPART_RE = re.compile(r"^(?P<q>-?\d+(?:/\d+)?)(?: c(?:\^(?P<k>\d+))?)?$")
 
 
-def _parse_coupling(text: str) -> CouplingPoly:
-    text = text.strip()
-    if text == "0":
-        return CouplingPoly.ZERO
-    coeffs: dict[int, Fraction] = {}
-    for part in text.split(" + "):
-        m = _CPART_RE.match(part.strip())
-        if not m:
-            raise ValueError(f"bad coupling term: {part!r}")
-        k = 0
-        if "c" in part:
-            k = int(m.group("k")) if m.group("k") else 1
-        coeffs[k] = coeffs.get(k, Fraction(0)) + Fraction(m.group("q"))
-    top = max(coeffs)
-    return CouplingPoly(tuple(coeffs.get(i, Fraction(0)) for i in range(top + 1)))
-
-
 def _parse_multipoly(text: str, arity: int | None = None) -> MultiPoly:
+    """Inverse of :meth:`MultiPoly.to_text`."""
     text = text.strip()
     if text == "0":
         if arity is None:
             raise ValueError("cannot infer arity of the zero polynomial")
         return MultiPoly.zero(arity)
-    terms: dict[tuple[int, ...], CouplingPoly] = {}
-    pos = 0
+    terms: dict[tuple[int, ...], Fraction] = {}
     for m in _TERM_RE.finditer(text):
-        exp = tuple(int(v) for v in m.group("exp").split(","))
-        terms[exp] = _parse_coupling(m.group("coef"))
-        pos = m.end()
-    if not terms or pos == 0:
+        x = tuple(int(v) for v in m.group("exp").split(","))
+        for part in m.group("coef").split(" + "):
+            cm = _CPART_RE.match(part.strip())
+            if not cm:
+                raise ValueError(f"bad coupling term: {part!r}")
+            k = (int(cm.group("k")) if cm.group("k") else 1) if "c" in part else 0
+            key = x + (k,)
+            terms[key] = terms.get(key, 0) + Fraction(cm.group("q"))
+    if not terms:
         raise ValueError(f"cannot parse polynomial text: {text!r}")
-    ar = len(next(iter(terms)))
+    ar = len(next(iter(terms))) - 1
     if arity is not None and ar != arity:
         raise ValueError("arity mismatch in polynomial text")
     return MultiPoly(ar, terms)

@@ -91,11 +91,13 @@ def trace_integrals(state: PhasePoint, jmax: int = 4) -> np.ndarray:
 
 
 def trace_p3_explicit(state: PhasePoint) -> float:
-    """tr P^3 via the explicit three-sum formula.
+    """tr P^3 via the explicit formula sum_i p_i^3 + 3 sum_{i != j} p_i/(x_i-x_j)^2.
 
-    The cyclic three-index denominator is (x_i-x_j)(x_j-x_k)(x_k-x_i); the
-    all-distinct sum cancels by the cyclic partial-fraction identity, which
-    the imaginary prefactor requires for the trace to stay real.
+    Expanding tr P^3 also gives a purely imaginary three-index term, -i times
+    the sum over all-distinct (i, j, k) of 1/((x_i-x_j)(x_j-x_k)(x_k-x_i)).
+    It vanishes identically: the cyclic relabeling i -> j -> k leaves each
+    summand fixed, while the swap of j and k flips its sign, so the summands
+    cancel in pairs, as the reality of the trace requires.
     """
     x = np.asarray(state.x)
     p = np.asarray(state.p)
@@ -105,14 +107,7 @@ def trace_p3_explicit(state: PhasePoint) -> float:
         for j in range(n):
             if i != j:
                 total += 3.0 * p[i] / (x[i] - x[j]) ** 2
-    triple = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if i != j and j != k and k != i:
-                    triple += 1.0 / ((x[i] - x[j]) * (x[j] - x[k]) * (x[k] - x[i]))
-    # purely imaginary contribution -i*triple; triple vanishes identically
-    return total + 0.0 * triple
+    return total
 
 
 def hamiltonian(state: PhasePoint) -> float:
@@ -147,9 +142,6 @@ class Trajectory:
     energies: np.ndarray
     invariants: np.ndarray  # shape (samples, jmax)
     max_drift: dict = field(default_factory=dict)
-
-    def final_state(self, g2: float, omega: float) -> PhasePoint:
-        return PhasePoint(tuple(self.xs[-1]), tuple(self.ps[-1]), g2, omega)
 
     def summary(self) -> dict:
         return {"maxDrift": self.max_drift,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exactalg import CouplingPoly, MultiPoly, Permutation, monomial_exponents
+from .exactalg import MultiPoly, Permutation, monomial_exponents
 
 __all__ = [
     "Shift",

@@ -176,8 +176,15 @@ def _scaled_int(q: Fraction | int, den: int) -> int:
 
 def _inverse_differences(point: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
     """L, the lcm of the numerators of the pair differences x_a - x_b, and the
-    integers ``inv[a][b] = L / (x_a - x_b)`` for a < b."""
+    integers ``inv[a][b] = L / (x_a - x_b)`` for a < b.
+
+    Raises :class:`PathValidationError` unless the point is strictly ordered,
+    which also keeps every difference away from zero.
+    """
     n = len(point)
+    for i in range(n - 1):
+        if point[i] >= point[i + 1]:
+            raise PathValidationError(f"point {point} is not strictly ordered")
     diffs = [(a, b, point[a] - point[b]) for a in range(n) for b in range(a + 1, n)]
     lcm = math.lcm(*(dv.numerator for _, _, dv in diffs))
     inv = [[0] * n for _ in range(n)]
@@ -283,11 +290,7 @@ def verify_flatness(conn: ConnectionMatrix, points: Sequence[Sequence[Fraction]]
     checked = 0
     d = conn.dim
     for point in points:
-        point = [Fraction(v) for v in point]
-        for i in range(len(point) - 1):
-            if point[i] >= point[i + 1]:
-                raise PathValidationError(f"point {point} is not strictly ordered")
-        lcm, inv = _inverse_differences(point)
+        lcm, inv = _inverse_differences([Fraction(v) for v in point])
         rows = [conn._scaled_rows(k, inv) for k in range(conn.n)]
         real_scale = (conn._coef_den * lcm) ** 2
         imag_scale = conn._diag_den * conn._coef_den * lcm

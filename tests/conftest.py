@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from calogero.exactalg import MultiPoly
 from calogero.transport import ChamberPath
 
 # Fixed N=3 benchmark for the ODE/series cross-check: one straight segment
@@ -16,3 +17,8 @@ BENCHMARK_C = Fraction(1)
 @pytest.fixture
 def benchmark_path() -> ChamberPath:
     return ChamberPath(BENCHMARK_WAYPOINTS, BENCHMARK_MARGIN)
+
+
+def coupling_poly(n, *coeffs):
+    """sum_k coeffs[k] c^k as a coordinate-free MultiPoly in n variables."""
+    return MultiPoly(n, {(0,) * n + (k,): v for k, v in enumerate(coeffs)})

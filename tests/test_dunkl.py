@@ -21,17 +21,21 @@ from calogero.dunkl import (
     verify_intertwining,
 )
 from calogero.exactalg import (
-    CouplingPoly,
     MultiPoly,
     Permutation,
     RationalSection,
     monomial_exponents,
     parse_section,
 )
+from conftest import coupling_poly
 
-C = CouplingPoly.c()
-G_PLUS = CouplingPoly((0, 1, 1))    # c(c+1)
-G_MINUS = CouplingPoly((0, -1, 1))  # c(c-1)
+
+def g_plus(n):
+    return coupling_poly(n, 0, 1, 1)    # c(c+1)
+
+
+def g_minus(n):
+    return coupling_poly(n, 0, -1, 1)   # c(c-1)
 
 
 def mono(n, *exps):
@@ -43,14 +47,14 @@ class TestApplyDunkl:
         # no x-dependence: only the swap term survives, giving c/(x0-x1)
         ctx = DunklContext(2)
         result = apply_dunkl(ctx, 0, RationalSection.one(2))
-        assert result == RationalSection.inverse_difference(2, 0, 1).scale(C)
+        assert result == RationalSection.inverse_difference(2, 0, 1).mul_coupling()
 
     def test_on_first_coordinate(self):
         # 1 + c x1/(x0-x1): the swap sends x0 to x1, coefficient -1/(x0-x1)
         ctx = DunklContext(2)
         result = apply_dunkl(ctx, 0, mono(2, 1, 0))
         expected = RationalSection.one(2) + RationalSection(
-            MultiPoly.variable(2, 1).scale(C), {(0, 1): 1})
+            MultiPoly.variable(2, 1) * MultiPoly.coupling(2), {(0, 1): 1})
         assert result == expected
 
     def test_free_limit_is_partial_derivative(self):
@@ -139,8 +143,7 @@ class TestRestriction:
         # of the expanded square: -2c(c+1)/(x0-x1)^2
         ctx = DunklContext(2)
         result = restricted_projection(ctx, RationalSection.one(2), "symmetric")
-        expected = RationalSection(
-            MultiPoly.constant(2, CouplingPoly((0, -2, -2))), {(0, 1): 2})
+        expected = RationalSection(coupling_poly(2, 0, -2, -2), {(0, 1): 2})
         assert result == expected
 
     def test_antisymmetric_linear_carries_cm1_factor(self):
@@ -148,8 +151,7 @@ class TestRestriction:
         f = RationalSection.from_poly(
             MultiPoly.variable(2, 0) - MultiPoly.variable(2, 1))
         result = restricted_projection(ctx, f, "antisymmetric")
-        expected = RationalSection(
-            MultiPoly.constant(2, G_MINUS * F(-2)), {(0, 1): 1})
+        expected = RationalSection(g_minus(2).scale(F(-2)), {(0, 1): 1})
         assert result == expected
 
     def test_matches_true_operator_on_symmetric_input(self):
@@ -167,10 +169,10 @@ class TestRestriction:
         ctx = DunklContext(2)
         one = RationalSection.one(2)
         assert restricted_projection(ctx, one, "symmetric") == \
-            calogero_apply(ctx, one, G_PLUS).scale(-2)
+            calogero_apply(ctx, one, g_plus(2)).scale(-2)
         v = vandermonde(2)
         assert restricted_projection(ctx, v, "antisymmetric") == \
-            calogero_apply(ctx, v, G_MINUS).scale(-2)
+            calogero_apply(ctx, v, g_minus(2)).scale(-2)
 
     def test_free_limit_is_laplacian(self):
         ctx = DunklContext(2)
@@ -200,11 +202,11 @@ class TestCalogeroApply:
 
     def test_three_particles_formal_coupling(self):
         ctx = DunklContext(3)
-        result = calogero_apply(ctx, RationalSection.one(3), G_MINUS)
+        result = calogero_apply(ctx, RationalSection.one(3), g_minus(3))
         expected = RationalSection.zero(3)
         for i, j in itertools.combinations(range(3), 2):
-            expected = expected + \
-                RationalSection.inverse_difference(3, i, j, 2).scale(G_MINUS)
+            expected = expected + RationalSection.inverse_difference(3, i, j, 2) * \
+                RationalSection.from_poly(g_minus(3))
         assert result == expected
 
 
@@ -234,7 +236,7 @@ def _flipped_term_residual(term):
     if term == "laplacian":
         return lambda ctx, f: laplacian(ctx, f).scale(2)
     # the c^2 term runs over ordered pairs, twice pair_potential
-    return lambda ctx, f: pair_potential(ctx, f).scale(C * C * -4)
+    return lambda ctx, f: pair_potential(ctx, f).mul_coupling(2).scale(-4)
 
 
 @pytest.mark.parametrize("term, powers", [("laplacian", []), ("c^2", [2])])

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from calogero.exactalg import (
-    CouplingPoly,
     MultiPoly,
     Permutation,
     PoleError,
@@ -12,9 +11,7 @@ from calogero.exactalg import (
     monomial_exponents,
     parse_section,
 )
-
-C = CouplingPoly.c()
-
+from conftest import coupling_poly
 
 def var(n, i):
     return MultiPoly.variable(n, i)
@@ -24,9 +21,8 @@ def random_section(rng, n, max_degree=4, max_den=2):
     terms = {}
     for _ in range(rng.randint(1, 5)):
         exp = tuple(rng.randint(0, max_degree) for _ in range(n))
-        coeff = CouplingPoly([F(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))])
-        if not coeff.is_zero():
-            terms[exp] = coeff
+        for k in range(rng.randint(1, 3)):
+            terms[exp + (k,)] = F(rng.randint(-4, 4))
     den = {}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for pair in rng.sample(pairs, k=min(len(pairs), rng.randint(0, 2))):
@@ -34,26 +30,55 @@ def random_section(rng, n, max_degree=4, max_den=2):
     return RationalSection(MultiPoly(n, terms), den)
 
 
-class TestCouplingPoly:
-    def test_canonical_form_strips_zeros(self):
-        assert CouplingPoly([1, 2, 0, 0]).coeffs == (F(1), F(2))
-        assert CouplingPoly([0, 0]).is_zero()
+class TestCouplingSlot:
+    def test_zero_coefficients_are_stripped(self):
+        p = coupling_poly(2, 1, 2, 0, 0)
+        assert p.terms == {(0, 0, 0): 1, (0, 0, 1): 2}
+        assert coupling_poly(2, 0, 0).is_zero()
+        assert MultiPoly.constant(2, 0).is_zero()
 
-    def test_arithmetic(self):
-        a = CouplingPoly([1, 2])     # 1 + 2c
-        b = CouplingPoly([0, -2])    # -2c
-        assert (a + b) == CouplingPoly([1])
-        assert (a * b) == CouplingPoly([0, -2, -4])
-        assert a - a == CouplingPoly.ZERO
+    def test_arithmetic_in_c(self):
+        a = coupling_poly(2, 1, 2)     # 1 + 2c
+        b = coupling_poly(2, 0, -2)    # -2c
+        assert a + b == coupling_poly(2, 1)
+        assert a * b == coupling_poly(2, 0, -2, -4)
+        assert (a - a).is_zero()
+        assert a - b == coupling_poly(2, 1, 4)
 
-    def test_eval_and_components(self):
-        a = CouplingPoly([F(1, 2), 0, 3])
-        assert a.eval_at(F(2)) == F(1, 2) + 12
-        assert a.component(2) == 3
-        assert a.component(5) == 0
+    def test_eval_at_c_and_components(self):
+        a = coupling_poly(2, F(1, 2), 0, 3)
+        assert a.eval([5, 7], cval=F(2)) == F(1, 2) + 12
+        assert a.coupling_component(2) == MultiPoly.constant(2, 3)
+        assert a.coupling_component(5).is_zero()
+        p = var(2, 0) * a     # x0 (1/2 + 3 c^2)
+        assert p.eval([F(3), 7], cval=F(2)) == 3 * (F(1, 2) + 12)
+        assert p.coupling_component(0) == var(2, 0).scale(F(1, 2))
+        assert p.specialize_coupling(F(2)) == var(2, 0).scale(F(25, 2))
 
     def test_shift_multiplies_by_powers_of_c(self):
-        assert CouplingPoly([5]).shift(2) == CouplingPoly([0, 0, 5])
+        assert MultiPoly.constant(2, 5).shift_var(2, 2) == coupling_poly(2, 0, 0, 5)
+        assert MultiPoly.coupling(2, 2).scale(5) == coupling_poly(2, 0, 0, 5)
+        f = RationalSection(var(2, 1), {(0, 1): 1})
+        assert f.mul_coupling(2) == f * RationalSection.from_poly(MultiPoly.coupling(2, 2))
+
+    def test_coupling_slot_is_not_a_coordinate(self):
+        p = MultiPoly.monomial(2, (1, 2)) * MultiPoly.coupling(2, 3)
+        assert p.total_degree() == 3
+        s = Permutation.transposition(2, 0, 1)
+        assert p.permute(s) == MultiPoly.monomial(2, (2, 1)) * MultiPoly.coupling(2, 3)
+        assert p.to_text() == "(1 c^3) x^(1,2)"
+
+    def test_constructor_takes_one_key_format(self):
+        with pytest.raises(ValueError):
+            MultiPoly(2, {(1, 0): 1})
+        with pytest.raises(TypeError):
+            var(2, 0).scale(MultiPoly.coupling(2))
+
+    def test_text_groups_powers_of_c_by_x_exponent(self):
+        p = (coupling_poly(2, 1, 2) * var(2, 1) + coupling_poly(2, F(-1, 2), 0, 3)
+             + MultiPoly.coupling(2))
+        assert p.to_text() == "(-1/2 + 1 c + 3 c^2) x^(0,0) + (1 + 2 c) x^(0,1)"
+        assert parse_section(p.to_text()) == RationalSection.from_poly(p)
 
 
 class TestMultiPoly:
@@ -66,8 +91,8 @@ class TestMultiPoly:
         assert (x0 - x1) * (x0 + x1) == x0 * x0 - x1 * x1
 
     def test_coupling_powers_multiply(self):
-        cx = var(2, 0).scale(C)
-        assert cx * cx == MultiPoly.monomial(2, (2, 0), C * C)
+        cx = var(2, 0) * MultiPoly.coupling(2)
+        assert cx * cx == MultiPoly.monomial(2, (2, 0)).shift_var(2, 2)
 
     def test_arity_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -101,9 +126,9 @@ class TestMultiPoly:
 
     def test_integral_coefficients_stay_int(self):
         p = MultiPoly.monomial(2, (3, 0), F(4, 2)).partial(0)
-        assert all(type(v) is int for c in p.terms.values() for v in c.coeffs)
-        half = CouplingPoly([F(1, 2)])
-        assert type(half.component(0)) is F and type(half.component(1)) is int
+        assert all(type(v) is int for v in p.terms.values())
+        half = coupling_poly(2, F(1, 2), F(4, 2))
+        assert type(half.terms[(0, 0, 0)]) is F and type(half.terms[(0, 0, 1)]) is int
 
 
 class TestPermutation:
@@ -167,7 +192,7 @@ class TestRationalSection:
         assert err.value.pair == (0, 2)
 
     def test_evaluate_with_coupling(self):
-        f = RationalSection.one(2) + RationalSection(var(2, 1).scale(C), {(0, 1): 1})
+        f = RationalSection.one(2) + RationalSection(var(2, 1), {(0, 1): 1}).mul_coupling()
         assert f.eval([0, 1], cval=2) == -1
 
     def test_cancellation_reduces(self):
@@ -244,8 +269,8 @@ class TestRandomizedInvariants:
         assert parse_section(zero.to_text(), arity=3) == zero
         with pytest.raises(ValueError):
             parse_section("0")  # arity cannot be inferred
-        coupled = RationalSection.inverse_difference(2, 0, 1).scale(
-            CouplingPoly([F(-1, 2), 0, F(3)]))
+        coupled = RationalSection.inverse_difference(2, 0, 1) * \
+            RationalSection.from_poly(coupling_poly(2, F(-1, 2), 0, F(3)))
         assert parse_section(coupled.to_text()) == coupled
 
     def test_permute_size_mismatch(self):

@@ -4,18 +4,18 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from calogero.exactalg import CouplingPoly, MultiPoly, Permutation, RationalSection
+from calogero.exactalg import MultiPoly, Permutation, RationalSection
 
 N_VARS = 3
 
 rationals = st.fractions(
     min_value=F(-6), max_value=F(6), max_denominator=4)
 
-couplings = st.lists(rationals, min_size=0, max_size=3).map(CouplingPoly)
+# x exponents, then the power of the coupling c in the last slot
+exponents = st.tuples(*(st.integers(min_value=0, max_value=3),) * N_VARS,
+                      st.integers(min_value=0, max_value=2))
 
-exponents = st.tuples(*(st.integers(min_value=0, max_value=3),) * N_VARS)
-
-polys = st.dictionaries(exponents, couplings, min_size=0, max_size=4).map(
+polys = st.dictionaries(exponents, rationals, min_size=0, max_size=8).map(
     lambda terms: MultiPoly(N_VARS, terms))
 
 perms = st.sampled_from(Permutation.all_elements(N_VARS))

@@ -505,3 +505,11 @@ class TestEquivariance:
         with pytest.raises(EquivarianceError):
             equivariance_check(conn, wrong, sigma,
                                [random_chamber_point(3, rng)])
+
+    def test_coincident_point_is_refused(self):
+        # two equal coordinates put the point on a pole of the connection
+        sigma = Permutation.transposition(3, 0, 1)
+        conn = build_local_system(3, P3, F(1))
+        permuted = build_local_system(3, permute_momenta(P3, sigma), F(1))
+        with pytest.raises(PathValidationError, match="not strictly ordered"):
+            equivariance_check(conn, permuted, sigma, [(0, 1, 1)])
