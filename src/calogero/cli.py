@@ -288,12 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_float_vector, required=True, help="initial momenta")
     p.add_argument("--g2", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=0.0)
-    p.add_argument("--t", type=float, default=10.0, help="duration")
-    p.add_argument("--dt", type=float, default=1e-4, help="RK4 step")
-    p.add_argument("--jmax", type=int, default=4)
+    p.add_argument("--t", type=_positive_finite, default=10.0,
+                   help="duration (finite, > 0)")
+    p.add_argument("--dt", type=_positive_finite, default=1e-4,
+                   help="RK4 step (finite, > 0)")
+    p.add_argument("--jmax", type=_positive_int, default=4,
+                   help="highest trace power tracked (>= 1)")
     p.add_argument("--drift-tol", type=float, default=1e-8)
     p.add_argument("--energy-tol", type=float, default=1e-8)
-    p.add_argument("--sample-stride", type=int, default=100)
+    p.add_argument("--sample-stride", type=_positive_int, default=100,
+                   help="keep every k-th step as a sample (>= 1)")
     p.add_argument("--csv", default=None, help="write the sampled trajectory here")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)

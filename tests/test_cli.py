@@ -192,6 +192,33 @@ class TestSimulateCommand:
         assert code == 4
         assert "collision" in err
 
+    def test_overflow_to_non_finite_state_exits_four(self, capsys):
+        # the first force overflows to inf, so the step leaves inf/NaN positions
+        code, out, err = run_cli(capsys, "simulate", "--x=0,1e-200,1", "--p=0,0,0",
+                                 "--t=0.01", "--dt=1e-3")
+        assert code == 4
+        assert out == "" and "collision" in err
+
+    @pytest.mark.parametrize("args", [
+        ["--g2=nan"], ["--g2=inf"], ["--omega=nan", "--g2=0"], ["--omega=inf"],
+        ["--x=nan,1,3"], ["--x=0,1,inf"], ["--p=1,-inf,-1"],
+    ])
+    def test_non_finite_state_is_usage_error(self, capsys, args):
+        code, out, err = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1",
+                                 "--t=0.01", "--dt=1e-3", *args)
+        assert code == 2
+        assert out == "" and "finite" in err
+
+    @pytest.mark.parametrize("args", [
+        ["--dt", "0"], ["--dt", "nan"], ["--dt=-1e-3"], ["--t", "inf"], ["--t", "0"],
+        ["--jmax", "0"], ["--sample-stride", "0"], ["--sample-stride=-5"],
+    ])
+    def test_bad_duration_step_or_counts_is_usage_error(self, capsys, args):
+        code, out, err = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1",
+                                 "--t=0.01", "--dt=1e-3", *args)
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+
 
 class TestSymbolsCommand:
     def test_report_and_terms(self, capsys):

@@ -1,4 +1,5 @@
 import csv
+import math
 import random
 
 import numpy as np
@@ -11,7 +12,6 @@ from calogero.laxdyn import (
     hamiltonian,
     integrate,
     noether_matrix,
-    noether_spectrum,
     trace_integrals,
     trace_p3_explicit,
 )
@@ -89,17 +89,11 @@ class TestTraceIntegrals:
 
 
 class TestNoether:
-    def test_small_spectra(self):
-        assert noether_spectrum(2) == {1: 1, -1: 1}
-        assert noether_spectrum(3) == {1: 2, -2: 1}
-
     def test_multiplicities_match_eigensolver_up_to_eight(self):
         for n in range(2, 9):
-            multiplicities = noether_spectrum(n)
             ev = np.sort(np.linalg.eigvalsh(noether_matrix(n)))
             expected = np.sort([1 - n] + [1] * (n - 1))
             assert np.allclose(ev, expected)
-            assert multiplicities == {1: n - 1, 1 - n: 1}
 
     def test_uniform_vector_is_extreme_eigenvector(self):
         for n in (2, 5, 8):
@@ -158,6 +152,46 @@ class TestIntegrate:
             integrate(BENCH3, 0.0, 1e-3)
         with pytest.raises(ValueError):
             integrate(BENCH3, 1.0, -1e-3)
+        for duration, dt in ((math.nan, 1e-3), (math.inf, 1e-3),
+                             (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                integrate(BENCH3, duration, dt)
+        with pytest.raises(ValueError):
+            integrate(BENCH3, 1.0, 1e-3, jmax=0)
+        with pytest.raises(ValueError):
+            integrate(BENCH3, 1.0, 1e-3, sample_stride=0)
+
+
+def _hamilton_rhs(g2, omega):
+    """(dH/dp, -dH/dx) for H = p^2/2 + omega^2 x^2/2 + sum_{i<j} g2/(x_i-x_j)^2."""
+    def rhs(_t, y):
+        n = len(y) // 2
+        x, p = y[:n], y[n:]
+        force = -omega ** 2 * x
+        for i in range(n):
+            for j in range(i + 1, n):
+                push = 2.0 * g2 / (x[i] - x[j]) ** 3
+                force[i] += push
+                force[j] -= push
+        return np.concatenate([p, force])
+    return rhs
+
+
+@pytest.mark.parametrize("state", [
+    PhasePoint((0.0, 1.0, 3.0), (1.0, 0.0, -1.0), g2=1.0, omega=0.0),
+    PhasePoint((-1.5, 0.0, 1.0, 2.5), (1.0, 0.5, -0.5, -1.0), g2=2.0, omega=0.5),
+])
+def test_trajectory_matches_scipy_oracle(state):
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    y0 = np.concatenate([state.x, state.p])
+    ref = solve_ivp(_hamilton_rhs(state.g2, state.omega), (0.0, 1.0), y0,
+                    method="DOP853", rtol=1e-12, atol=1e-12)
+    assert ref.success
+    traj = integrate(state, 1.0, 1e-3, jmax=1, sample_stride=1000)
+    assert traj.times[-1] == pytest.approx(1.0)
+    n = state.n
+    assert np.max(np.abs(traj.xs[-1] - ref.y[:n, -1])) <= 1e-9
+    assert np.max(np.abs(traj.ps[-1] - ref.y[n:, -1])) <= 1e-9
 
 
 def test_energy_value_spot_check():

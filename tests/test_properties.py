@@ -1,10 +1,21 @@
-"""Property-based checks of the ring axioms and the section operations."""
+"""Property-based checks of the ring axioms, the section operations and the
+Lax-matrix identities."""
 
+import math
 from fractions import Fraction as F
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from calogero.exactalg import MultiPoly, Permutation, RationalSection
+from calogero.laxdyn import (
+    PhasePoint,
+    build_lax,
+    hamiltonian,
+    trace_integrals,
+    trace_p3_explicit,
+)
 
 N_VARS = 3
 
@@ -90,3 +101,41 @@ def test_derivative_is_linear_and_leibniz(f, k):
 def test_derivative_conjugates_under_permutation(f, sigma, k):
     # moving the derivative through the argument permutation relabels it
     assert f.permute(sigma).partial(sigma(k)) == f.partial(k).permute(sigma)
+
+
+@st.composite
+def ordered_states(draw):
+    """(x, p) with N = 2..5 strictly increasing positions."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    start = draw(st.floats(min_value=-5.0, max_value=5.0))
+    gaps = draw(st.lists(st.floats(min_value=0.05, max_value=3.0),
+                         min_size=n - 1, max_size=n - 1))
+    p = draw(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=n, max_size=n))
+    return tuple(float(v) for v in np.cumsum([start, *gaps])), tuple(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ordered_states())
+def test_energy_is_half_the_second_trace(xp):
+    state = PhasePoint(*xp, g2=1.0, omega=0.0)
+    assert math.isclose(hamiltonian(state), trace_integrals(state, 2)[1] / 2,
+                        rel_tol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ordered_states())
+def test_explicit_cubic_trace_matches_matrix_trace(xp):
+    state = PhasePoint(*xp)
+    # relative to |P|_F^3, which bounds |tr P^3|; the trace itself may cancel to 0
+    scale = np.linalg.norm(build_lax(state)) ** 3
+    assert abs(trace_p3_explicit(state) - trace_integrals(state, 3)[2]) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(ordered_states(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_phase_point_rejects_non_finite_entries(xp, bad, data):
+    n = len(xp[0])
+    values = [*xp[0], *xp[1], 1.0, 0.0]          # x, p, g2, omega
+    values[data.draw(st.integers(min_value=0, max_value=2 * n + 1))] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PhasePoint(tuple(values[:n]), tuple(values[n:2 * n]), *values[2 * n:])
