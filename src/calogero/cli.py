@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .laxdyn import CollisionError, PhasePoint, integrate
-from .suites import SUITE_NAMES, run_suite, worker_count
+from .suites import SUITE_NAMES, run_suite
 from .symbolcalc import realization_report, symbol_of_permutation
 from .transport import (
     ChamberPath,
@@ -60,13 +60,27 @@ def _float_vector(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a float vector: {text!r}") from exc
 
 
-def _positive_finite(text: str) -> float:
+def _finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not (math.isfinite(value) and value > 0):
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
         raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
+    return value
+
+
+def _non_negative_finite(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative: {text!r}")
     return value
 
 
@@ -102,14 +116,13 @@ def cmd_verify(args, parser) -> int:
     if args.deg < 1:
         parser.error("--deg must be >= 1")
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    workers = worker_count(args.workers)
-    records = [run_suite(name, args.n, args.deg, workers) for name in names]
+    records = [run_suite(name, args.n, args.deg, args.workers) for name in names]
     failure_count = sum(len(r["failures"]) for r in records)
     report = {
         "schemaVersion": SCHEMA_VERSION,
         "command": "verify",
         "config": {"n": args.n, "deg": args.deg, "suite": args.suite,
-                   "workers": workers},
+                   "workers": args.workers},
         "suites": records,
         "failureCount": failure_count,
     }
@@ -200,6 +213,9 @@ def cmd_simulate(args, parser) -> int:
     except CollisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLLISION
+    except ValueError as exc:  # step count beyond a float
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.csv:
         trajectory.write_csv(args.csv)
     drift = trajectory.max_drift
@@ -261,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="particle count (>= 2)")
     p.add_argument("--deg", type=int, default=6, help="spanning-set degree bound")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: CALOGERO_WORKERS or 1)")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="worker processes for every suite (>= 1)")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify)
 
@@ -294,8 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="RK4 step (finite, > 0)")
     p.add_argument("--jmax", type=_positive_int, default=4,
                    help="highest trace power tracked (>= 1)")
-    p.add_argument("--drift-tol", type=float, default=1e-8)
-    p.add_argument("--energy-tol", type=float, default=1e-8)
+    p.add_argument("--drift-tol", type=_non_negative_finite, default=1e-8,
+                   help="drift bound for the trace invariants (finite, >= 0)")
+    p.add_argument("--energy-tol", type=_non_negative_finite, default=1e-8,
+                   help="drift bound for the energy H (finite, >= 0)")
     p.add_argument("--sample-stride", type=_positive_int, default=100,
                    help="keep every k-th step as a sample (>= 1)")
     p.add_argument("--csv", default=None, help="write the sampled trajectory here")

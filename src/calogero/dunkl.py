@@ -4,28 +4,27 @@ The operator acting on rational sections is
 
     nabla_k = d/dx_k - c * sum_{i != k} 1/(x_i - x_k) P_ik,
 
-with ``P_ik`` the coordinate swap and ``c`` the formal coupling.  Everything
-here is exact: the commutator suite certifies ``[nabla_j, nabla_k] = 0``
-(zero curvature), the intertwining suite ``P_jk nabla_l = nabla_{s(l)} P_jk``,
-and the sum-of-squares suite the normal-ordered form of ``sum_i nabla_i^2``,
-all identically in ``c`` on a graded spanning set of monomials.
+with ``P_ik`` the coordinate swap and ``c`` the formal coupling.  Every
+operator reads the particle count ``n`` from its section, ``f.arity``.
+Everything here is exact: the commutator suite certifies
+``[nabla_j, nabla_k] = 0`` (zero curvature), the intertwining suite
+``P_jk nabla_l = nabla_{s(l)} P_jk``, and the sum-of-squares suite the
+normal-ordered form of ``sum_i nabla_i^2``, all identically in ``c`` on a
+graded spanning set of monomials.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
     MultiPoly,
     Permutation,
     RationalSection,
-    monomial_exponents,
 )
 
 __all__ = [
-    "DunklContext",
     "apply_dunkl",
     "commutator_dunkl",
     "verify_intertwining",
@@ -44,49 +43,30 @@ class SymmetryError(ValueError):
     """Input section does not have the declared S_N symmetry type."""
 
 
-@dataclass(frozen=True)
-class DunklContext:
-    """Particle count and the degree bound of the monomial spanning set."""
-
-    n: int
-    basis_degree: int = 6
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least two particles")
-        if self.basis_degree < 1:
-            raise ValueError("basis degree must be >= 1")
-
-    def basis(self) -> list[RationalSection]:
-        """All monomials of total degree <= basis_degree, graded order."""
-        return [RationalSection.monomial(self.n, e)
-                for e in monomial_exponents(self.n, self.basis_degree)]
-
-
-def apply_dunkl(ctx: DunklContext, k: int, f: RationalSection) -> RationalSection:
+def apply_dunkl(k: int, f: RationalSection) -> RationalSection:
     """nabla_k f, exact."""
-    if not 0 <= k < ctx.n:
+    n = f.arity
+    if not 0 <= k < n:
         raise ValueError(f"coordinate index {k} out of range")
     result = f.partial(k)
-    for i in range(ctx.n):
+    for i in range(n):
         if i == k:
             continue
-        swapped = f.permute(Permutation.transposition(ctx.n, i, k))
+        swapped = f.permute(Permutation.transposition(n, i, k))
         result = result - swapped.mul_inverse_difference(i, k).mul_coupling()
     return result
 
 
-def commutator_dunkl(ctx: DunklContext, j: int, k: int, f: RationalSection) -> RationalSection:
+def commutator_dunkl(j: int, k: int, f: RationalSection) -> RationalSection:
     """(nabla_j nabla_k - nabla_k nabla_j) f; the zero section when flat."""
     if j == k:
         raise ValueError("commutator needs distinct indices")
-    jk = apply_dunkl(ctx, j, apply_dunkl(ctx, k, f))
-    kj = apply_dunkl(ctx, k, apply_dunkl(ctx, j, f))
+    jk = apply_dunkl(j, apply_dunkl(k, f))
+    kj = apply_dunkl(k, apply_dunkl(j, f))
     return jk - kj
 
 
-def verify_intertwining(ctx: DunklContext, j: int, l: int, k: int,
-                        f: RationalSection) -> RationalSection:
+def verify_intertwining(j: int, l: int, k: int, f: RationalSection) -> RationalSection:
     """Residual of ``P_jk nabla_l - nabla_{s_jk(l)} P_jk`` applied to f.
 
     For ``l in {j, k}`` this is the swap relation, otherwise the commutation
@@ -95,28 +75,28 @@ def verify_intertwining(ctx: DunklContext, j: int, l: int, k: int,
     """
     if j == k:
         raise ValueError("transposition needs distinct indices")
-    swap = Permutation.transposition(ctx.n, j, k)
-    left = apply_dunkl(ctx, l, f).permute(swap)
-    right = apply_dunkl(ctx, swap(l), f.permute(swap))
+    swap = Permutation.transposition(f.arity, j, k)
+    left = apply_dunkl(l, f).permute(swap)
+    right = apply_dunkl(swap(l), f.permute(swap))
     return left - right
 
 
-def laplacian(ctx: DunklContext, f: RationalSection) -> RationalSection:
-    out = RationalSection.zero(ctx.n)
-    for i in range(ctx.n):
+def laplacian(f: RationalSection) -> RationalSection:
+    out = RationalSection.zero(f.arity)
+    for i in range(f.arity):
         out = out + f.partial(i).partial(i)
     return out
 
 
-def sum_of_squares(ctx: DunklContext, f: RationalSection) -> RationalSection:
+def sum_of_squares(f: RationalSection) -> RationalSection:
     """sum_i nabla_i^2 f, computed by iterated application."""
-    out = RationalSection.zero(ctx.n)
-    for i in range(ctx.n):
-        out = out + apply_dunkl(ctx, i, apply_dunkl(ctx, i, f))
+    out = RationalSection.zero(f.arity)
+    for i in range(f.arity):
+        out = out + apply_dunkl(i, apply_dunkl(i, f))
     return out
 
 
-def sum_of_squares_normal_form(ctx: DunklContext, f: RationalSection) -> RationalSection:
+def sum_of_squares_normal_form(f: RationalSection) -> RationalSection:
     """The normal-ordered form of sum_i nabla_i^2:
 
         Laplacian - c * sum_{i != j} (x_i - x_j)^-2 P_ij - c^2 * sum_{i != j} (x_i - x_j)^-2
@@ -126,18 +106,19 @@ def sum_of_squares_normal_form(ctx: DunklContext, f: RationalSection) -> Rationa
     on the diagonal (P_ij moves the coefficient past itself with a sign flip),
     while the mixed-index quadratic terms cancel by the cyclic identity.
     """
-    out = laplacian(ctx, f)
-    for i, j in itertools.permutations(range(ctx.n), 2):
-        swapped = f.permute(Permutation.transposition(ctx.n, i, j))
+    n = f.arity
+    out = laplacian(f)
+    for i, j in itertools.permutations(range(n), 2):
+        swapped = f.permute(Permutation.transposition(n, i, j))
         out = out - swapped.mul_inverse_difference(i, j, 2).mul_coupling()
         out = out - f.mul_inverse_difference(i, j, 2).mul_coupling(2)
     return out
 
 
-def pair_potential(ctx: DunklContext, f: RationalSection) -> RationalSection:
+def pair_potential(f: RationalSection) -> RationalSection:
     """sum_{i<j} (x_i - x_j)^-2 * f."""
-    out = RationalSection.zero(ctx.n)
-    for i, j in itertools.combinations(range(ctx.n), 2):
+    out = RationalSection.zero(f.arity)
+    for i, j in itertools.combinations(range(f.arity), 2):
         out = out + f.mul_inverse_difference(i, j, 2)
     return out
 
@@ -154,8 +135,7 @@ def is_antisymmetric(f: RationalSection) -> bool:
                for i in range(n - 1))
 
 
-def restricted_projection(ctx: DunklContext, f: RationalSection,
-                          sign: str) -> RationalSection:
+def restricted_projection(f: RationalSection, sign: str) -> RationalSection:
     """sum_i nabla_i^2 f with every rightmost swap replaced by +1 or -1.
 
     Valid only on sections of the matching symmetry type (checked); there the
@@ -176,15 +156,14 @@ def restricted_projection(ctx: DunklContext, f: RationalSection,
         if not is_antisymmetric(f):
             raise SymmetryError("section is not antisymmetric")
         swap_value = -1
-    out = laplacian(ctx, f)
-    for i, j in itertools.permutations(range(ctx.n), 2):
+    out = laplacian(f)
+    for i, j in itertools.permutations(range(f.arity), 2):
         inv2 = f.mul_inverse_difference(i, j, 2)
         out = out - inv2.mul_coupling().scale(swap_value) - inv2.mul_coupling(2)
     return out
 
 
-def calogero_apply(ctx: DunklContext, f: RationalSection,
-                   g: MultiPoly | Fraction | int) -> RationalSection:
+def calogero_apply(f: RationalSection, g: MultiPoly | Fraction | int) -> RationalSection:
     """Calogero Hamiltonian action: -1/2 Laplacian f + g * sum_{i<j} (x_i-x_j)^-2 f.
 
     The coupling ``g`` is an exact rational or a polynomial in c such as
@@ -192,7 +171,7 @@ def calogero_apply(ctx: DunklContext, f: RationalSection,
     """
     if isinstance(g, MultiPoly):
         g = RationalSection.from_poly(g)
-    return laplacian(ctx, f).scale(Fraction(-1, 2)) + pair_potential(ctx, f) * g
+    return laplacian(f).scale(Fraction(-1, 2)) + pair_potential(f) * g
 
 
 def vandermonde(n: int) -> RationalSection:

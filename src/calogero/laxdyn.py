@@ -206,7 +206,10 @@ def integrate(state: PhasePoint, duration: float, dt: float,
         raise ValueError("jmax must be >= 1")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    steps = int(round(duration / dt))
+    ratio = duration / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"duration / dt = {ratio} is too large for a step count")
+    steps = int(round(ratio))
     g2, omega = state.g2, state.omega
     x, p = _arrays(state)
 

@@ -7,16 +7,18 @@ carries the offending case and the serialized nonzero residual section.
 Linearity of all operators makes a residual that vanishes on every monomial
 of total degree <= D vanish on the whole degree-D polynomial space, so these
 finite runs are complete certificates up to the tested degree.
+
+Each suite is one per-case check (a monomial exponent, or a symmetry type
+and a section for restriction) that ``_run`` applies to every case, serially
+or in a process pool; the record does not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 from .dunkl import (
-    DunklContext,
     antisymmetric_basis,
     apply_dunkl,
     calogero_apply,
@@ -40,26 +42,21 @@ __all__ = [
     "permutation_relations_suite",
     "run_suite",
     "SUITE_NAMES",
-    "worker_count",
 ]
 
-def worker_count(flag: int | None = None) -> int:
-    """Worker pool size: explicit flag wins, then CALOGERO_WORKERS, then 1."""
-    if flag is not None and flag > 0:
-        return flag
-    env = os.environ.get("CALOGERO_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def _monomial_chunks(n: int, degree: int, workers: int):
-    exps = monomial_exponents(n, degree)
+def _run(identity: str, check, cases: list, n: int, degree: int, workers: int) -> dict:
+    """One suite record: ``check(n, case) -> (count, failures)`` on every case,
+    serially or in a pool of up to ``workers`` processes, summed in case order."""
+    workers = min(workers, len(cases))
     if workers <= 1:
-        return [exps]
-    size = max(1, (len(exps) + workers - 1) // workers)
-    return [exps[i:i + size] for i in range(0, len(exps), size)]
+        parts = [check(n, case) for case in cases]
+    else:
+        chunksize = max(1, len(cases) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(check, itertools.repeat(n), cases, chunksize=chunksize))
+    return {"identity": identity, "N": n, "degree": degree,
+            "caseCount": sum(count for count, _ in parts),
+            "failures": [f for _, failures in parts for f in failures]}
 
 
 def _nonzero_coupling_powers(residual: RationalSection) -> list[int]:
@@ -67,167 +64,127 @@ def _nonzero_coupling_powers(residual: RationalSection) -> list[int]:
     return [pw for pw in (1, 2) if not residual.coupling_component(pw).is_zero()]
 
 
-def _zero_curvature_chunk(args) -> tuple[int, list[dict]]:
-    n, degree, exps = args
-    ctx = DunklContext(n, degree)
+def _check_zero_curvature(n: int, exp: tuple[int, ...]) -> tuple[int, list[dict]]:
+    f = RationalSection.monomial(n, exp)
+    first = [apply_dunkl(k, f) for k in range(n)]
     failures = []
     count = 0
-    for exp in exps:
-        f = RationalSection.monomial(n, exp)
-        first = [apply_dunkl(ctx, k, f) for k in range(n)]
-        for j, k in itertools.combinations(range(n), 2):
-            count += 1
-            residual = apply_dunkl(ctx, j, first[k]) - apply_dunkl(ctx, k, first[j])
-            if not residual.is_zero():
-                failures.append({"monomial": list(exp), "pair": [j, k],
-                                 "residual": residual.to_text(),
-                                 "nonzeroCouplingPowers": _nonzero_coupling_powers(residual)})
-    return count, failures
-
-
-def _intertwining_chunk(args) -> tuple[int, list[dict]]:
-    n, degree, exps = args
-    ctx = DunklContext(n, degree)
-    failures = []
-    count = 0
-    for exp in exps:
-        f = RationalSection.monomial(n, exp)
-        first = [apply_dunkl(ctx, l, f) for l in range(n)]
-        for j, k in itertools.combinations(range(n), 2):
-            swap = Permutation.transposition(n, j, k)
-            swapped_f = f.permute(swap)
-            for l in range(n):
-                count += 1
-                residual = first[l].permute(swap) - apply_dunkl(ctx, swap(l), swapped_f)
-                if not residual.is_zero():
-                    failures.append({"monomial": list(exp), "pair": [j, k],
-                                     "component": l, "residual": residual.to_text()})
-    return count, failures
-
-
-def _sum_squares_chunk(args) -> tuple[int, list[dict]]:
-    n, degree, exps = args
-    ctx = DunklContext(n, degree)
-    failures = []
-    count = 0
-    for exp in exps:
-        f = RationalSection.monomial(n, exp)
+    for j, k in itertools.combinations(range(n), 2):
         count += 1
-        residual = sum_of_squares(ctx, f) - sum_of_squares_normal_form(ctx, f)
+        residual = apply_dunkl(j, first[k]) - apply_dunkl(k, first[j])
         if not residual.is_zero():
-            failures.append({"monomial": list(exp), "residual": residual.to_text(),
+            failures.append({"monomial": list(exp), "pair": [j, k],
+                             "residual": residual.to_text(),
                              "nonzeroCouplingPowers": _nonzero_coupling_powers(residual)})
     return count, failures
 
 
-def _permutation_relations_chunk(args) -> tuple[int, list[dict]]:
-    n, degree, exps = args
+def _check_intertwining(n: int, exp: tuple[int, ...]) -> tuple[int, list[dict]]:
+    f = RationalSection.monomial(n, exp)
+    first = [apply_dunkl(l, f) for l in range(n)]
     failures = []
     count = 0
-    pairs = list(itertools.combinations(range(n), 2))
-    for exp in exps:
-        f = RationalSection.monomial(n, exp)
-
-        def check(tag, indices, lhs, rhs):
-            nonlocal count
+    for j, k in itertools.combinations(range(n), 2):
+        swap = Permutation.transposition(n, j, k)
+        swapped_f = f.permute(swap)
+        for l in range(n):
             count += 1
-            if lhs != rhs:
-                failures.append({"monomial": list(exp), "relation": tag,
-                                 "indices": list(indices),
-                                 "residual": (lhs - rhs).to_text()})
-
-        for i, k in pairs:
-            s = Permutation.transposition(n, i, k)
-            check("involution", (i, k), f.permute(s).permute(s), f)
-        for (i, j), (k, l) in itertools.combinations(pairs, 2):
-            if len({i, j, k, l}) == 4:
-                a = Permutation.transposition(n, i, j)
-                b = Permutation.transposition(n, k, l)
-                check("disjoint-commute", (i, j, k, l),
-                      f.permute(b).permute(a), f.permute(a).permute(b))
-        for i, k, l in itertools.permutations(range(n), 3):
-            s_ik = Permutation.transposition(n, i, k)
-            s_kl = Permutation.transposition(n, k, l)
-            s_il = Permutation.transposition(n, i, l)
-            first = f.permute(s_kl).permute(s_ik)     # P_ik P_kl f
-            check("fusion-a", (i, k, l), first, f.permute(s_ik).permute(s_il))
-            check("fusion-b", (i, k, l), first, f.permute(s_il).permute(s_kl))
+            residual = first[l].permute(swap) - apply_dunkl(swap(l), swapped_f)
+            if not residual.is_zero():
+                failures.append({"monomial": list(exp), "pair": [j, k],
+                                 "component": l, "residual": residual.to_text()})
     return count, failures
 
 
-_CHUNK_RUNNERS = {
-    "zerocurv": _zero_curvature_chunk,
-    "intertwine": _intertwining_chunk,
-    "sumsq": _sum_squares_chunk,
-    "permrel": _permutation_relations_chunk,
-}
+def _check_sum_squares(n: int, exp: tuple[int, ...]) -> tuple[int, list[dict]]:
+    f = RationalSection.monomial(n, exp)
+    residual = sum_of_squares(f) - sum_of_squares_normal_form(f)
+    if residual.is_zero():
+        return 1, []
+    return 1, [{"monomial": list(exp), "residual": residual.to_text(),
+                "nonzeroCouplingPowers": _nonzero_coupling_powers(residual)}]
 
 
-def _run_chunked(name: str, identity: str, n: int, degree: int, workers: int) -> dict:
-    runner = _CHUNK_RUNNERS[name]
-    chunks = _monomial_chunks(n, degree, workers)
-    args = [(n, degree, chunk) for chunk in chunks]
-    if len(args) == 1 or workers <= 1:
-        parts = [runner(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(runner, args))
-    count = sum(p[0] for p in parts)
-    failures = [f for p in parts for f in p[1]]
-    return {"identity": identity, "N": n, "degree": degree,
-            "caseCount": count, "failures": failures}
+def _check_permutation_relations(n: int, exp: tuple[int, ...]) -> tuple[int, list[dict]]:
+    f = RationalSection.monomial(n, exp)
+    pairs = list(itertools.combinations(range(n), 2))
+    failures = []
+    count = 0
+
+    def check(tag, indices, lhs, rhs):
+        nonlocal count
+        count += 1
+        if lhs != rhs:
+            failures.append({"monomial": list(exp), "relation": tag,
+                             "indices": list(indices),
+                             "residual": (lhs - rhs).to_text()})
+
+    for i, k in pairs:
+        s = Permutation.transposition(n, i, k)
+        check("involution", (i, k), f.permute(s).permute(s), f)
+    for (i, j), (k, l) in itertools.combinations(pairs, 2):
+        if len({i, j, k, l}) == 4:
+            a = Permutation.transposition(n, i, j)
+            b = Permutation.transposition(n, k, l)
+            check("disjoint-commute", (i, j, k, l),
+                  f.permute(b).permute(a), f.permute(a).permute(b))
+    for i, k, l in itertools.permutations(range(n), 3):
+        s_ik = Permutation.transposition(n, i, k)
+        s_kl = Permutation.transposition(n, k, l)
+        s_il = Permutation.transposition(n, i, l)
+        first = f.permute(s_kl).permute(s_ik)     # P_ik P_kl f
+        check("fusion-a", (i, k, l), first, f.permute(s_ik).permute(s_il))
+        check("fusion-b", (i, k, l), first, f.permute(s_il).permute(s_kl))
+    return count, failures
+
+
+def _check_restriction(n: int, case: tuple[str, RationalSection]) -> tuple[int, list[dict]]:
+    sign, f = case
+    c = MultiPoly.coupling(n)
+    g = c * c + c if sign == "symmetric" else c * c - c    # c(c+1) or c(c-1)
+    res = restricted_projection(f, sign)
+    true_op = sum_of_squares(f)
+    target = calogero_apply(f, g).scale(-2)
+    if res == true_op and res == target:
+        return 1, []
+    return 1, [{"sign": sign, "section": f.to_text(),
+                "projectionMinusOperator": (res - true_op).to_text(),
+                "projectionMinusCalogero": (res - target).to_text()}]
 
 
 def zero_curvature_suite(n: int, degree: int, workers: int = 1) -> dict:
     """[nabla_j, nabla_k] f == 0 for all pairs and monomials of degree <= degree,
     identically in the formal coupling; a failure also names the powers of c
     whose pieces of the residual do not vanish."""
-    return _run_chunked("zerocurv", "zero-curvature", n, degree, workers)
+    return _run("zero-curvature", _check_zero_curvature,
+                monomial_exponents(n, degree), n, degree, workers)
 
 
 def intertwining_suite(n: int, degree: int, workers: int = 1) -> dict:
     """P_jk nabla_l == nabla_{s(l)} P_jk on the spanning set (all j<k, all l)."""
-    return _run_chunked("intertwine", "intertwining", n, degree, workers)
+    return _run("intertwining", _check_intertwining,
+                monomial_exponents(n, degree), n, degree, workers)
 
 
 def sum_squares_suite(n: int, degree: int, workers: int = 1) -> dict:
     """sum nabla_i^2 equals its normal-ordered form on the spanning set."""
-    return _run_chunked("sumsq", "sum-of-squares", n, degree, workers)
+    return _run("sum-of-squares", _check_sum_squares,
+                monomial_exponents(n, degree), n, degree, workers)
 
 
 def permutation_relations_suite(n: int, degree: int, workers: int = 1) -> dict:
     """Involution, disjoint commutativity and fusion of coordinate swaps."""
-    return _run_chunked("permrel", "permutation-relations", n, degree, workers)
+    return _run("permutation-relations", _check_permutation_relations,
+                monomial_exponents(n, degree), n, degree, workers)
 
 
 def restriction_suite(n: int, degree: int, workers: int = 1) -> dict:
     """On (anti)symmetric polynomials the rightmost-swap replacement matches
     the true operator and equals -2x the Calogero action with coupling
     c(c+1) (symmetric) or c(c-1) (antisymmetric)."""
-    ctx = DunklContext(n, degree)
-    failures = []
-    count = 0
-
-    def run(basis, sign, g):
-        nonlocal count
-        for f in basis:
-            count += 1
-            res = restricted_projection(ctx, f, sign)
-            true_op = sum_of_squares(ctx, f)
-            target = calogero_apply(ctx, f, g).scale(-2)
-            if res != true_op or res != target:
-                failures.append({
-                    "sign": sign,
-                    "section": f.to_text(),
-                    "projectionMinusOperator": (res - true_op).to_text(),
-                    "projectionMinusCalogero": (res - target).to_text(),
-                })
-
-    c = MultiPoly.coupling(n)
-    run(symmetric_basis(n, degree), "symmetric", c * c + c)          # c(c+1)
-    run(antisymmetric_basis(n, degree), "antisymmetric", c * c - c)  # c(c-1)
-    return {"identity": "restriction-coefficients", "N": n, "degree": degree,
-            "caseCount": count, "failures": failures}
+    cases = ([("symmetric", f) for f in symmetric_basis(n, degree)]
+             + [("antisymmetric", f) for f in antisymmetric_basis(n, degree)])
+    return _run("restriction-coefficients", _check_restriction, cases, n, degree, workers)
 
 
 SUITE_NAMES = ("zerocurv", "intertwine", "sumsq", "permrel", "restriction")

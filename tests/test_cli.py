@@ -46,20 +46,26 @@ class TestVerifyCommand:
         run_cli(capsys, "verify", "--n", "2", "--deg", "2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_pool_gives_same_report(self, capsys):
-        _, solo, _ = run_cli(capsys, "verify", "--n", "3", "--deg", "2",
-                             "--suite", "zerocurv")
-        _, pooled, _ = run_cli(capsys, "verify", "--n", "3", "--deg", "2",
-                               "--suite", "zerocurv", "--workers", "2")
+    @pytest.mark.parametrize("suite", [
+        "zerocurv", "intertwine", "sumsq", "permrel", "restriction"])
+    def test_worker_pool_gives_same_report(self, capsys, suite):
+        # deg 3 at N=3 reaches the Vandermonde, so restriction also runs
+        # antisymmetric cases
+        _, solo, _ = run_cli(capsys, "verify", "--n", "3", "--deg", "3",
+                             "--suite", suite)
+        code, pooled, _ = run_cli(capsys, "verify", "--n", "3", "--deg", "3",
+                                  "--suite", suite, "--workers", "2")
+        assert code == 0
+        assert json.loads(pooled)["config"]["workers"] == 2
         assert json.loads(solo)["suites"] == json.loads(pooled)["suites"]
 
-    def test_worker_env_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("CALOGERO_WORKERS", "2")
-        code, out, _ = run_cli(capsys, "verify", "--n", "2", "--deg", "2",
-                               "--suite", "permrel")
-        report = json.loads(out)
-        assert code == 0
-        assert report["config"]["workers"] == 2
+    @pytest.mark.parametrize("args", [
+        ["--workers", "0"], ["--workers=-3"], ["--workers", "two"], ["--workers", "1.5"],
+    ])
+    def test_bad_worker_count_is_usage_error(self, capsys, args):
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--deg", "1", *args)
+        assert code == 2
+        assert out == "" and "Traceback" not in err
 
 
 class TestTransportCommand:
@@ -212,12 +218,28 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("args", [
         ["--dt", "0"], ["--dt", "nan"], ["--dt=-1e-3"], ["--t", "inf"], ["--t", "0"],
         ["--jmax", "0"], ["--sample-stride", "0"], ["--sample-stride=-5"],
+        ["--drift-tol", "nan"], ["--drift-tol=-1e-8"], ["--energy-tol=-1"],
+        ["--energy-tol", "inf"],
     ])
     def test_bad_duration_step_or_counts_is_usage_error(self, capsys, args):
         code, out, err = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1",
                                  "--t=0.01", "--dt=1e-3", *args)
         assert code == 2
         assert out == "" and "Traceback" not in err
+
+    def test_step_count_beyond_a_float_is_usage_error(self, capsys):
+        # duration / dt overflows to inf although both values are finite
+        code, out, err = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1",
+                                 "--t", "1e300", "--dt", "1e-10")
+        assert code == 2
+        assert out == "" and "step count" in err
+
+    def test_zero_tolerances_are_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1",
+                               "--t=0.01", "--dt=1e-3", "--drift-tol=0", "--energy-tol=0")
+        report = json.loads(out)
+        assert code in (0, 1)
+        assert report["config"]["driftTol"] == 0.0 and report["config"]["energyTol"] == 0.0
 
 
 class TestSymbolsCommand:

@@ -156,6 +156,8 @@ class TestIntegrate:
                              (1.0, math.nan), (1.0, math.inf)):
             with pytest.raises(ValueError, match="finite"):
                 integrate(BENCH3, duration, dt)
+        with pytest.raises(ValueError, match="step count"):
+            integrate(BENCH3, 1e300, 1e-10)
         with pytest.raises(ValueError):
             integrate(BENCH3, 1.0, 1e-3, jmax=0)
         with pytest.raises(ValueError):

@@ -1,0 +1,43 @@
+"""The benchmark's layer tracer must see every suite and Dunkl function that
+its per-function metrics name.
+
+The tracer wraps functions by patching module attributes, so a call that
+bypasses the module-level name (a dispatch table built at import time, say)
+would leave a metric silently at zero.  The tracer is read from
+``perfbench/layertrace.py`` without importing it as a file, so no bytecode
+is written next to it."""
+
+import pathlib
+import types
+
+import calogero.cli
+from calogero.suites import SUITE_NAMES
+
+LAYERTRACE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+
+
+def _layertrace() -> types.ModuleType:
+    module = types.ModuleType("layertrace")
+    exec(compile(LAYERTRACE.read_text(encoding="utf-8"), str(LAYERTRACE), "exec"),
+         module.__dict__)
+    return module
+
+
+def test_count_tracer_sees_every_suite_and_dunkl_metric(capsys):
+    layertrace = _layertrace()
+    tracer = layertrace.CountTracer()
+    tracer.install()
+    try:
+        codes = [calogero.cli.main(["verify", "--n=2", "--deg=1", f"--suite={suite}",
+                                    "--workers=1"])
+                 for suite in SUITE_NAMES]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0] * len(SUITE_NAMES)
+    calls = dict(zip(tracer.names, tracer.calls))
+    watched = {name for name, _ in layertrace._FUNCTION_METRICS.values()
+               if name.split(".", 1)[0] in ("suites", "dunkl")}
+    assert len(watched) == 9
+    assert [name for name in sorted(watched) if calls.get(name, 0) == 0] == []
+    assert tracer.counters["suites.cases"] > 0

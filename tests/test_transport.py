@@ -195,15 +195,14 @@ class TestVectorizationAgainstScalarOperator:
     """
 
     def _check(self, n, c, psi):
-        from calogero.dunkl import DunklContext, apply_dunkl
+        from calogero.dunkl import apply_dunkl
 
         conn = build_local_system(n, [F(i + 1) for i in range(n)], c)
-        ctx = DunklContext(n, 2)
         for row, sigma in enumerate(conn.perms):
             vectorized = psi.permute(sigma)
             for k in range(n):
                 m0 = sigma.inverse()(k)
-                rhs = apply_dunkl(ctx, m0, psi).specialize_coupling(c).permute(sigma)
+                rhs = apply_dunkl(m0, psi).specialize_coupling(c).permute(sigma)
                 for e in conn.off[k]:
                     if e.row != row:
                         continue
