@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .laxdyn import CollisionError, PhasePoint, integrate
+from .laxdyn import MAX_STEPS, CollisionError, PhasePoint, integrate
 from .suites import SUITE_NAMES, run_suite
 from .symbolcalc import realization_report, symbol_of_permutation
 from .transport import (
@@ -213,7 +213,7 @@ def cmd_simulate(args, parser) -> int:
     except CollisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLLISION
-    except ValueError as exc:  # step count beyond a float
+    except ValueError as exc:  # duration / dt above MAX_STEPS
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.csv:
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g2", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=0.0)
     p.add_argument("--t", type=_positive_finite, default=10.0,
-                   help="duration (finite, > 0)")
+                   help=f"duration (finite, > 0; t/dt at most {MAX_STEPS})")
     p.add_argument("--dt", type=_positive_finite, default=1e-4,
                    help="RK4 step (finite, > 0)")
     p.add_argument("--jmax", type=_positive_int, default=4,

@@ -6,11 +6,23 @@ off-diagonal has conserved trace powers along the Hamiltonian flow of
     H = sum_i (p_i^2/2 + omega^2 x_i^2/2) + sum_{i<j} g^2/(x_i - x_j)^2.
 
 Every pair quantity (the Lax matrix, the potential, the forces and the
-explicit cubic trace) is read from one array ``inv[i, j] = 1/(x_i - x_j)``
-with a zero diagonal, built once per state.  A ``PhasePoint`` is validated
-once, at the boundary; the simulator (fixed-step RK4) then carries plain
-position and momentum arrays and reports the drift of the energy and of the
-trace integrals, read from the same pair array as the next step's force.
+explicit cubic trace) is read from one array ``inv[..., i, j] =
+1/(x_i - x_j)`` with a zero diagonal, built for one state or for a stack of
+states at once.
+
+The simulator (fixed-step RK4) steps first and measures in blocks.  A
+``PhasePoint`` is validated once; the stepping loop then carries the
+positions, momenta and force, runs one RK4 step and the ordering test per
+step, and writes every state into a preallocated block.  Up to
+``_SCALAR_MAX_N`` particles a step runs on plain Python floats, operation
+for operation as the numpy kernel used above that size (numpy's summation
+order included), so both give bit-identical trajectories; at three or four
+particles a float step takes about a quarter of the time of a numpy step,
+which is mostly per-call cost.  Each full or final block is then measured at
+once: one stacked pair array gives H and tr P^1..tr P^jmax of every state,
+the drift is taken over every step, and every ``sample_stride``-th state is
+kept.  ``duration / dt`` is capped at ``MAX_STEPS``.
+
 The rank-two constant matrix ``I - e e^T`` driving the reduction has
 spectrum {1 (N-1 times), 1-N}.
 """
@@ -19,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +46,23 @@ __all__ = [
     "Trajectory",
     "noether_matrix",
     "hamiltonian",
+    "MAX_STEPS",
 ]
+
+
+# ``duration / dt`` above this is refused before anything runs: a few minutes
+# of stepping at N=3, a hundred times the longest acceptance run
+MAX_STEPS = 10_000_000
+
+# up to this many particles RK4 runs on plain Python floats, above it on
+# numpy.  Measured per step (integrate, 2-vCPU host): 31 us against 49 us at
+# N=7, but 59 us against 51 us at N=8, where numpy starts to sum a row
+# pairwise and the float kernel has to copy that order.
+_SCALAR_MAX_N = 7
+
+# bytes of one stacked complex n x n array over a block of states; sets the
+# block length, so a block's memory does not grow with N
+_BLOCK_BYTES = 1 << 18
 
 
 class CollisionError(RuntimeError):
@@ -71,38 +100,47 @@ class PhasePoint:
         return len(self.x)
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a fresh stack of square matrices."""
+    n = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (n * n,))[..., :: n + 1]
+
+
 def _inverse_differences(x: np.ndarray) -> np.ndarray:
-    """inv[i, j] = 1/(x_i - x_j), with zeros on the diagonal."""
-    diff = x[:, None] - x
-    diff.flat[:: len(x) + 1] = np.inf
+    """inv[..., i, j] = 1/(x_i - x_j), with zeros on the diagonal, for states
+    x of shape (..., n)."""
+    diff = x[..., :, None] - x[..., None, :]
+    _diagonal(diff)[...] = np.inf
     return 1.0 / diff
 
 
 def _lax(p: np.ndarray, inv: np.ndarray) -> np.ndarray:
     out = 1j * inv
-    out.flat[:: len(p) + 1] = p
+    _diagonal(out)[...] = p
     return out
 
 
 def _trace_powers(p: np.ndarray, inv: np.ndarray, jmax: int) -> np.ndarray:
     lax = _lax(p, inv)
-    out = np.empty(jmax)
-    out[0] = lax.trace().real
+    out = np.empty(p.shape[:-1] + (jmax,))
+    out[..., 0] = np.trace(lax, axis1=-2, axis2=-1).real
     power = lax
     for j in range(1, jmax):
         power = power @ lax
-        out[j] = power.trace().real
+        out[..., j] = np.trace(power, axis1=-2, axis2=-1).real
     return out
 
 
+def _square(v: np.ndarray) -> np.ndarray:
+    """v @ v over the last axis, summed as ``@`` sums one vector."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def _energy(x: np.ndarray, p: np.ndarray, inv: np.ndarray, g2: float,
-            omega: float) -> float:
+            omega: float) -> np.ndarray:
     # the pair sum runs over ordered pairs, so it counts each pair twice
-    return float(p @ p / 2 + omega ** 2 * (x @ x) / 2 + g2 / 2 * np.sum(inv * inv))
-
-
-def _forces(x: np.ndarray, inv: np.ndarray, g2: float, omega: float) -> np.ndarray:
-    return 2.0 * g2 * (inv * inv * inv).sum(axis=1) - omega ** 2 * x
+    return (_square(p) / 2 + omega ** 2 * _square(x) / 2
+            + g2 / 2 * (inv * inv).sum(axis=(-2, -1)))
 
 
 def _arrays(state: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +177,7 @@ def trace_p3_explicit(state: PhasePoint) -> float:
 
 def hamiltonian(state: PhasePoint) -> float:
     x, p = _arrays(state)
-    return _energy(x, p, _inverse_differences(x), state.g2, state.omega)
+    return float(_energy(x, p, _inverse_differences(x), state.g2, state.omega))
 
 
 @dataclass
@@ -174,22 +212,162 @@ class Trajectory:
                                 + [repr(float(v)) for v in self.invariants[i]])
 
 
-def _rk4_step(x: np.ndarray, p: np.ndarray, f: np.ndarray, dt: float, g2: float,
-              omega: float):
-    """One RK4 step from (x, p); ``f`` is the force at ``x``."""
-    def force(y):
-        return _forces(y, _inverse_differences(y), g2, omega)
+def _pairwise_sum(values: list) -> float:
+    """``numpy.sum`` of up to 128 floats in numpy's order: left to right below
+    eight terms, else eight interleaved partial sums combined as a tree."""
+    if len(values) < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    part = values[:8]
+    whole = len(values) - len(values) % 8
+    for i in range(8, whole, 8):
+        for k in range(8):
+            part[k] += values[i + k]
+    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5])
+                                                           + (part[6] + part[7]))
+    for v in values[whole:]:
+        total += v
+    return total
 
+
+def _cube_row_sums(x: list) -> list:
+    """sum_j inv[i, j]**3 for every i, in the order ``_force_numpy`` sums them."""
+    n = len(x)
+    if n < 8:
+        # running sums over the pairs in row-major order add each row left to
+        # right, as numpy does below eight terms; inv[j, i]**3 is -inv[i, j]**3
+        sums = [0.0] * n
+        for i in range(n - 1):
+            xi = x[i]
+            for j in range(i + 1, n):
+                a = 1.0 / (xi - x[j])
+                c = a * a * a
+                sums[i] += c
+                sums[j] -= c
+        return sums
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n - 1):
+        xi, row = x[i], rows[i]
+        for j in range(i + 1, n):
+            a = 1.0 / (xi - x[j])
+            row[j] = c = a * a * a
+            rows[j][i] = -c
+    return [_pairwise_sum(row) for row in rows]
+
+
+def _force_scalar(x: list, g2: float, omega: float) -> list:
+    """``_force_numpy`` on a list of floats, operation for operation."""
+    try:
+        sums = _cube_row_sums(x)
+    except ZeroDivisionError:
+        # two stage positions coincide: numpy's 1/0 is inf, which the
+        # ordering test reports after the step
+        return _force_numpy(np.array(x), g2, omega).tolist()
+    k, w = 2.0 * g2, omega ** 2
+    return [k * s - w * xi for s, xi in zip(sums, x)]
+
+
+def _force_numpy(x: np.ndarray, g2: float, omega: float) -> np.ndarray:
+    """Force -dH/dx at one state."""
+    inv = _inverse_differences(x)
+    return 2.0 * g2 * (inv * inv * inv).sum(axis=1) - omega ** 2 * x
+
+
+def _rk4_scalar(x: list, p: list, f: list, dt: float, g2: float, omega: float):
+    """``_rk4_numpy`` on lists of floats, operation for operation."""
+    h = 0.5 * dt
+    k2x = [a + h * b for a, b in zip(p, f)]
+    k2p = _force_scalar([a + h * b for a, b in zip(x, p)], g2, omega)
+    k3x = [a + h * b for a, b in zip(p, k2p)]
+    k3p = _force_scalar([a + h * b for a, b in zip(x, k2x)], g2, omega)
+    k4x = [a + dt * b for a, b in zip(p, k3p)]
+    k4p = _force_scalar([a + dt * b for a, b in zip(x, k3x)], g2, omega)
+    xn = [y + dt * (a + 2 * b + 2 * c + d) / 6.0
+          for y, a, b, c, d in zip(x, p, k2x, k3x, k4x)]
+    pn = [y + dt * (a + 2 * b + 2 * c + d) / 6.0
+          for y, a, b, c, d in zip(p, f, k2p, k3p, k4p)]
+    return xn, pn, _force_scalar(xn, g2, omega)
+
+
+def _rk4_numpy(x: np.ndarray, p: np.ndarray, f: np.ndarray, dt: float, g2: float,
+               omega: float):
+    """One RK4 step from (x, p) with force ``f`` at ``x``; returns the new
+    state and the force there."""
     k1x, k1p = p, f
     k2x = p + 0.5 * dt * k1p
-    k2p = force(x + 0.5 * dt * k1x)
+    k2p = _force_numpy(x + 0.5 * dt * k1x, g2, omega)
     k3x = p + 0.5 * dt * k2p
-    k3p = force(x + 0.5 * dt * k2x)
+    k3p = _force_numpy(x + 0.5 * dt * k2x, g2, omega)
     k4x = p + dt * k3p
-    k4p = force(x + dt * k3x)
+    k4p = _force_numpy(x + dt * k3x, g2, omega)
     xn = x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
     pn = p + dt * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
-    return xn, pn
+    return xn, pn, _force_numpy(xn, g2, omega)
+
+
+def _kernel(n: int):
+    """(force, RK4 step) for ``n`` particles: plain floats up to
+    ``_SCALAR_MAX_N``, numpy above."""
+    if n <= _SCALAR_MAX_N:
+        return _force_scalar, _rk4_scalar
+    return _force_numpy, _rk4_numpy
+
+
+def _rk4_step(kernel, x, p, f, dt: float, g2: float, omega: float):
+    """One RK4 step with ``kernel``; returns the new state and its force.
+
+    ``integrate`` makes one call per step, which the benchmark's layer tracer
+    (``perfbench/layertrace.py``) counts as ``laxdyn.steps``."""
+    return kernel(x, p, f, dt, g2, omega)
+
+
+def _block_length(n: int) -> int:
+    """States per block: one stacked complex n x n matrix per state fills
+    ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (16 * n * n))
+
+
+def _step_blocks(state: PhasePoint, steps: int, dt: float):
+    """Run ``steps`` RK4 steps from ``state`` and yield the states, initial
+    one first, as (first step, positions, momenta) blocks of at most
+    ``_block_length`` rows.  The rows are overwritten by the next block.
+
+    A state that leaves the open chamber, or blows up to inf or NaN, raises
+    :class:`CollisionError`.
+    """
+    g2, omega = state.g2, state.omega
+    force, kernel = _kernel(state.n)
+    x, p = _arrays(state)
+    if kernel is _rk4_scalar:
+        x, p = x.tolist(), p.tolist()
+    f = force(x, g2, omega)
+    xs = np.empty((min(_block_length(state.n), steps + 1), state.n))
+    ps = np.empty_like(xs)
+    xs[0], ps[0] = x, p
+    first, row = 0, 1
+    for step in range(1, steps + 1):
+        if row == len(xs):
+            yield first, xs, ps
+            first, row = step, 0
+        x, p, f = _rk4_step(kernel, x, p, f, dt, g2, omega)
+        if not all(map(operator.lt, x, x[1:])):
+            raise CollisionError(step * dt)
+        xs[row], ps[row] = x, p
+        row += 1
+    yield first, xs[:row], ps[:row]
+
+
+def _conserved(x: np.ndarray, p: np.ndarray, g2: float, omega: float,
+               jmax: int) -> np.ndarray:
+    """H and tr P^1..tr P^jmax of states (..., n), from one pair array:
+    shape (..., jmax + 1)."""
+    inv = _inverse_differences(x)
+    out = np.empty(x.shape[:-1] + (jmax + 1,))
+    out[..., 0] = _energy(x, p, inv, g2, omega)
+    out[..., 1:] = _trace_powers(p, inv, jmax)
+    return out
 
 
 def integrate(state: PhasePoint, duration: float, dt: float,
@@ -197,8 +375,10 @@ def integrate(state: PhasePoint, duration: float, dt: float,
     """Fixed-step RK4 trajectory; aborts on particle collision.
 
     Energy and invariant drifts are tracked at every step; the stored arrays
-    are downsampled by ``sample_stride``.  A state that leaves the open
-    chamber, or blows up to inf or NaN, raises :class:`CollisionError`.
+    are downsampled by ``sample_stride``, and the final step is always kept.
+    A state that leaves the open chamber, or blows up to inf or NaN, raises
+    :class:`CollisionError`.  ``duration / dt`` above ``MAX_STEPS`` raises
+    ``ValueError`` before anything runs.
     """
     if not (0 < duration < math.inf and 0 < dt < math.inf):
         raise ValueError("duration and dt must be finite and positive")
@@ -207,47 +387,38 @@ def integrate(state: PhasePoint, duration: float, dt: float,
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     ratio = duration / dt
-    if not math.isfinite(ratio):
-        raise ValueError(f"duration / dt = {ratio} is too large for a step count")
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"duration / dt = {ratio:.6g} is too large for a step count "
+                         f"(at most MAX_STEPS = {MAX_STEPS})")
     steps = int(round(ratio))
     g2, omega = state.g2, state.omega
-    x, p = _arrays(state)
-
-    def measure(x, p):
-        # H and tr P^1..tr P^jmax, and the force for the next step, from one
-        # pair array
-        inv = _inverse_differences(x)
-        conserved = np.empty(jmax + 1)
-        conserved[0] = _energy(x, p, inv, g2, omega)
-        conserved[1:] = _trace_powers(p, inv, jmax)
-        return conserved, _forces(x, inv, g2, omega)
-
+    drift = np.zeros(jmax + 1)
+    times, xs, ps, samples = [], [], [], []
     # overflow near a collision leaves inf or NaN in x, which the ordering
-    # test below reports as a collision
+    # test reports as a collision
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        c0, force = measure(x, p)
-        scale = np.maximum(np.abs(c0), 1.0)
-        drift = np.zeros(jmax + 1)
-        times, xs, ps, samples = [0.0], [x], [p], [c0]
-        for step in range(1, steps + 1):
-            x, p = _rk4_step(x, p, force, dt, g2, omega)
-            t = step * dt
-            if not np.all(np.diff(x) > 0):
-                raise CollisionError(t)
-            conserved, force = measure(x, p)
-            drift = np.maximum(drift, np.abs(conserved - c0) / scale)
-            if step % sample_stride == 0 or step == steps:
-                times.append(t)
-                xs.append(x)
-                ps.append(p)
-                samples.append(conserved)
-    samples = np.asarray(samples)
+        for first, bx, bp in _step_blocks(state, steps, dt):
+            conserved = _conserved(bx, bp, g2, omega, jmax)
+            if first == 0:
+                c0 = conserved[0]
+                scale = np.maximum(np.abs(c0), 1.0)
+            # the drift starts at step 1
+            moved = conserved[1:] if first == 0 else conserved
+            drift = np.maximum(drift, np.max(np.abs(moved - c0) / scale, axis=0,
+                                              initial=0.0))
+            step = np.arange(first, first + len(bx))
+            keep = (step % sample_stride == 0) | (step == steps)
+            times.append(step[keep] * dt)
+            xs.append(bx[keep])
+            ps.append(bp[keep])
+            samples.append(conserved[keep])
+    samples = np.concatenate(samples)
     max_drift = {"H": float(drift[0])}
     for j in range(1, jmax + 1):
         max_drift[f"I{j}"] = float(drift[j])
-    return Trajectory(times=np.asarray(times), xs=np.asarray(xs), ps=np.asarray(ps),
-                      energies=samples[:, 0], invariants=samples[:, 1:],
-                      max_drift=max_drift)
+    return Trajectory(times=np.concatenate(times), xs=np.concatenate(xs),
+                      ps=np.concatenate(ps), energies=samples[:, 0],
+                      invariants=samples[:, 1:], max_drift=max_drift)
 
 
 def noether_matrix(n: int) -> np.ndarray:

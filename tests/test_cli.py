@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from calogero import laxdyn
 from calogero.cli import main
 
 LOOP3 = {"N": 3, "margin": 0.1,
@@ -233,6 +234,17 @@ class TestSimulateCommand:
                                  "--t", "1e300", "--dt", "1e-10")
         assert code == 2
         assert out == "" and "step count" in err
+
+    def test_step_count_above_cap_is_usage_error(self, capsys, monkeypatch):
+        # finite, but 10^303 steps: refused before the first step
+        def refuse_to_step(*args):
+            raise AssertionError("simulate started stepping")
+
+        monkeypatch.setattr(laxdyn, "_step_blocks", refuse_to_step)
+        code, out, err = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1",
+                                 "--t", "1e300", "--dt", "1e-3")
+        assert code == 2
+        assert out == "" and "MAX_STEPS" in err and "Traceback" not in err
 
     def test_zero_tolerances_are_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1",

@@ -5,7 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from calogero import laxdyn
 from calogero.laxdyn import (
+    MAX_STEPS,
     CollisionError,
     PhasePoint,
     build_lax,
@@ -199,3 +201,195 @@ def test_trajectory_matches_scipy_oracle(state):
 def test_energy_value_spot_check():
     # H = (1 + 1)/2 + 1/(0-1)^2 = 2
     assert abs(hamiltonian(BENCH2) - 2.0) < 1e-14
+
+
+def _reference_step(x, p, dt, g2, omega):
+    """The RK4 step of the per-step simulator, written out on numpy arrays."""
+    def force(y):
+        diff = y[:, None] - y
+        np.fill_diagonal(diff, np.inf)
+        inv = 1.0 / diff
+        return 2.0 * g2 * (inv * inv * inv).sum(axis=1) - omega ** 2 * y
+
+    k1x, k1p = p, force(x)
+    k2x = p + 0.5 * dt * k1p
+    k2p = force(x + 0.5 * dt * k1x)
+    k3x = p + 0.5 * dt * k2p
+    k3p = force(x + 0.5 * dt * k2x)
+    k4x = p + dt * k3p
+    k4p = force(x + dt * k3x)
+    return (x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0,
+            p + dt * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0)
+
+
+def _reference_measure(x, p, g2, omega, jmax):
+    """H and tr P^1..tr P^jmax of one state, measured as the per-step
+    simulator measured them."""
+    diff = x[:, None] - x
+    np.fill_diagonal(diff, np.inf)
+    inv = 1.0 / diff
+    lax = 1j * inv
+    np.fill_diagonal(lax, p)
+    out = [p @ p / 2 + omega ** 2 * (x @ x) / 2 + g2 / 2 * np.sum(inv * inv)]
+    power = np.eye(len(x))
+    for _ in range(jmax):
+        power = power @ lax
+        out.append(power.trace().real)
+    return np.array(out)
+
+
+def _reference_integrate(state, duration, dt, jmax, sample_stride):
+    """One RK4 step, ordering test and measurement per step."""
+    g2, omega = state.g2, state.omega
+    x, p = np.array(state.x, dtype=float), np.array(state.p, dtype=float)
+    steps = int(round(duration / dt))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c0 = _reference_measure(x, p, g2, omega, jmax)
+        scale = np.maximum(np.abs(c0), 1.0)
+        drift = np.zeros(jmax + 1)
+        times, xs, ps, samples = [0.0], [x], [p], [c0]
+        for step in range(1, steps + 1):
+            x, p = _reference_step(x, p, dt, g2, omega)
+            if not np.all(np.diff(x) > 0):
+                raise CollisionError(step * dt)
+            conserved = _reference_measure(x, p, g2, omega, jmax)
+            drift = np.maximum(drift, np.abs(conserved - c0) / scale)
+            if step % sample_stride == 0 or step == steps:
+                times.append(step * dt)
+                xs.append(x)
+                ps.append(p)
+                samples.append(conserved)
+    return (np.array(times), np.array(xs), np.array(ps), np.array(samples), drift,
+            scale)
+
+
+def _small_blocks(monkeypatch, n, length):
+    monkeypatch.setattr(laxdyn, "_BLOCK_BYTES", 16 * n * n * length)
+    assert laxdyn._block_length(n) == length
+
+
+class TestStepCap:
+    def test_cap_is_checked_before_any_block(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def refuse_to_step(state, steps, dt):
+            raise Started(steps)
+
+        monkeypatch.setattr(laxdyn, "_step_blocks", refuse_to_step)
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            integrate(BENCH3, float(MAX_STEPS + 1), 1.0)
+        with pytest.raises(Started) as started:
+            integrate(BENCH3, float(MAX_STEPS), 1.0)
+        assert started.value.args == (MAX_STEPS,)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("n", range(2, laxdyn._SCALAR_MAX_N + 3))
+    def test_scalar_and_numpy_kernels_are_bit_identical(self, n):
+        rng = random.Random(100 + n)
+        x0 = np.cumsum([rng.uniform(-1.0, 1.0)]
+                       + [rng.uniform(0.5, 2.0) for _ in range(n - 1)])
+        p0 = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
+        g2, omega, dt = 1.5, 0.4, 1e-3
+        xs, ps = x0.tolist(), p0.tolist()
+        fs = laxdyn._force_scalar(xs, g2, omega)
+        xn, pn = x0, p0
+        fn = laxdyn._force_numpy(xn, g2, omega)
+        assert np.array(fs).tobytes() == fn.tobytes()
+        for _ in range(2000):
+            xs, ps, fs = laxdyn._rk4_scalar(xs, ps, fs, dt, g2, omega)
+            xn, pn, fn = laxdyn._rk4_numpy(xn, pn, fn, dt, g2, omega)
+        assert all(type(v) is float for v in xs + ps + fs)
+        assert np.array(xs).tobytes() == xn.tobytes()
+        assert np.array(ps).tobytes() == pn.tobytes()
+        assert np.array(fs).tobytes() == fn.tobytes()
+        assert not np.array_equal(xn, x0)
+
+    def test_dispatch_switches_above_scalar_max_n(self, monkeypatch):
+        top = laxdyn._SCALAR_MAX_N
+        assert laxdyn._kernel(2) == (laxdyn._force_scalar, laxdyn._rk4_scalar)
+        assert laxdyn._kernel(top) == (laxdyn._force_scalar, laxdyn._rk4_scalar)
+        assert laxdyn._kernel(top + 1) == (laxdyn._force_numpy, laxdyn._rk4_numpy)
+        used = []
+        step = laxdyn._rk4_step
+
+        def record(kernel, *args):
+            used.append(kernel)
+            return step(kernel, *args)
+
+        monkeypatch.setattr(laxdyn, "_rk4_step", record)
+        for n in (top, top + 1):
+            state = PhasePoint(tuple(float(i) for i in range(n)), (0.0,) * n)
+            integrate(state, 3e-3, 1e-3)
+        assert used == [laxdyn._rk4_scalar] * 3 + [laxdyn._rk4_numpy] * 3
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n", [3, laxdyn._SCALAR_MAX_N + 1])
+    def test_blocks_match_per_step_reference(self, monkeypatch, n):
+        length, stride, dt = 50, 7, 1e-3
+        steps = 2 * length + 23
+        # two full blocks and a partial one; the stride does not divide the
+        # block length, and the last step is not a multiple of it
+        assert (steps + 1) // length == 2 and (steps + 1) % length
+        assert length % stride and steps % stride
+        _small_blocks(monkeypatch, n, length)
+        rng = random.Random(n)
+        x = np.cumsum([0.0] + [rng.uniform(0.5, 1.5) for _ in range(n - 1)])
+        p = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        state = PhasePoint(tuple(x), tuple(p), g2=1.5, omega=0.4)
+        traj = integrate(state, steps * dt, dt, jmax=4, sample_stride=stride)
+        times, xs, ps, samples, drift, scale = _reference_integrate(
+            state, steps * dt, dt, 4, stride)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.xs, xs)
+        assert np.array_equal(traj.ps, ps)
+        assert traj.times[-1] == steps * dt
+        assert np.all(np.abs(traj.energies - samples[:, 0]) <= 1e-15 * scale[0])
+        assert np.all(np.abs(traj.invariants - samples[:, 1:]) <= 1e-15 * scale[1:])
+        got = np.array([traj.max_drift[k] for k in ("H", "I1", "I2", "I3", "I4")])
+        assert np.all(np.abs(got - drift) <= 1e-15)
+
+    def test_drift_includes_every_block_head(self, monkeypatch):
+        # uncoupled oscillators: RK4 loses energy at every step, so the drift
+        # grows step by step and its maximum is the last state, here the
+        # only state of the third block
+        state = PhasePoint((-1.0, 1.0), (0.0, 0.0), g2=0.0, omega=1.0)
+        _small_blocks(monkeypatch, 2, 10)
+        dt, steps = 1e-2, 20
+        energies = [hamiltonian(state)]
+        x, p = np.array(state.x), np.array(state.p)
+        for _ in range(steps):
+            x, p = _reference_step(x, p, dt, 0.0, 1.0)
+            energies.append(float(p @ p / 2 + x @ x / 2))
+        drift = np.abs(np.array(energies) - energies[0]) / energies[0]
+        assert np.all(np.diff(drift) > 1e-15)
+        traj = integrate(state, steps * dt, dt, jmax=1)
+        assert abs(traj.max_drift["H"] - drift[-1]) <= 1e-15
+
+    def test_collision_inside_a_block(self, monkeypatch):
+        state = PhasePoint((-1.0, 1.0), (2.0, -2.0), g2=0.0, omega=0.0)
+        _small_blocks(monkeypatch, 2, 64)
+        with pytest.raises(CollisionError) as ref:
+            _reference_integrate(state, 2.0, 1e-3, 1, 1)
+        step = round(ref.value.time / 1e-3)
+        assert step % 64 not in (0, 63)
+        with pytest.raises(CollisionError) as err:
+            integrate(state, 2.0, 1e-3, jmax=1)
+        assert err.value.time == ref.value.time
+
+    @pytest.mark.parametrize("scalar_max_n", [laxdyn._SCALAR_MAX_N, 1])
+    @pytest.mark.parametrize("state, dt", [
+        # the first force overflows to inf
+        (PhasePoint((0.0, 1e-200, 1.0), (0.0, 0.0, 0.0)), 1e-3),
+        # the first RK4 stage puts both particles at 0.5: 1/0 in the force
+        (PhasePoint((0.0, 1.0), (2.0, -2.0)), 0.5),
+    ])
+    def test_blow_up_is_a_collision(self, monkeypatch, scalar_max_n, state, dt):
+        monkeypatch.setattr(laxdyn, "_SCALAR_MAX_N", scalar_max_n)
+        with pytest.raises(CollisionError) as ref:
+            _reference_integrate(state, 1.0, dt, 1, 1)
+        with pytest.raises(CollisionError) as err:
+            integrate(state, 1.0, dt, jmax=1)
+        assert err.value.time == ref.value.time == dt
