@@ -84,14 +84,20 @@ def _non_negative_finite(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -158,7 +164,11 @@ def cmd_transport(args, parser) -> int:
     if len(args.p) != path.n:
         print(f"error: {len(args.p)} momenta for an N={path.n} path", file=sys.stderr)
         return EXIT_USAGE
-    conn = build_local_system(path.n, args.p, args.c, prefactor=args.prefactor)
+    try:
+        conn = build_local_system(path.n, args.p, args.c, prefactor=args.prefactor)
+    except ValueError as exc:  # N above the cap
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         result = transport_ode(conn, path, tol=args.tol)
     except TransportStepError as exc:
@@ -322,11 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symbols", help="normal-ordering realizations and swap symbol")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--deg", type=int, default=6)
+    p.add_argument("--deg", type=_non_negative_int, default=6,
+                   help="monomial degree bound (>= 0)")
     p.add_argument("--j", type=int, default=0)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--order", type=int, default=None,
-                   help="symbol truncation order (default: --deg)")
+    p.add_argument("--order", type=_non_negative_int, default=None,
+                   help="symbol truncation order (>= 0; default: --deg)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_symbols)
     return parser

@@ -55,9 +55,10 @@ __all__ = [
 MAX_STEPS = 10_000_000
 
 # up to this many particles RK4 runs on plain Python floats, above it on
-# numpy.  Measured per step (integrate, 2-vCPU host): 31 us against 49 us at
-# N=7, but 59 us against 51 us at N=8, where numpy starts to sum a row
-# pairwise and the float kernel has to copy that order.
+# numpy (per step, integrate, 2-vCPU host: 31 us against 49 us at N=7).  It
+# cannot exceed 7: numpy sums a row of 8 or more terms pairwise, and the float
+# kernel adds each row left to right, so the two would no longer agree bit
+# for bit.
 _SCALAR_MAX_N = 7
 
 # bytes of one stacked complex n x n array over a block of states; sets the
@@ -76,7 +77,7 @@ class CollisionError(RuntimeError):
 @dataclass(frozen=True)
 class PhasePoint:
     """Positions (strictly increasing), momenta, coupling g^2 and frequency,
-    all finite."""
+    all finite, and a finite omega^2."""
 
     x: tuple[float, ...]
     p: tuple[float, ...]
@@ -94,6 +95,10 @@ class PhasePoint:
             raise ValueError("positions must be strictly increasing")
         if self.g2 < 0 or self.omega < 0:
             raise ValueError("g2 and omega must be nonnegative")
+        # the force and H take omega ** 2, which raises OverflowError where
+        # the square is not finite
+        if not math.isfinite(self.omega * self.omega):
+            raise ValueError(f"omega**2 must be finite: omega={self.omega!r}")
 
     @property
     def n(self) -> int:
@@ -212,49 +217,21 @@ class Trajectory:
                                 + [repr(float(v)) for v in self.invariants[i]])
 
 
-def _pairwise_sum(values: list) -> float:
-    """``numpy.sum`` of up to 128 floats in numpy's order: left to right below
-    eight terms, else eight interleaved partial sums combined as a tree."""
-    if len(values) < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    part = values[:8]
-    whole = len(values) - len(values) % 8
-    for i in range(8, whole, 8):
-        for k in range(8):
-            part[k] += values[i + k]
-    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5])
-                                                           + (part[6] + part[7]))
-    for v in values[whole:]:
-        total += v
-    return total
-
-
 def _cube_row_sums(x: list) -> list:
-    """sum_j inv[i, j]**3 for every i, in the order ``_force_numpy`` sums them."""
+    """sum_j inv[i, j]**3 for every i, in the order ``_force_numpy`` sums them
+    below eight particles."""
+    # running sums over the pairs in row-major order add each row left to
+    # right, as numpy does below eight terms; inv[j, i]**3 is -inv[i, j]**3
     n = len(x)
-    if n < 8:
-        # running sums over the pairs in row-major order add each row left to
-        # right, as numpy does below eight terms; inv[j, i]**3 is -inv[i, j]**3
-        sums = [0.0] * n
-        for i in range(n - 1):
-            xi = x[i]
-            for j in range(i + 1, n):
-                a = 1.0 / (xi - x[j])
-                c = a * a * a
-                sums[i] += c
-                sums[j] -= c
-        return sums
-    rows = [[0.0] * n for _ in range(n)]
+    sums = [0.0] * n
     for i in range(n - 1):
-        xi, row = x[i], rows[i]
+        xi = x[i]
         for j in range(i + 1, n):
             a = 1.0 / (xi - x[j])
-            row[j] = c = a * a * a
-            rows[j][i] = -c
-    return [_pairwise_sum(row) for row in rows]
+            c = a * a * a
+            sums[i] += c
+            sums[j] -= c
+    return sums
 
 
 def _force_scalar(x: list, g2: float, omega: float) -> list:

@@ -20,6 +20,7 @@ order reaches the total degree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -229,33 +230,25 @@ def quantize_apply(terms: Sequence[SymbolTerm], f: MultiPoly) -> MultiPoly:
     return out
 
 
-def _exact_swap(j: int, k: int, f: MultiPoly) -> MultiPoly:
-    return f.permute(Permutation.transposition(f.arity, j, k))
-
-
 def realization_report(n_vars: int, max_degree: int, j: int = 0, k: int = 1) -> dict:
     """Check every registered swap realization against the exact swap on all
-    monomials of total degree <= max_degree; report which hold verbatim."""
+    monomials of total degree <= max_degree; report which hold verbatim.
+
+    The series and the symbol are truncated at ``max_degree`` for every
+    monomial: the series stops where the derivative vanishes, and a symbol
+    term of order above a monomial's degree gives zero on it."""
     basis = [MultiPoly.monomial(n_vars, e) for e in monomial_exponents(n_vars, max_degree)]
+    symbol = symbol_of_permutation(n_vars, j, k, max(max_degree, 0))
+    realizations = {name: functools.partial(apply_shift_word, word)
+                    for name, word in swap_word_registry(j, k).items()}
+    realizations["normal-ordered-series"] = lambda f: permutation_series(j, k, f, max_degree)
+    realizations["quantized-symbol"] = lambda f: quantize_apply(symbol, f)
+    swap = Permutation.transposition(n_vars, j, k)
+    cases = [(mono, mono.permute(swap)) for mono in basis]
     results = {}
-    for name, word in swap_word_registry(j, k).items():
-        failures = []
-        for mono in basis:
-            if apply_shift_word(word, mono) != _exact_swap(j, k, mono):
-                failures.append(mono.to_text())
+    for name, realize in realizations.items():
+        failures = [mono.to_text() for mono, swapped in cases if realize(mono) != swapped]
         results[name] = {"matchesSwap": not failures, "failures": failures}
-    failures = []
-    for mono in basis:
-        got = permutation_series(j, k, mono, mono.total_degree())
-        if got != _exact_swap(j, k, mono):
-            failures.append(mono.to_text())
-    results["normal-ordered-series"] = {"matchesSwap": not failures, "failures": failures}
-    failures = []
-    for mono in basis:
-        sym = symbol_of_permutation(n_vars, j, k, max(mono.total_degree(), 0))
-        if quantize_apply(sym, mono) != _exact_swap(j, k, mono):
-            failures.append(mono.to_text())
-    results["quantized-symbol"] = {"matchesSwap": not failures, "failures": failures}
     return {
         "nVars": n_vars,
         "maxDegree": max_degree,

@@ -336,6 +336,8 @@ class ChamberPath:
         if self.margin <= 0:
             raise PathValidationError("margin must be positive")
         n = len(self.waypoints[0])
+        if n < 2:
+            raise ValueError(f"path needs at least two coordinates, got {n}")
         for w in self.waypoints:
             if len(w) != n:
                 raise PathValidationError("inconsistent waypoint dimensions")

@@ -106,6 +106,22 @@ class TestTransportCommand:
         assert code == 3
         assert "margin" in err
 
+    def test_n_above_cap_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps({"N": 6, "margin": 0.1,
+                                    "waypoints": [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]]}))
+        code, out, err = run_cli(capsys, "transport", "--path", str(path),
+                                 "--p", "1,2,3,4,5,6")
+        assert code == 2
+        assert out == "" and "cap" in err and "Traceback" not in err
+
+    def test_one_coordinate_path_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"N": 1, "margin": 0.1, "waypoints": [[0.0], [1.0]]}))
+        code, out, err = run_cli(capsys, "transport", "--path", str(path), "--p", "1")
+        assert code == 2
+        assert out == "" and "two coordinates" in err and "Traceback" not in err
+
     def test_momentum_dimension_mismatch(self, capsys, tmp_path):
         path = tmp_path / "seg.json"
         path.write_text(json.dumps({"N": 2, "margin": 0.1,
@@ -228,6 +244,12 @@ class TestSimulateCommand:
         assert code == 2
         assert out == "" and "Traceback" not in err
 
+    def test_omega_with_infinite_square_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1",
+                                 "--t=0.01", "--dt=1e-3", "--omega=1e200")
+        assert code == 2
+        assert out == "" and "omega" in err and "Traceback" not in err
+
     def test_step_count_beyond_a_float_is_usage_error(self, capsys):
         # duration / dt overflows to inf although both values are finite
         code, out, err = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1",
@@ -270,6 +292,21 @@ class TestSymbolsCommand:
     def test_bad_indices(self, capsys):
         code, _, _ = run_cli(capsys, "symbols", "--n", "2", "--j", "0", "--k", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--deg", "-1"], ["--order", "-1"], ["--deg=-3"],
+    ])
+    def test_negative_degree_or_order_is_usage_error(self, capsys, args):
+        code, out, err = run_cli(capsys, "symbols", "--n", "2", *args)
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+
+    def test_zero_degree_and_order_are_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "symbols", "--n", "2", "--deg", "0", "--order", "0")
+        report = json.loads(out)
+        assert code == 0
+        assert report["realizations"]["caseCount"] == 1
+        assert len(report["symbolTerms"]) == 1
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,5 @@
-"""The benchmark's layer tracer must see every suite and Dunkl function that
-its per-function metrics name.
+"""The benchmark's layer tracer must see every suite, Dunkl and symbol
+function that its per-function metrics name.
 
 The tracer wraps functions by patching module attributes, so a call that
 bypasses the module-level name (a dispatch table built at import time, say)
@@ -41,3 +41,21 @@ def test_count_tracer_sees_every_suite_and_dunkl_metric(capsys):
     assert len(watched) == 9
     assert [name for name in sorted(watched) if calls.get(name, 0) == 0] == []
     assert tracer.counters["suites.cases"] > 0
+
+
+def test_count_tracer_sees_every_symbolcalc_metric(capsys):
+    layertrace = _layertrace()
+    tracer = layertrace.CountTracer()
+    tracer.install()
+    try:
+        code = calogero.cli.main(["symbols", "--n=2", "--deg=2"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    calls = dict(zip(tracer.names, tracer.calls))
+    watched = {name for name, _ in layertrace._FUNCTION_METRICS.values()
+               if name.startswith("symbolcalc.")}
+    assert watched == {"symbolcalc.permutation_series", "symbolcalc.quantize_apply",
+                       "symbolcalc.apply_shift_word"}
+    assert [name for name in sorted(watched) if calls.get(name, 0) == 0] == []

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from calogero import symbolcalc
 from calogero.exactalg import MultiPoly, Permutation, monomial_exponents
 from calogero.symbolcalc import (
     Scale,
@@ -159,6 +160,43 @@ def test_realization_report_all_match():
     report = realization_report(3, 4)
     assert report["caseCount"] == len(monomial_exponents(3, 4))
     assert all(entry["matchesSwap"] for entry in report["realizations"].values())
+
+
+@pytest.mark.parametrize("wrong_first", [True, False])
+def test_realization_report_flags_only_a_wrong_word(monkeypatch, wrong_first):
+    # the three shears without the flip turn (x0, x1) by a quarter, so they
+    # fail exactly where the sign of one coordinate shows
+    registry = swap_word_registry
+
+    def with_wrong_word(j, k):
+        words = registry(j, k)
+        wrong = {"shears-only": words["flip-left"][1:]}
+        return {**wrong, **words} if wrong_first else {**words, **wrong}
+
+    monkeypatch.setattr(symbolcalc, "swap_word_registry", with_wrong_word)
+    report = realization_report(3, 4)
+    wrong_word = swap_word_registry(0, 1)["flip-left"][1:]
+    expected = [mono(3, *e).to_text() for e in monomial_exponents(3, 4)
+                if apply_shift_word(wrong_word, mono(3, *e)) != swap(mono(3, *e))]
+    assert 0 < len(expected) < report["caseCount"]
+    results = report["realizations"]
+    assert results["shears-only"] == {"matchesSwap": False, "failures": expected}
+    assert [name for name, entry in results.items() if not entry["matchesSwap"]] == [
+        "shears-only"]
+    assert len(results) == 6
+
+
+def test_realization_report_builds_the_symbol_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return symbol_of_permutation(*args)
+
+    monkeypatch.setattr(symbolcalc, "symbol_of_permutation", counted)
+    report = realization_report(3, 4, 0, 2)
+    assert calls == [(3, 0, 2, 4)]
+    assert report["realizations"]["quantized-symbol"]["matchesSwap"]
 
 
 def test_negative_order_rejected():

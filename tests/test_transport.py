@@ -248,6 +248,13 @@ class TestChamberPath:
         assert not isinstance(err.value, PathValidationError)
         assert "not finite" in str(err.value)
 
+    @pytest.mark.parametrize("waypoints", [((0.0,), (1.0,)), ((),)])
+    def test_fewer_than_two_coordinates_is_malformed(self, waypoints):
+        with pytest.raises(ValueError) as err:
+            ChamberPath(waypoints, margin=0.1)
+        assert not isinstance(err.value, PathValidationError)
+        assert "at least two coordinates" in str(err.value)
+
     def test_json_round_trip(self, tmp_path):
         path = ChamberPath(((0.0, 1.0), (0.5, 2.0)), margin=0.25)
         file = tmp_path / "path.json"
