@@ -2,8 +2,10 @@
 trajectories, and the normal-ordering report, all with deterministic JSON
 output.
 
-Exit codes: 0 success, 1 checks ran but failed, 2 usage or malformed input,
-3 path leaves the chamber margin, 4 particle collision during simulation.
+Exit codes: 0 success, 1 checks ran but failed, 2 usage or malformed input
+(an unreadable or unwritable file included), 3 path leaves the chamber margin,
+4 particle collision during simulation.  Commands raise their refusals;
+:func:`main` alone turns them into exit codes.
 """
 
 from __future__ import annotations
@@ -116,11 +118,7 @@ def _matrix_json(matrix: np.ndarray) -> list:
 # -- verify ---------------------------------------------------------------------
 
 
-def cmd_verify(args, parser) -> int:
-    if args.n < 2:
-        parser.error("--n must be >= 2")
-    if args.deg < 1:
-        parser.error("--deg must be >= 1")
+def cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     records = [run_suite(name, args.n, args.deg, args.workers) for name in names]
     failure_count = sum(len(r["failures"]) for r in records)
@@ -139,52 +137,17 @@ def cmd_verify(args, parser) -> int:
 # -- transport ------------------------------------------------------------------
 
 
-def _reject_constant(token: str):
-    raise ValueError(f"non-finite number {token} is not allowed")
-
-
-def cmd_transport(args, parser) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_constant=_reject_constant)
-    except OSError as exc:
-        print(f"error: cannot read path file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:  # json.JSONDecodeError included
-        print(f"error: malformed path JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        path = ChamberPath.from_json(data)
-    except PathValidationError as exc:
-        print(f"error: path leaves the chamber margin: {exc}", file=sys.stderr)
-        return EXIT_CHAMBER
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if len(args.p) != path.n:
-        print(f"error: {len(args.p)} momenta for an N={path.n} path", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        conn = build_local_system(path.n, args.p, args.c, prefactor=args.prefactor)
-    except ValueError as exc:  # N above the cap
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = transport_ode(conn, path, tol=args.tol)
-    except TransportStepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHAMBER
+def cmd_transport(args) -> int:
+    path = ChamberPath.load(args.path)
+    conn = build_local_system(path.n, args.p, args.c, prefactor=args.prefactor)
+    result = transport_ode(conn, path, tol=args.tol)
     holonomy = None
     if path.is_closed():
         holonomy = float(np.max(np.abs(result.matrix - np.eye(conn.dim))))
     comparison = None
     if args.compare_dyson:
         order, steps = args.compare_dyson
-        try:
-            dyson = transport_dyson(conn, path, order=order, steps=steps)
-        except ValueError as exc:  # grid above the memory bound
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        dyson = transport_dyson(conn, path, order=order, steps=steps)
         comparison = {
             "order": order,
             "steps": steps,
@@ -211,21 +174,10 @@ def cmd_transport(args, parser) -> int:
 # -- simulate -------------------------------------------------------------------
 
 
-def cmd_simulate(args, parser) -> int:
-    try:
-        state = PhasePoint(args.x, args.p, g2=args.g2, omega=args.omega)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        trajectory = integrate(state, args.t, args.dt, jmax=args.jmax,
-                               sample_stride=args.sample_stride)
-    except CollisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COLLISION
-    except ValueError as exc:  # duration / dt above MAX_STEPS
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_simulate(args) -> int:
+    state = PhasePoint(args.x, args.p, g2=args.g2, omega=args.omega)
+    trajectory = integrate(state, args.t, args.dt, jmax=args.jmax,
+                           sample_stride=args.sample_stride)
     if args.csv:
         trajectory.write_csv(args.csv)
     drift = trajectory.max_drift
@@ -252,11 +204,9 @@ def cmd_simulate(args, parser) -> int:
 # -- symbols --------------------------------------------------------------------
 
 
-def cmd_symbols(args, parser) -> int:
-    if args.n < 2:
-        parser.error("--n must be >= 2")
+def cmd_symbols(args) -> int:
     if not (0 <= args.j < args.n and 0 <= args.k < args.n) or args.j == args.k:
-        parser.error("--j/--k must be distinct coordinates below --n")
+        raise ValueError("--j/--k must be distinct coordinates below --n")
     rep = realization_report(args.n, args.deg, args.j, args.k)
     order = args.order if args.order is not None else args.deg
     terms = symbol_of_permutation(args.n, args.j, args.k, order)
@@ -284,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run exact identity suites")
-    p.add_argument("--n", type=int, required=True, help="particle count (>= 2)")
-    p.add_argument("--deg", type=int, default=6, help="spanning-set degree bound")
+    p.add_argument("--n", type=_int_at_least(2), required=True, help="particle count (>= 2)")
+    p.add_argument("--deg", type=_positive_int, default=6,
+                   help="spanning-set degree bound (>= 1)")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes for every suite (>= 1)")
@@ -331,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("symbols", help="normal-ordering realizations and swap symbol")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_int_at_least(2), default=2, help="particle count (>= 2)")
     p.add_argument("--deg", type=_non_negative_int, default=6,
                    help="monomial degree bound (>= 0)")
     p.add_argument("--j", type=int, default=0)
@@ -364,10 +315,24 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _refuse(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
+    """Run one command; a refusal it raises becomes ``error: <message>`` on
+    stderr and its exit code.  Any other exception propagates."""
     parser = build_parser()
     args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
-    return args.func(args, parser)
+    try:
+        return args.func(args)
+    except (PathValidationError, TransportStepError) as exc:
+        return _refuse(exc, EXIT_CHAMBER)
+    except CollisionError as exc:
+        return _refuse(exc, EXIT_COLLISION)
+    except (ValueError, OSError) as exc:  # after PathValidationError, a ValueError
+        return _refuse(exc, EXIT_USAGE)
 
 
 if __name__ == "__main__":

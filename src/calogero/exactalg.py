@@ -240,21 +240,6 @@ class MultiPoly:
                 out[exp[:k] + (e - 1,) + exp[k + 1:]] = coef * e
         return _poly_from(self.arity, out)
 
-    def substitute_var(self, i: int, j: int) -> "MultiPoly":
-        """Substitute x_i -> x_j (exponent of i folded onto j)."""
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        for exp, coef in self.terms.items():
-            e = list(exp)
-            e[j] += e[i]
-            e[i] = 0
-            key = tuple(e)
-            s = out.get(key, 0) + coef
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return _poly_from(self.arity, out)
-
     def substitute_shift(self, k: int, j: int, alpha) -> "MultiPoly":
         """Substitute x_k -> x_k + alpha * x_j (exact; j != k)."""
         alpha = _as_rat(alpha)
@@ -306,8 +291,6 @@ class MultiPoly:
     def divide_by_difference(self, i: int, j: int) -> "MultiPoly | None":
         """Exact quotient by (x_i - x_j) via synthetic division in x_i,
         or None when not divisible."""
-        if not self.substitute_var(i, j).is_zero():
-            return None
         if self.is_zero():
             return self
         # coefficients of x_i^m, exponent slot i zeroed
@@ -319,8 +302,8 @@ class MultiPoly:
             q = _poly_from(self.arity, by_deg.get(m, {})) + carry
             out = out + q.shift_var(i, m - 1)
             carry = q.shift_var(j)
-        # remainder must vanish (guaranteed by the substitution test)
-        return out
+        remainder = _poly_from(self.arity, by_deg.get(0, {})) + carry
+        return out if remainder.is_zero() else None
 
     def mul_difference(self, i: int, j: int) -> "MultiPoly":
         """Multiply by (x_i - x_j): each term moves to exp + e_i, and its

@@ -46,6 +46,7 @@ __all__ = [
     "TransportStepError",
     "EquivarianceError",
     "DYSON_MAX_BYTES",
+    "MAX_N",
     "build_local_system",
     "verify_flatness",
     "transport_ode",
@@ -193,8 +194,12 @@ def _inverse_differences(point: Sequence[Fraction]) -> tuple[int, list[list[int]
     return lcm, inv
 
 
-def build_local_system(n: int, p: Sequence[Fraction | int], c: Fraction | int,
-                       cap: int = 5, prefactor: Fraction | None = None) -> ConnectionMatrix:
+# largest particle count: the connection has N! components per point
+MAX_N = 5
+
+
+def build_local_system(n: int, p: Sequence[Fraction | int], c: Fraction | int, *,
+                       prefactor: Fraction | None = None) -> ConnectionMatrix:
     """Assemble the vectorized connection for N particles.
 
     ``prefactor`` overrides the coefficient carried by the off-diagonal
@@ -203,11 +208,11 @@ def build_local_system(n: int, p: Sequence[Fraction | int], c: Fraction | int,
     """
     if n < 2:
         raise ValueError("need at least two particles")
-    if n > cap:
-        raise ValueError(f"N={n} exceeds the configured cap {cap} (N! components)")
+    if n > MAX_N:
+        raise ValueError(f"N={n} exceeds the configured cap {MAX_N} (N! components)")
     p = tuple(Fraction(v) for v in p)
     if len(p) != n:
-        raise ValueError("momentum vector has wrong length")
+        raise ValueError(f"{len(p)} momenta for N={n} particles")
     c = Fraction(c)
     scale = c if prefactor is None else Fraction(prefactor)
     neg = -scale
@@ -316,6 +321,10 @@ def verify_flatness(conn: ConnectionMatrix, points: Sequence[Sequence[Fraction]]
 # -- chamber paths -------------------------------------------------------------
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
 @dataclass(frozen=True)
 class ChamberPath:
     """Piecewise-linear path strictly inside the chamber x_0 < ... < x_{N-1}."""
@@ -386,8 +395,14 @@ class ChamberPath:
 
     @classmethod
     def load(cls, path: str) -> "ChamberPath":
+        """Read a path file.  An unreadable file raises ``OSError``; text that
+        is not JSON, or holds NaN or Infinity, raises ``ValueError``."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                data = json.load(fh, parse_constant=_reject_constant)
+            except ValueError as exc:  # json.JSONDecodeError included
+                raise ValueError(f"malformed path JSON: {exc}") from exc
+        return cls.from_json(data)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -699,12 +714,14 @@ def equivariance_check(conn_p: ConnectionMatrix, conn_sp: ConnectionMatrix,
             back[r] = rr
         worst = Fraction(0)
         exact = True
+        # the momentum diagonals do not depend on the point
+        for k in range(n):
+            for rr in range(d):
+                if conn_sp.diag[k][rr] != conn_p.diag[k][rho[rr]]:
+                    exact = False
+                    worst = max(worst, abs(conn_sp.diag[k][rr] - conn_p.diag[k][rho[rr]]))
         for lcm, (ents_p, ents_s) in scaled:
             for k in range(n):
-                for rr in range(d):
-                    if conn_sp.diag[k][rr] != conn_p.diag[k][rho[rr]]:
-                        exact = False
-                        worst = max(worst, abs(conn_sp.diag[k][rr] - conn_p.diag[k][rho[rr]]))
                 # Omega(p) conjugated by rho; entries absent from both are zero
                 ep = {(back[r], back[col]): v for (r, col), v in ents_p[k].items()}
                 es = ents_s[k]

@@ -309,6 +309,22 @@ class TestSymbolsCommand:
         assert len(report["symbolTerms"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2", "--deg", "1", "--suite", "zerocurv", "--out"],
+    ["transport", "--path", "LOOP3", "--p", "1/2,-1/3,1/4", "--out"],
+    ["simulate", "--x=0,1,3", "--p=1,0,-1", "--t=0.01", "--dt=1e-3", "--out"],
+    ["simulate", "--x=0,1,3", "--p=1,0,-1", "--t=0.01", "--dt=1e-3", "--csv"],
+    ["symbols", "--n", "2", "--deg", "1", "--out"],
+])
+def test_output_in_missing_directory_is_usage_error(capsys, tmp_path, argv):
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps(LOOP3))
+    argv = [str(loop) if a == "LOOP3" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "none" / "report"))
+    assert code == 2
+    assert out == "" and "Traceback" not in err and err.startswith("error: ")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -61,6 +61,21 @@ def test_additive_and_multiplicative_identities(a):
 
 
 @settings(max_examples=60, deadline=None)
+@given(polys, pairs, st.booleans(), rationals.filter(bool))
+def test_division_by_pair_difference_inverts_multiplication(p, pair, swap, const):
+    i, j = pair[::-1] if swap else pair
+    product = p * (MultiPoly.variable(N_VARS, i) - MultiPoly.variable(N_VARS, j))
+    assert product.divide_by_difference(i, j) == p
+    plus = product + MultiPoly.constant(N_VARS, const)
+    assert plus.divide_by_difference(i, j) is None
+
+
+def test_zero_polynomial_divides_to_zero():
+    for i, j in [(0, 1), (2, 0)]:
+        assert MultiPoly.zero(N_VARS).divide_by_difference(i, j).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
 @given(sections, sections)
 def test_section_field_operations(f, g):
     assert f + g == g + f

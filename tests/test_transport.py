@@ -262,6 +262,27 @@ class TestChamberPath:
         again = ChamberPath.load(str(file))
         assert again == path
 
+    @pytest.mark.parametrize("text", [
+        '{"N": 2, "margin": NaN, "waypoints": [[0.0, 1.0]]}',
+        '{"N": 2, "margin": 0.1, "waypoints": [[0.0, Infinity]]}',
+        '{"N": 2, "margin": 0.1, "waypoints": [[-Infinity, 1.0]]}',
+    ])
+    def test_load_refuses_non_finite_tokens(self, tmp_path, text):
+        file = tmp_path / "path.json"
+        file.write_text(text)
+        with pytest.raises(ValueError, match="non-finite"):
+            ChamberPath.load(str(file))
+
+    def test_load_refuses_malformed_json(self, tmp_path):
+        file = tmp_path / "path.json"
+        file.write_text("{not json")
+        with pytest.raises(ValueError, match="malformed"):
+            ChamberPath.load(str(file))
+
+    def test_load_of_missing_file_raises_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            ChamberPath.load(str(tmp_path / "none.json"))
+
     def test_closed_detection_and_reversal(self):
         loop = ChamberPath(((0.0, 1.0), (0.2, 1.4), (0.0, 1.0)), margin=0.1)
         assert loop.is_closed()
@@ -511,6 +532,14 @@ class TestEquivariance:
         with pytest.raises(EquivarianceError):
             equivariance_check(conn, wrong, sigma,
                                [random_chamber_point(3, rng)])
+
+    def test_mismatched_momenta_raise_without_points(self):
+        # the diagonals alone tell the systems apart, so no point is needed
+        sigma = Permutation.transposition(3, 0, 1)
+        conn = build_local_system(3, (F(1), F(2), F(3)), F(1))
+        wrong = build_local_system(3, (F(5), F(7), F(9)), F(1))
+        with pytest.raises(EquivarianceError):
+            equivariance_check(conn, wrong, sigma, [])
 
     def test_coincident_point_is_refused(self):
         # two equal coordinates put the point on a pole of the connection
