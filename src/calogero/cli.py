@@ -11,8 +11,10 @@ Exit codes: 0 success, 1 checks ran but failed, 2 usage or malformed input
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .laxdyn import MAX_STEPS, CollisionError, PhasePoint, integrate
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, run_suite, worker_pool
 from .symbolcalc import realization_report, symbol_of_permutation
 from .transport import (
     ChamberPath,
@@ -102,6 +104,17 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output file that cannot be written, before any work is done."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _emit(report: dict, out: str | None) -> None:
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
@@ -120,7 +133,8 @@ def _matrix_json(matrix: np.ndarray) -> list:
 
 def cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    records = [run_suite(name, args.n, args.deg, args.workers) for name in names]
+    with worker_pool(args.workers) as pool:
+        records = [run_suite(name, args.n, args.deg, args.workers, pool) for name in names]
     failure_count = sum(len(r["failures"]) for r in records)
     report = {
         "schemaVersion": SCHEMA_VERSION,
@@ -322,10 +336,15 @@ def _refuse(exc: Exception, code: int) -> int:
 
 def main(argv=None) -> int:
     """Run one command; a refusal it raises becomes ``error: <message>`` on
-    stderr and its exit code.  Any other exception propagates."""
+    stderr and its exit code.  Any other exception propagates.  Output files
+    (``--out``, ``--csv``) that cannot be written are refused before the run,
+    so a refusal leaves none of them written."""
     parser = build_parser()
     args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        for path in (args.out, vars(args).get("csv")):
+            if path:
+                _check_writable(path)
         return args.func(args)
     except (PathValidationError, TransportStepError) as exc:
         return _refuse(exc, EXIT_CHAMBER)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from math import comb
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
@@ -245,17 +246,25 @@ class MultiPoly:
         alpha = _as_rat(alpha)
         if j == k:
             raise ValueError("shift source and target must differ")
-        a = self.arity
-        shifted = MultiPoly.variable(a, k) + MultiPoly.variable(a, j).scale(alpha)
-        # binomial expansion per term, grouped by the exponent of x_k
-        powers = [MultiPoly.one(a)]
-        for _ in range(max((e[k] for e in self.terms), default=0)):
-            powers.append(powers[-1] * shifted)
-        out = MultiPoly.zero(a)
+        if not alpha:
+            return _poly_from(self.arity, dict(self.terms))
+        top = max((e[k] for e in self.terms), default=0)
+        alpha_pow = [alpha ** i for i in range(top + 1)]
+        # (x_k + alpha x_j)^e = sum_i C(e, i) alpha^i x_k^(e-i) x_j^i, per term
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for exp, coef in self.terms.items():
-            rest = exp[:k] + (0,) + exp[k + 1:]
-            out = out + powers[exp[k]] * _poly_from(a, {rest: coef})
-        return out
+            e = exp[k]
+            key = list(exp)
+            for i in range(e + 1):
+                key[k] = e - i
+                key[j] = exp[j] + i
+                t = tuple(key)
+                s = out.get(t, 0) + coef * comb(e, i) * alpha_pow[i]
+                if s:
+                    out[t] = s
+                else:
+                    del out[t]
+        return _poly_from(self.arity, out)
 
     def substitute_scale(self, k: int, q) -> "MultiPoly":
         """Substitute x_k -> q * x_k."""

@@ -15,8 +15,10 @@ or in a process pool; the record does not depend on the number of workers.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from typing import Iterator
 
 from .dunkl import (
     antisymmetric_basis,
@@ -41,19 +43,34 @@ __all__ = [
     "restriction_suite",
     "permutation_relations_suite",
     "run_suite",
+    "worker_pool",
     "SUITE_NAMES",
 ]
 
-def _run(identity: str, check, cases: list, n: int, degree: int, workers: int) -> dict:
+@contextlib.contextmanager
+def worker_pool(workers: int) -> Iterator[Executor | None]:
+    """One process pool of ``workers`` to share across the suites run in the
+    block, or None when ``workers`` is 1 and every suite runs serially."""
+    if workers <= 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
+def _run(identity: str, check, cases: list, n: int, degree: int, workers: int,
+         pool: Executor | None) -> dict:
     """One suite record: ``check(n, case) -> (count, failures)`` on every case,
-    serially or in a pool of up to ``workers`` processes, summed in case order."""
+    serially or spread over up to ``workers`` processes, summed in case order.
+    The processes come from ``pool`` when given, else from a pool of this
+    suite's own."""
     workers = min(workers, len(cases))
     if workers <= 1:
         parts = [check(n, case) for case in cases]
     else:
         chunksize = max(1, len(cases) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(check, itertools.repeat(n), cases, chunksize=chunksize))
+        with contextlib.nullcontext(pool) if pool is not None else worker_pool(workers) as shared:
+            parts = list(shared.map(check, itertools.repeat(n), cases, chunksize=chunksize))
     return {"identity": identity, "N": n, "degree": degree,
             "caseCount": sum(count for count, _ in parts),
             "failures": [f for _, failures in parts for f in failures]}
@@ -152,53 +169,61 @@ def _check_restriction(n: int, case: tuple[str, RationalSection]) -> tuple[int, 
                 "projectionMinusCalogero": (res - target).to_text()}]
 
 
-def zero_curvature_suite(n: int, degree: int, workers: int = 1) -> dict:
+def zero_curvature_suite(n: int, degree: int, workers: int = 1,
+                         pool: Executor | None = None) -> dict:
     """[nabla_j, nabla_k] f == 0 for all pairs and monomials of degree <= degree,
     identically in the formal coupling; a failure also names the powers of c
     whose pieces of the residual do not vanish."""
     return _run("zero-curvature", _check_zero_curvature,
-                monomial_exponents(n, degree), n, degree, workers)
+                monomial_exponents(n, degree), n, degree, workers, pool)
 
 
-def intertwining_suite(n: int, degree: int, workers: int = 1) -> dict:
+def intertwining_suite(n: int, degree: int, workers: int = 1,
+                       pool: Executor | None = None) -> dict:
     """P_jk nabla_l == nabla_{s(l)} P_jk on the spanning set (all j<k, all l)."""
     return _run("intertwining", _check_intertwining,
-                monomial_exponents(n, degree), n, degree, workers)
+                monomial_exponents(n, degree), n, degree, workers, pool)
 
 
-def sum_squares_suite(n: int, degree: int, workers: int = 1) -> dict:
+def sum_squares_suite(n: int, degree: int, workers: int = 1,
+                      pool: Executor | None = None) -> dict:
     """sum nabla_i^2 equals its normal-ordered form on the spanning set."""
     return _run("sum-of-squares", _check_sum_squares,
-                monomial_exponents(n, degree), n, degree, workers)
+                monomial_exponents(n, degree), n, degree, workers, pool)
 
 
-def permutation_relations_suite(n: int, degree: int, workers: int = 1) -> dict:
+def permutation_relations_suite(n: int, degree: int, workers: int = 1,
+                                pool: Executor | None = None) -> dict:
     """Involution, disjoint commutativity and fusion of coordinate swaps."""
     return _run("permutation-relations", _check_permutation_relations,
-                monomial_exponents(n, degree), n, degree, workers)
+                monomial_exponents(n, degree), n, degree, workers, pool)
 
 
-def restriction_suite(n: int, degree: int, workers: int = 1) -> dict:
+def restriction_suite(n: int, degree: int, workers: int = 1,
+                      pool: Executor | None = None) -> dict:
     """On (anti)symmetric polynomials the rightmost-swap replacement matches
     the true operator and equals -2x the Calogero action with coupling
     c(c+1) (symmetric) or c(c-1) (antisymmetric)."""
     cases = ([("symmetric", f) for f in symmetric_basis(n, degree)]
              + [("antisymmetric", f) for f in antisymmetric_basis(n, degree)])
-    return _run("restriction-coefficients", _check_restriction, cases, n, degree, workers)
+    return _run("restriction-coefficients", _check_restriction, cases, n, degree, workers, pool)
 
 
 SUITE_NAMES = ("zerocurv", "intertwine", "sumsq", "permrel", "restriction")
 
 
-def run_suite(name: str, n: int, degree: int, workers: int = 1) -> dict:
+def run_suite(name: str, n: int, degree: int, workers: int = 1,
+              pool: Executor | None = None) -> dict:
+    """The record of suite ``name``; with ``pool`` (see :func:`worker_pool`)
+    its cases run in that shared pool."""
     if name == "zerocurv":
-        return zero_curvature_suite(n, degree, workers)
+        return zero_curvature_suite(n, degree, workers, pool)
     if name == "intertwine":
-        return intertwining_suite(n, degree, workers)
+        return intertwining_suite(n, degree, workers, pool)
     if name == "sumsq":
-        return sum_squares_suite(n, degree, workers)
+        return sum_squares_suite(n, degree, workers, pool)
     if name == "permrel":
-        return permutation_relations_suite(n, degree, workers)
+        return permutation_relations_suite(n, degree, workers, pool)
     if name == "restriction":
-        return restriction_suite(n, degree, workers)
+        return restriction_suite(n, degree, workers, pool)
     raise ValueError(f"unknown suite {name!r}")

@@ -24,9 +24,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence, Union
 
-from .exactalg import MultiPoly, Permutation, monomial_exponents
+from .exactalg import MultiPoly, Permutation, _poly_from, monomial_exponents
 
 __all__ = [
     "Shift",
@@ -215,19 +216,39 @@ def symbol_of_permutation(n_vars: int, j: int, k: int, order: int) -> list[Symbo
 
 
 def quantize_apply(terms: Sequence[SymbolTerm], f: MultiPoly) -> MultiPoly:
-    """Apply a normal-ordered symbol: each p_m becomes d/dx_m, acting first."""
-    out = MultiPoly.zero(f.arity)
+    """Apply a normal-ordered symbol: each p_m becomes d/dx_m, acting first.
+
+    Each distinct derivative d^p f is taken once per call, from the one a
+    single order lower, and every product coeff * x^x_exp * d^p f is added
+    into one exponent -> coefficient dict."""
+    derivs = {(0,) * f.arity: f}
+    out: dict[tuple[int, ...], int | Fraction] = {}
     for term in terms:
-        g = f
-        for m, e in enumerate(term.p_exp):
-            for _ in range(e):
-                g = g.partial(m)
-            if g.is_zero():
-                break
-        if g.is_zero():
+        g = _derivative(derivs, term.p_exp)
+        coeff = term.coeff
+        if g.is_zero() or not coeff:
             continue
-        out = out + (MultiPoly.monomial(f.arity, term.x_exp) * g).scale(term.coeff)
-    return out
+        shift = term.x_exp + (0,)
+        for exp, v in g.terms.items():
+            key = tuple(map(add, exp, shift))
+            s = out.get(key, 0) + coeff * v
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return _poly_from(f.arity, out)
+
+
+def _derivative(derivs: dict[tuple[int, ...], MultiPoly], p_exp: tuple[int, ...]) -> MultiPoly:
+    """d^p_exp f from the cache ``derivs`` (which holds f at the zero exponent),
+    differentiating the cached derivative one order lower in the last
+    coordinate of nonzero order; every derivative taken is cached."""
+    g = derivs.get(p_exp)
+    if g is None:
+        m = max(i for i, e in enumerate(p_exp) if e)
+        lower = _derivative(derivs, p_exp[:m] + (p_exp[m] - 1,) + p_exp[m + 1:])
+        g = derivs[p_exp] = lower if lower.is_zero() else lower.partial(m)
+    return g
 
 
 def realization_report(n_vars: int, max_degree: int, j: int = 0, k: int = 1) -> dict:

@@ -1,8 +1,9 @@
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from calogero import laxdyn
+from calogero import cli, laxdyn, suites
 from calogero.cli import main
 
 LOOP3 = {"N": 3, "margin": 0.1,
@@ -59,6 +60,25 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(pooled)["config"]["workers"] == 2
         assert json.loads(solo)["suites"] == json.loads(pooled)["suites"]
+
+    def test_one_pool_serves_every_suite(self, capsys, monkeypatch):
+        built = []
+
+        class CountedPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", CountedPool)
+        _, solo, _ = run_cli(capsys, "verify", "--n", "3", "--deg", "3")
+        code, pooled, _ = run_cli(capsys, "verify", "--n", "3", "--deg", "3",
+                                  "--workers", "2")
+        assert code == 0
+        assert built == [{"max_workers": 2}]
+        report = json.loads(pooled)
+        assert report["config"]["workers"] == 2
+        report["config"]["workers"] = 1
+        assert json.dumps(report, indent=2, sort_keys=True) + "\n" == solo
 
     @pytest.mark.parametrize("args", [
         ["--workers", "0"], ["--workers=-3"], ["--workers", "two"], ["--workers", "1.5"],
@@ -309,6 +329,14 @@ class TestSymbolsCommand:
         assert len(report["symbolTerms"]) == 1
 
 
+def _refuse_to_run(monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("the command ran before its output file was refused")
+
+    for name in ("run_suite", "transport_ode", "integrate", "realization_report"):
+        monkeypatch.setattr(cli, name, ran)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "2", "--deg", "1", "--suite", "zerocurv", "--out"],
     ["transport", "--path", "LOOP3", "--p", "1/2,-1/3,1/4", "--out"],
@@ -316,13 +344,39 @@ class TestSymbolsCommand:
     ["simulate", "--x=0,1,3", "--p=1,0,-1", "--t=0.01", "--dt=1e-3", "--csv"],
     ["symbols", "--n", "2", "--deg", "1", "--out"],
 ])
-def test_output_in_missing_directory_is_usage_error(capsys, tmp_path, argv):
+def test_output_in_missing_directory_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     loop = tmp_path / "loop.json"
     loop.write_text(json.dumps(LOOP3))
     argv = [str(loop) if a == "LOOP3" else a for a in argv]
+    _refuse_to_run(monkeypatch)
     code, out, err = run_cli(capsys, *argv, str(tmp_path / "none" / "report"))
     assert code == 2
     assert out == "" and "Traceback" not in err and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["transport", "--path", "LOOP3", "--p", "1/2,-1/3,1/4", "--out"],
+    ["simulate", "--x=0,1,3", "--p=1,0,-1", "--t=0.01", "--dt=1e-3", "--csv"],
+])
+def test_output_that_is_a_directory_is_refused_before_the_run(capsys, tmp_path, monkeypatch,
+                                                              argv):
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps(LOOP3))
+    argv = [str(loop) if a == "LOOP3" else a for a in argv]
+    _refuse_to_run(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, str(tmp_path))
+    assert code == 2
+    assert out == "" and "Traceback" not in err and err.startswith("error: ")
+
+
+def test_refused_report_leaves_no_csv(capsys, tmp_path):
+    csv_file = tmp_path / "t.csv"
+    code, out, err = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1", "--t=0.01",
+                             "--dt=1e-3", "--csv", str(csv_file),
+                             "--out", str(tmp_path / "nodir" / "r.json"))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+    assert not csv_file.exists()
 
 
 def test_version_flag(capsys):

@@ -150,6 +150,24 @@ class TestSymbol:
             terms = symbol_of_permutation(2, 0, 1, sum(exps))
             assert quantize_apply(terms, f) == swap(f)
 
+    def test_each_derivative_taken_once(self, monkeypatch):
+        # order 6 at N=3 has 140 terms over 28 momentum exponents; a full
+        # degree-6 polynomial keeps every derivative nonzero
+        terms = symbol_of_permutation(3, 0, 2, 6)
+        distinct = {t.p_exp for t in terms if any(t.p_exp)}
+        s = sum((MultiPoly.variable(3, i) for i in range(3)), MultiPoly.zero(3))
+        f = s ** 6 + mono(3, 3, 0, 3) * MultiPoly.coupling(3)
+        calls = []
+        partial = MultiPoly.partial
+
+        def counted(self, k):
+            calls.append(k)
+            return partial(self, k)
+
+        monkeypatch.setattr(MultiPoly, "partial", counted)
+        assert quantize_apply(terms, f) == swap(f, 0, 2)
+        assert 0 < len(calls) <= len(distinct)
+
     def test_json_form(self):
         term = symbol_of_permutation(2, 0, 1, 0)[0]
         assert term.to_json() == {"xExponents": [0, 0], "pExponents": [0, 0],

@@ -4,10 +4,17 @@
 
 from its definition, with a symbolic coupling c, and every image,
 commutator, sum of squares and restriction of the package must agree with it
-after a round trip through the canonical text form."""
+after a round trip through the canonical text form.  It also recomputes the
+two polynomial kernels of the normal-ordering report: the shift substitution
+x_k -> x_k + alpha x_j, and the truncated swap series
+
+    sum_{n<=order} (x_j - x_k)^n / n! (d_k - d_j)^n f
+
+that a quantized swap symbol must reproduce."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +28,8 @@ from calogero.dunkl import (
     symmetric_basis,
     vandermonde,
 )
-from calogero.exactalg import RationalSection, monomial_exponents, parse_section
+from calogero.exactalg import MultiPoly, RationalSection, monomial_exponents, parse_section
+from calogero.symbolcalc import quantize_apply, symbol_of_permutation
 from conftest import coupling_poly
 
 sympy = pytest.importorskip("sympy")
@@ -99,3 +107,56 @@ def test_restriction_matches_sympy_calogero_action(n):
         assert _same(_sum_of_squares(f_sym, xs), -2 * calogero), (sign, f.to_text())
         assert _same(_from_text(restricted_projection(f, sign), xs), -2 * calogero)
         assert _same(_from_text(calogero_apply(f, g_poly), xs), calogero)
+
+
+# Non-monomial polynomials at N=3; exponent tuples end in the power of c.
+POLYS3 = [
+    MultiPoly(3, {(2, 1, 0, 0): Fraction(3, 2), (0, 3, 0, 1): -1, (1, 0, 1, 2): 5,
+                  (0, 0, 0, 0): -7}),
+    MultiPoly(3, {(3, 0, 1, 1): Fraction(2, 3), (1, 2, 1, 0): -4, (0, 0, 4, 3): 1,
+                  (1, 1, 0, 1): Fraction(-5, 7)}),
+    MultiPoly(3, {(4, 0, 0, 0): 1, (0, 2, 2, 2): Fraction(1, 3), (2, 0, 1, 0): 6,
+                  (0, 1, 0, 0): Fraction(-1, 2), (0, 0, 0, 1): 2}),
+]
+
+
+def _poly_expr(p, xs):
+    return sum((sympy.Rational(v.numerator, v.denominator) * C ** exp[-1]
+                * math.prod(x ** e for x, e in zip(xs, exp))
+                for exp, v in p.terms.items()), sympy.Integer(0))
+
+
+def _equal(a, b):
+    return sympy.expand(a - b) == 0
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)])
+def test_substitute_shift_matches_sympy(alpha):
+    xs = sympy.symbols("x0:3")
+    a = sympy.Rational(alpha.numerator, alpha.denominator)
+    for f in POLYS3:
+        f_sym = _poly_expr(f, xs)
+        for k, j in itertools.permutations(range(3), 2):
+            oracle = f_sym.subs(xs[k], xs[k] + a * xs[j])
+            assert _equal(_poly_expr(f.substitute_shift(k, j, alpha), xs), oracle), (k, j)
+
+
+def test_quantized_symbol_matches_sympy_series():
+    xs = sympy.symbols("x0:3")
+    for f in POLYS3:
+        f_sym = _poly_expr(f, xs)
+        degree = f.total_degree()
+        for j, k in ((0, 1), (0, 2), (1, 2), (2, 0)):
+            swapped = f_sym.subs({xs[j]: xs[k], xs[k]: xs[j]}, simultaneous=True)
+            oracle = sympy.Integer(0)
+            deriv = f_sym
+            for order in range(degree + 2):
+                if order:
+                    deriv = sympy.diff(deriv, xs[k]) - sympy.diff(deriv, xs[j])
+                oracle += (xs[j] - xs[k]) ** order / math.factorial(order) * deriv
+                if order < degree - 1:
+                    continue
+                got = _poly_expr(quantize_apply(symbol_of_permutation(3, j, k, order), f), xs)
+                assert _equal(got, oracle), (f.to_text(), j, k, order)
+                if order >= degree:
+                    assert _equal(got, swapped), (f.to_text(), j, k, order)
