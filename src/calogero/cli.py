@@ -134,7 +134,7 @@ def _matrix_json(matrix: np.ndarray) -> list:
 def cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     with worker_pool(args.workers) as pool:
-        records = [run_suite(name, args.n, args.deg, args.workers, pool) for name in names]
+        records = [run_suite(name, args.n, args.deg, pool) for name in names]
     failure_count = sum(len(r["failures"]) for r in records)
     report = {
         "schemaVersion": SCHEMA_VERSION,

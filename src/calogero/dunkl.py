@@ -96,6 +96,16 @@ def sum_of_squares(f: RationalSection) -> RationalSection:
     return out
 
 
+def _normal_ordered(f: RationalSection, exchanged) -> RationalSection:
+    """Laplacian f - sum_{i != j} (x_i - x_j)^-2 (c exchanged(i, j) + c^2 f),
+    over ordered pairs; ``exchanged(i, j)`` stands for P_ij f."""
+    out = laplacian(f)
+    for i, j in itertools.permutations(range(f.arity), 2):
+        out = out - exchanged(i, j).mul_inverse_difference(i, j, 2).mul_coupling()
+        out = out - f.mul_inverse_difference(i, j, 2).mul_coupling(2)
+    return out
+
+
 def sum_of_squares_normal_form(f: RationalSection) -> RationalSection:
     """The normal-ordered form of sum_i nabla_i^2:
 
@@ -107,12 +117,7 @@ def sum_of_squares_normal_form(f: RationalSection) -> RationalSection:
     while the mixed-index quadratic terms cancel by the cyclic identity.
     """
     n = f.arity
-    out = laplacian(f)
-    for i, j in itertools.permutations(range(n), 2):
-        swapped = f.permute(Permutation.transposition(n, i, j))
-        out = out - swapped.mul_inverse_difference(i, j, 2).mul_coupling()
-        out = out - f.mul_inverse_difference(i, j, 2).mul_coupling(2)
-    return out
+    return _normal_ordered(f, lambda i, j: f.permute(Permutation.transposition(n, i, j)))
 
 
 def pair_potential(f: RationalSection) -> RationalSection:
@@ -121,18 +126,6 @@ def pair_potential(f: RationalSection) -> RationalSection:
     for i, j in itertools.combinations(range(f.arity), 2):
         out = out + f.mul_inverse_difference(i, j, 2)
     return out
-
-
-def is_symmetric(f: RationalSection) -> bool:
-    n = f.arity
-    return all(f.permute(Permutation.transposition(n, i, i + 1)) == f
-               for i in range(n - 1))
-
-
-def is_antisymmetric(f: RationalSection) -> bool:
-    n = f.arity
-    return all(f.permute(Permutation.transposition(n, i, i + 1)) == -f
-               for i in range(n - 1))
 
 
 def restricted_projection(f: RationalSection, sign: str) -> RationalSection:
@@ -148,19 +141,13 @@ def restricted_projection(f: RationalSection, sign: str) -> RationalSection:
     """
     if sign not in ("symmetric", "antisymmetric"):
         raise ValueError("sign must be 'symmetric' or 'antisymmetric'")
-    if sign == "symmetric":
-        if not is_symmetric(f):
-            raise SymmetryError("section is not symmetric")
-        swap_value = 1
-    else:
-        if not is_antisymmetric(f):
-            raise SymmetryError("section is not antisymmetric")
-        swap_value = -1
-    out = laplacian(f)
-    for i, j in itertools.permutations(range(f.arity), 2):
-        inv2 = f.mul_inverse_difference(i, j, 2)
-        out = out - inv2.mul_coupling().scale(swap_value) - inv2.mul_coupling(2)
-    return out
+    n = f.arity
+    swapped = f if sign == "symmetric" else -f
+    # adjacent transpositions generate S_N
+    if any(f.permute(Permutation.transposition(n, i, i + 1)) != swapped
+           for i in range(n - 1)):
+        raise SymmetryError(f"section is not {sign}")
+    return _normal_ordered(f, lambda i, j: swapped)
 
 
 def calogero_apply(f: RationalSection, g: MultiPoly | Fraction | int) -> RationalSection:

@@ -9,8 +9,11 @@ of total degree <= D vanish on the whole degree-D polynomial space, so these
 finite runs are complete certificates up to the tested degree.
 
 Each suite is one per-case check (a monomial exponent, or a symmetry type
-and a section for restriction) that ``_run`` applies to every case, serially
-or in a process pool; the record does not depend on the number of workers.
+and a section for restriction) that ``_run`` applies to every case.  Every
+suite takes ``(n, degree, pool=None)``: without a pool the cases run
+serially, with one from :func:`worker_pool` (the only place a process pool
+is built) they are mapped over its workers.  The record does not depend on
+the number of workers.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 from concurrent.futures import Executor, ProcessPoolExecutor
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .dunkl import (
     antisymmetric_basis,
@@ -47,30 +50,34 @@ __all__ = [
     "SUITE_NAMES",
 ]
 
+
+class WorkerPool(NamedTuple):
+    """A process pool and its worker count, which sets the chunk size."""
+
+    executor: Executor
+    workers: int
+
+
 @contextlib.contextmanager
-def worker_pool(workers: int) -> Iterator[Executor | None]:
+def worker_pool(workers: int) -> Iterator[WorkerPool | None]:
     """One process pool of ``workers`` to share across the suites run in the
     block, or None when ``workers`` is 1 and every suite runs serially."""
     if workers <= 1:
         yield None
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield pool
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        yield WorkerPool(executor, workers)
 
 
-def _run(identity: str, check, cases: list, n: int, degree: int, workers: int,
-         pool: Executor | None) -> dict:
+def _run(identity: str, check, cases: list, n: int, degree: int,
+         pool: WorkerPool | None) -> dict:
     """One suite record: ``check(n, case) -> (count, failures)`` on every case,
-    serially or spread over up to ``workers`` processes, summed in case order.
-    The processes come from ``pool`` when given, else from a pool of this
-    suite's own."""
-    workers = min(workers, len(cases))
-    if workers <= 1:
+    serially or in ``pool``, summed in case order."""
+    if pool is None:
         parts = [check(n, case) for case in cases]
     else:
-        chunksize = max(1, len(cases) // (4 * workers))
-        with contextlib.nullcontext(pool) if pool is not None else worker_pool(workers) as shared:
-            parts = list(shared.map(check, itertools.repeat(n), cases, chunksize=chunksize))
+        chunksize = max(1, len(cases) // (4 * pool.workers))
+        parts = list(pool.executor.map(check, itertools.repeat(n), cases, chunksize=chunksize))
     return {"identity": identity, "N": n, "degree": degree,
             "caseCount": sum(count for count, _ in parts),
             "failures": [f for _, failures in parts for f in failures]}
@@ -169,61 +176,57 @@ def _check_restriction(n: int, case: tuple[str, RationalSection]) -> tuple[int, 
                 "projectionMinusCalogero": (res - target).to_text()}]
 
 
-def zero_curvature_suite(n: int, degree: int, workers: int = 1,
-                         pool: Executor | None = None) -> dict:
+def zero_curvature_suite(n: int, degree: int, pool: WorkerPool | None = None) -> dict:
     """[nabla_j, nabla_k] f == 0 for all pairs and monomials of degree <= degree,
     identically in the formal coupling; a failure also names the powers of c
     whose pieces of the residual do not vanish."""
     return _run("zero-curvature", _check_zero_curvature,
-                monomial_exponents(n, degree), n, degree, workers, pool)
+                monomial_exponents(n, degree), n, degree, pool)
 
 
-def intertwining_suite(n: int, degree: int, workers: int = 1,
-                       pool: Executor | None = None) -> dict:
+def intertwining_suite(n: int, degree: int, pool: WorkerPool | None = None) -> dict:
     """P_jk nabla_l == nabla_{s(l)} P_jk on the spanning set (all j<k, all l)."""
     return _run("intertwining", _check_intertwining,
-                monomial_exponents(n, degree), n, degree, workers, pool)
+                monomial_exponents(n, degree), n, degree, pool)
 
 
-def sum_squares_suite(n: int, degree: int, workers: int = 1,
-                      pool: Executor | None = None) -> dict:
+def sum_squares_suite(n: int, degree: int, pool: WorkerPool | None = None) -> dict:
     """sum nabla_i^2 equals its normal-ordered form on the spanning set."""
     return _run("sum-of-squares", _check_sum_squares,
-                monomial_exponents(n, degree), n, degree, workers, pool)
+                monomial_exponents(n, degree), n, degree, pool)
 
 
-def permutation_relations_suite(n: int, degree: int, workers: int = 1,
-                                pool: Executor | None = None) -> dict:
+def permutation_relations_suite(n: int, degree: int,
+                                pool: WorkerPool | None = None) -> dict:
     """Involution, disjoint commutativity and fusion of coordinate swaps."""
     return _run("permutation-relations", _check_permutation_relations,
-                monomial_exponents(n, degree), n, degree, workers, pool)
+                monomial_exponents(n, degree), n, degree, pool)
 
 
-def restriction_suite(n: int, degree: int, workers: int = 1,
-                      pool: Executor | None = None) -> dict:
+def restriction_suite(n: int, degree: int, pool: WorkerPool | None = None) -> dict:
     """On (anti)symmetric polynomials the rightmost-swap replacement matches
     the true operator and equals -2x the Calogero action with coupling
     c(c+1) (symmetric) or c(c-1) (antisymmetric)."""
     cases = ([("symmetric", f) for f in symmetric_basis(n, degree)]
              + [("antisymmetric", f) for f in antisymmetric_basis(n, degree)])
-    return _run("restriction-coefficients", _check_restriction, cases, n, degree, workers, pool)
+    return _run("restriction-coefficients", _check_restriction, cases, n, degree, pool)
 
 
-SUITE_NAMES = ("zerocurv", "intertwine", "sumsq", "permrel", "restriction")
+# Each entry calls its suite through the module attribute at call time, so a
+# wrapped or patched suite function is the one that runs.
+_SUITES = {
+    "zerocurv": lambda n, degree, pool: zero_curvature_suite(n, degree, pool),
+    "intertwine": lambda n, degree, pool: intertwining_suite(n, degree, pool),
+    "sumsq": lambda n, degree, pool: sum_squares_suite(n, degree, pool),
+    "permrel": lambda n, degree, pool: permutation_relations_suite(n, degree, pool),
+    "restriction": lambda n, degree, pool: restriction_suite(n, degree, pool),
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, n: int, degree: int, workers: int = 1,
-              pool: Executor | None = None) -> dict:
+def run_suite(name: str, n: int, degree: int, pool: WorkerPool | None = None) -> dict:
     """The record of suite ``name``; with ``pool`` (see :func:`worker_pool`)
     its cases run in that shared pool."""
-    if name == "zerocurv":
-        return zero_curvature_suite(n, degree, workers, pool)
-    if name == "intertwine":
-        return intertwining_suite(n, degree, workers, pool)
-    if name == "sumsq":
-        return sum_squares_suite(n, degree, workers, pool)
-    if name == "permrel":
-        return permutation_relations_suite(n, degree, workers, pool)
-    if name == "restriction":
-        return restriction_suite(n, degree, workers, pool)
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return _SUITES[name](n, degree, pool)

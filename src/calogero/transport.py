@@ -325,6 +325,10 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token} is not allowed")
 
 
+def _is_json_number(value) -> bool:
+    return type(value) in (int, float)
+
+
 @dataclass(frozen=True)
 class ChamberPath:
     """Piecewise-linear path strictly inside the chamber x_0 < ... < x_{N-1}."""
@@ -333,23 +337,25 @@ class ChamberPath:
     margin: float = 1e-6
 
     def __post_init__(self):
-        # non-finite input is malformed, not a chamber violation: every
-        # comparison with NaN is false, so the checks below would pass it
+        # malformed input raises a plain ValueError, and only a real margin
+        # or ordering violation a PathValidationError.  Non-finite values are
+        # malformed: every comparison with NaN is false, so the chamber
+        # checks below would pass them
         if not math.isfinite(self.margin):
             raise ValueError(f"margin {self.margin} is not finite")
-        for w in self.waypoints:
-            if not all(math.isfinite(v) for v in w):
-                raise ValueError(f"waypoint {w} is not finite")
-        if len(self.waypoints) < 1:
-            raise PathValidationError("path needs at least one waypoint")
         if self.margin <= 0:
-            raise PathValidationError("margin must be positive")
+            raise ValueError(f"margin must be positive, got {self.margin}")
+        if len(self.waypoints) < 1:
+            raise ValueError("path needs at least one waypoint")
         n = len(self.waypoints[0])
         if n < 2:
             raise ValueError(f"path needs at least two coordinates, got {n}")
         for w in self.waypoints:
             if len(w) != n:
-                raise PathValidationError("inconsistent waypoint dimensions")
+                raise ValueError("inconsistent waypoint dimensions")
+            if not all(math.isfinite(v) for v in w):
+                raise ValueError(f"waypoint {w} is not finite")
+        for w in self.waypoints:
             gaps = [w[i + 1] - w[i] for i in range(n - 1)]
             if min(gaps) < self.margin:
                 raise PathValidationError(
@@ -383,15 +389,27 @@ class ChamberPath:
 
     @classmethod
     def from_json(cls, data: dict) -> "ChamberPath":
+        """Build a path from parsed JSON.  ``N`` must be a JSON integer and the
+        margin and every coordinate JSON numbers; a float, a bool or a string
+        in their place raises ``ValueError``."""
         try:
-            waypoints = tuple(tuple(float(v) for v in w) for w in data["waypoints"])
-            margin = float(data.get("margin", 1e-6))
-            n = int(data["N"])
-        except (KeyError, TypeError, ValueError) as exc:
+            n, rows, margin = data["N"], data["waypoints"], data.get("margin", 1e-6)
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed path data: {exc}") from exc
-        if any(len(w) != n for w in waypoints):
+        if type(n) is not int:
+            raise ValueError(f"N must be an integer, got {n!r}")
+        if not _is_json_number(margin):
+            raise ValueError(f"margin must be a number, got {margin!r}")
+        if not (isinstance(rows, list)
+                and all(isinstance(w, list) and all(map(_is_json_number, w)) for w in rows)):
+            raise ValueError("waypoints must be lists of numbers")
+        if any(len(w) != n for w in rows):
             raise ValueError("waypoint dimension disagrees with N")
-        return cls(waypoints, margin)
+        try:
+            waypoints = tuple(tuple(float(v) for v in w) for w in rows)
+        except OverflowError as exc:
+            raise ValueError(f"malformed path data: {exc}") from exc
+        return cls(waypoints, float(margin))
 
     @classmethod
     def load(cls, path: str) -> "ChamberPath":

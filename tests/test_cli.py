@@ -80,6 +80,19 @@ class TestVerifyCommand:
         report["config"]["workers"] = 1
         assert json.dumps(report, indent=2, sort_keys=True) + "\n" == solo
 
+    def test_serial_runs_build_no_pool(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a serial run built a process pool")
+
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", refuse)
+        assert suites.restriction_suite(3, 3)["failures"] == []
+        for name in suites.SUITE_NAMES:
+            assert suites.run_suite(name, 2, 2)["failures"] == []
+        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--deg", "2",
+                               "--suite", "all", "--workers", "1")
+        assert code == 0
+        assert json.loads(out)["failureCount"] == 0
+
     @pytest.mark.parametrize("args", [
         ["--workers", "0"], ["--workers=-3"], ["--workers", "two"], ["--workers", "1.5"],
     ])
@@ -141,6 +154,21 @@ class TestTransportCommand:
         code, out, err = run_cli(capsys, "transport", "--path", str(path), "--p", "1")
         assert code == 2
         assert out == "" and "two coordinates" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("data", [
+        {"N": 2, "waypoints": []},
+        {"N": 2, "margin": 0, "waypoints": [[0.0, 1.0]]},
+        {"N": 2.7, "margin": 0.1, "waypoints": [[0.0, 1.0]]},
+        {"N": "2", "margin": 0.1, "waypoints": [[0.0, 1.0]]},
+        {"N": 2, "margin": "0.1", "waypoints": [[0.0, 1.0]]},
+        {"N": 2, "margin": 0.1, "waypoints": [[0.0, 1.0], [0.0, 1.0, 2.0]]},
+    ])
+    def test_malformed_path_is_usage_error(self, capsys, tmp_path, data):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "transport", "--path", str(path), "--p", "1,2")
+        assert code == 2
+        assert out == "" and "Traceback" not in err
 
     def test_momentum_dimension_mismatch(self, capsys, tmp_path):
         path = tmp_path / "seg.json"
@@ -294,6 +322,30 @@ class TestSimulateCommand:
         report = json.loads(out)
         assert code in (0, 1)
         assert report["config"]["driftTol"] == 0.0 and report["config"]["energyTol"] == 0.0
+
+
+class TestReportBytes:
+    """Each report is the canonical ``json.dumps(indent=2, sort_keys=True)``
+    encoding and the same bytes on every run, so a faster encoder can be
+    checked against it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["transport", "--path", "{loop}", "--p", "1/2,-1/3,1/4", "--c", "1"],
+        ["simulate", "--x", "0,1,3", "--p", "1,0,-1", "--t", "0.05", "--dt", "1e-3"],
+        ["symbols", "--n", "2", "--deg", "3"],
+    ], ids=["transport", "simulate", "symbols"])
+    def test_deterministic_canonical_bytes(self, capsys, tmp_path, argv):
+        loop = tmp_path / "loop.json"
+        loop.write_text(json.dumps(LOOP3))
+        argv = [arg.format(loop=loop) for arg in argv]
+        runs = []
+        for name in ("a.json", "b.json"):
+            code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / name))
+            assert code == 0
+            runs.append((tmp_path / name).read_bytes())
+        assert runs[0] == runs[1]
+        text = runs[0].decode("utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 class TestSymbolsCommand:

@@ -1,10 +1,12 @@
+import inspect
 import itertools
 import multiprocessing
+import types
 from fractions import Fraction as F
 
 import pytest
 
-from calogero import suites
+from calogero import dunkl, suites
 from calogero.dunkl import (
     SymmetryError,
     antisymmetric_basis,
@@ -212,7 +214,8 @@ def test_sign_mutation_in_normal_form_is_reported(monkeypatch, term, powers, wor
     monkeypatch.setattr(suites, "sum_of_squares_normal_form",
                         lambda f: sum_of_squares_normal_form(f) - residual_of(f))
     for n, degree in ((2, 3), (3, 2)):
-        record = suites.sum_squares_suite(n, degree, workers)
+        with suites.worker_pool(workers) as pool:
+            record = suites.sum_squares_suite(n, degree, pool)
         expected = [list(e) for e in monomial_exponents(n, degree)
                     if not residual_of(RationalSection.monomial(n, e)).is_zero()]
         assert expected
@@ -224,3 +227,23 @@ def test_sign_mutation_in_normal_form_is_reported(monkeypatch, term, powers, wor
             assert parsed.to_text() == text
             assert parsed.reduced().to_text() == text
             assert parsed == residual_of(RationalSection.monomial(n, failure["monomial"]))
+
+
+def test_c2_sign_mutation_in_shared_normal_ordered_loop_fails_both_suites(monkeypatch):
+    # The normal form and the restricted projection share one loop; flipping
+    # the sign of its c^2 term must break the sum-of-squares identity and the
+    # restriction identity alike.
+    source = inspect.getsource(dunkl)
+    term = "out = out - f.mul_inverse_difference(i, j, 2).mul_coupling(2)"
+    assert source.count(term) == 1
+    mutant = types.ModuleType("calogero.dunkl", dunkl.__doc__)
+    mutant.__package__ = "calogero"
+    exec(compile(source.replace(term, term.replace(" - ", " + ")), dunkl.__file__, "exec"),
+         mutant.__dict__)
+    monkeypatch.setattr(suites, "sum_of_squares_normal_form", mutant.sum_of_squares_normal_form)
+    monkeypatch.setattr(suites, "restricted_projection", mutant.restricted_projection)
+    sumsq = suites.sum_squares_suite(2, 2)
+    restriction = suites.restriction_suite(3, 3)
+    assert len(sumsq["failures"]) == sumsq["caseCount"] > 0
+    assert len(restriction["failures"]) == restriction["caseCount"] > 0
+    assert {f["sign"] for f in restriction["failures"]} == {"symmetric", "antisymmetric"}

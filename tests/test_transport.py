@@ -255,6 +255,44 @@ class TestChamberPath:
         assert not isinstance(err.value, PathValidationError)
         assert "at least two coordinates" in str(err.value)
 
+    @pytest.mark.parametrize("waypoints, margin", [
+        ((), 0.1),
+        (((0.0, 1.0),), 0.0),
+        (((0.0, 1.0),), -0.5),
+        (((0.0, 1.0), (0.0, 1.0, 2.0)), 0.1),
+    ])
+    def test_empty_path_bad_margin_and_ragged_waypoints_are_malformed(self, waypoints,
+                                                                     margin):
+        with pytest.raises(ValueError) as err:
+            ChamberPath(waypoints, margin=margin)
+        assert not isinstance(err.value, PathValidationError)
+
+    @pytest.mark.parametrize("data", [
+        {"N": 2.7, "margin": 0.1, "waypoints": [[0.0, 1.0]]},
+        {"N": 2.0, "margin": 0.1, "waypoints": [[0.0, 1.0]]},
+        {"N": "2", "margin": 0.1, "waypoints": [[0.0, 1.0]]},
+        {"N": True, "margin": 0.1, "waypoints": [[0.0, 1.0]]},
+        {"N": 2, "margin": "0.1", "waypoints": [[0.0, 1.0]]},
+        {"N": 2, "margin": True, "waypoints": [[0.0, 1.0]]},
+        {"N": 2, "margin": 0.1, "waypoints": [[0.0, "1.0"]]},
+        {"N": 2, "margin": 0.1, "waypoints": [[False, 1.0]]},
+        {"N": 2, "margin": 0.1, "waypoints": [[0.0, None]]},
+        {"N": 2, "margin": 0.1, "waypoints": [[0.0, 10 ** 400]]},
+        {"N": 2, "margin": 0.1, "waypoints": "0.0, 1.0"},
+        {"N": 2, "margin": 0.1, "waypoints": []},
+        {"N": 2, "waypoints": [[0.0, 1.0, 2.0]]},
+        {"margin": 0.1, "waypoints": [[0.0, 1.0]]},
+    ])
+    def test_from_json_refuses_values_of_the_wrong_json_type(self, data):
+        with pytest.raises(ValueError) as err:
+            ChamberPath.from_json(data)
+        assert not isinstance(err.value, PathValidationError)
+
+    def test_from_json_accepts_integer_coordinates_and_default_margin(self):
+        path = ChamberPath.from_json({"N": 2, "waypoints": [[0, 1], [0.5, 2]]})
+        assert path.waypoints == ((0.0, 1.0), (0.5, 2.0)) and path.margin == 1e-6
+        assert all(type(v) is float for w in path.waypoints for v in w)
+
     def test_json_round_trip(self, tmp_path):
         path = ChamberPath(((0.0, 1.0), (0.5, 2.0)), margin=0.25)
         file = tmp_path / "path.json"
