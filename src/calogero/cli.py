@@ -153,7 +153,7 @@ def cmd_verify(args) -> int:
 
 def cmd_transport(args) -> int:
     path = ChamberPath.load(args.path)
-    conn = build_local_system(path.n, args.p, args.c, prefactor=args.prefactor)
+    conn = build_local_system(path.n, args.p, args.c)
     result = transport_ode(conn, path, tol=args.tol)
     holonomy = None
     if path.is_closed():
@@ -170,8 +170,7 @@ def cmd_transport(args) -> int:
     report = {
         "schemaVersion": SCHEMA_VERSION,
         "command": "transport",
-        "config": {"path": args.path, "tol": args.tol,
-                   "prefactor": None if args.prefactor is None else str(args.prefactor)},
+        "config": {"path": args.path, "tol": args.tol},
         "method": result.method,
         "N": path.n,
         "p": [str(v) for v in args.p],
@@ -264,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_rational, default=Fraction(1), help="coupling")
     p.add_argument("--tol", type=_positive_finite, default=1e-10,
                    help="local error tolerance (finite, > 0)")
-    p.add_argument("--prefactor", type=_rational, default=None,
-                   help="override the off-diagonal connection coefficient (default: c)")
     p.add_argument("--compare-dyson", nargs=2, type=_positive_int, metavar=("ORDER", "STEPS"),
                    default=None,
                    help="also run the iterated-integral series (integers >= 1) and report "
@@ -309,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Options whose values may begin with a minus sign.
-_SIGNED_VALUE_OPTIONS = ("--x", "--p", "--c", "--prefactor")
+_SIGNED_VALUE_OPTIONS = ("--x", "--p", "--c")
 _NEGATIVE_START = re.compile(r"-[0-9.]")
 
 

@@ -13,15 +13,15 @@ states at once.
 The simulator (fixed-step RK4) steps first and measures in blocks.  A
 ``PhasePoint`` is validated once; the stepping loop then carries the
 positions, momenta and force, runs one RK4 step and the ordering test per
-step, and writes every state into a preallocated block.  Up to
-``_SCALAR_MAX_N`` particles a step runs on plain Python floats, operation
-for operation as the numpy kernel used above that size (numpy's summation
-order included), so both give bit-identical trajectories; at three or four
-particles a float step takes about a quarter of the time of a numpy step,
-which is mostly per-call cost.  Each full or final block is then measured at
-once: one stacked pair array gives H and tr P^1..tr P^jmax of every state,
-the drift is taken over every step, and every ``sample_stride``-th state is
-kept.  ``duration / dt`` is capped at ``MAX_STEPS``.
+step, and writes every state into a preallocated block.  The step runs on
+plain Python floats for every N: at three or four particles it takes about a
+third of the time of the same step on numpy arrays, which is mostly per-call
+cost, and from about a dozen particles on a numpy step would be faster (the
+README gives the measured times).  Each full or final block is then
+measured at once: one stacked pair array gives H and tr P^1..tr P^jmax of
+every state, the drift is taken over every step, and every
+``sample_stride``-th state is kept.  ``duration / dt`` is capped at
+``MAX_STEPS``.
 
 The rank-two constant matrix ``I - e e^T`` driving the reduction has
 spectrum {1 (N-1 times), 1-N}.
@@ -53,13 +53,6 @@ __all__ = [
 # ``duration / dt`` above this is refused before anything runs: a few minutes
 # of stepping at N=3, a hundred times the longest acceptance run
 MAX_STEPS = 10_000_000
-
-# up to this many particles RK4 runs on plain Python floats, above it on
-# numpy (per step, integrate, 2-vCPU host: 31 us against 49 us at N=7).  It
-# cannot exceed 7: numpy sums a row of 8 or more terms pairwise, and the float
-# kernel adds each row left to right, so the two would no longer agree bit
-# for bit.
-_SCALAR_MAX_N = 7
 
 # bytes of one stacked complex n x n array over a block of states; sets the
 # block length, so a block's memory does not grow with N
@@ -218,10 +211,9 @@ class Trajectory:
 
 
 def _cube_row_sums(x: list) -> list:
-    """sum_j inv[i, j]**3 for every i, in the order ``_force_numpy`` sums them
-    below eight particles."""
-    # running sums over the pairs in row-major order add each row left to
-    # right, as numpy does below eight terms; inv[j, i]**3 is -inv[i, j]**3
+    """sum_j inv[i, j]**3 for every i, each pair divided once."""
+    # inv[j, i]**3 is -inv[i, j]**3; running sums over the pairs in row-major
+    # order add each row left to right
     n = len(x)
     sums = [0.0] * n
     for i in range(n - 1):
@@ -234,70 +226,37 @@ def _cube_row_sums(x: list) -> list:
     return sums
 
 
-def _force_scalar(x: list, g2: float, omega: float) -> list:
-    """``_force_numpy`` on a list of floats, operation for operation."""
+def _force(x: list, g2: float, omega: float) -> list:
+    """Force -dH/dx at one state."""
     try:
         sums = _cube_row_sums(x)
     except ZeroDivisionError:
-        # two stage positions coincide: numpy's 1/0 is inf, which the
-        # ordering test reports after the step
-        return _force_numpy(np.array(x), g2, omega).tolist()
+        # two stage positions coincide: an infinite force makes the new
+        # positions non-finite (from the last stage, the next step's), which
+        # the ordering test reports as a collision
+        return [math.inf] * len(x)
     k, w = 2.0 * g2, omega ** 2
     return [k * s - w * xi for s, xi in zip(sums, x)]
 
 
-def _force_numpy(x: np.ndarray, g2: float, omega: float) -> np.ndarray:
-    """Force -dH/dx at one state."""
-    inv = _inverse_differences(x)
-    return 2.0 * g2 * (inv * inv * inv).sum(axis=1) - omega ** 2 * x
+def _rk4_step(x: list, p: list, f: list, dt: float, g2: float, omega: float):
+    """One RK4 step from (x, p) with force ``f`` at ``x``; returns the new
+    state and the force there.
 
-
-def _rk4_scalar(x: list, p: list, f: list, dt: float, g2: float, omega: float):
-    """``_rk4_numpy`` on lists of floats, operation for operation."""
+    ``integrate`` makes one call per step, which the benchmark's layer tracer
+    (``perfbench/layertrace.py``) counts as ``laxdyn.steps``."""
     h = 0.5 * dt
     k2x = [a + h * b for a, b in zip(p, f)]
-    k2p = _force_scalar([a + h * b for a, b in zip(x, p)], g2, omega)
+    k2p = _force([a + h * b for a, b in zip(x, p)], g2, omega)
     k3x = [a + h * b for a, b in zip(p, k2p)]
-    k3p = _force_scalar([a + h * b for a, b in zip(x, k2x)], g2, omega)
+    k3p = _force([a + h * b for a, b in zip(x, k2x)], g2, omega)
     k4x = [a + dt * b for a, b in zip(p, k3p)]
-    k4p = _force_scalar([a + dt * b for a, b in zip(x, k3x)], g2, omega)
+    k4p = _force([a + dt * b for a, b in zip(x, k3x)], g2, omega)
     xn = [y + dt * (a + 2 * b + 2 * c + d) / 6.0
           for y, a, b, c, d in zip(x, p, k2x, k3x, k4x)]
     pn = [y + dt * (a + 2 * b + 2 * c + d) / 6.0
           for y, a, b, c, d in zip(p, f, k2p, k3p, k4p)]
-    return xn, pn, _force_scalar(xn, g2, omega)
-
-
-def _rk4_numpy(x: np.ndarray, p: np.ndarray, f: np.ndarray, dt: float, g2: float,
-               omega: float):
-    """One RK4 step from (x, p) with force ``f`` at ``x``; returns the new
-    state and the force there."""
-    k1x, k1p = p, f
-    k2x = p + 0.5 * dt * k1p
-    k2p = _force_numpy(x + 0.5 * dt * k1x, g2, omega)
-    k3x = p + 0.5 * dt * k2p
-    k3p = _force_numpy(x + 0.5 * dt * k2x, g2, omega)
-    k4x = p + dt * k3p
-    k4p = _force_numpy(x + dt * k3x, g2, omega)
-    xn = x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
-    pn = p + dt * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
-    return xn, pn, _force_numpy(xn, g2, omega)
-
-
-def _kernel(n: int):
-    """(force, RK4 step) for ``n`` particles: plain floats up to
-    ``_SCALAR_MAX_N``, numpy above."""
-    if n <= _SCALAR_MAX_N:
-        return _force_scalar, _rk4_scalar
-    return _force_numpy, _rk4_numpy
-
-
-def _rk4_step(kernel, x, p, f, dt: float, g2: float, omega: float):
-    """One RK4 step with ``kernel``; returns the new state and its force.
-
-    ``integrate`` makes one call per step, which the benchmark's layer tracer
-    (``perfbench/layertrace.py``) counts as ``laxdyn.steps``."""
-    return kernel(x, p, f, dt, g2, omega)
+    return xn, pn, _force(xn, g2, omega)
 
 
 def _block_length(n: int) -> int:
@@ -315,11 +274,8 @@ def _step_blocks(state: PhasePoint, steps: int, dt: float):
     :class:`CollisionError`.
     """
     g2, omega = state.g2, state.omega
-    force, kernel = _kernel(state.n)
-    x, p = _arrays(state)
-    if kernel is _rk4_scalar:
-        x, p = x.tolist(), p.tolist()
-    f = force(x, g2, omega)
+    x, p = [float(v) for v in state.x], [float(v) for v in state.p]
+    f = _force(x, g2, omega)
     xs = np.empty((min(_block_length(state.n), steps + 1), state.n))
     ps = np.empty_like(xs)
     xs[0], ps[0] = x, p
@@ -328,7 +284,7 @@ def _step_blocks(state: PhasePoint, steps: int, dt: float):
         if row == len(xs):
             yield first, xs, ps
             first, row = step, 0
-        x, p, f = _rk4_step(kernel, x, p, f, dt, g2, omega)
+        x, p, f = _rk4_step(x, p, f, dt, g2, omega)
         if not all(map(operator.lt, x, x[1:])):
             raise CollisionError(step * dt)
         xs[row], ps[row] = x, p
@@ -354,8 +310,8 @@ def integrate(state: PhasePoint, duration: float, dt: float,
     Energy and invariant drifts are tracked at every step; the stored arrays
     are downsampled by ``sample_stride``, and the final step is always kept.
     A state that leaves the open chamber, or blows up to inf or NaN, raises
-    :class:`CollisionError`.  ``duration / dt`` above ``MAX_STEPS`` raises
-    ``ValueError`` before anything runs.
+    :class:`CollisionError`.  ``duration / dt`` above ``MAX_STEPS``, or one
+    that rounds to zero steps, raises ``ValueError`` before anything runs.
     """
     if not (0 < duration < math.inf and 0 < dt < math.inf):
         raise ValueError("duration and dt must be finite and positive")
@@ -368,6 +324,8 @@ def integrate(state: PhasePoint, duration: float, dt: float,
         raise ValueError(f"duration / dt = {ratio:.6g} is too large for a step count "
                          f"(at most MAX_STEPS = {MAX_STEPS})")
     steps = int(round(ratio))
+    if steps == 0:
+        raise ValueError(f"duration / dt = {ratio:.6g} rounds to zero steps")
     g2, omega = state.g2, state.omega
     drift = np.zeros(jmax + 1)
     times, xs, ps, samples = [], [], [], []

@@ -101,7 +101,6 @@ class ConnectionMatrix:
 
     n: int
     p: tuple[Fraction, ...]
-    c: Fraction
     perms: tuple[Permutation, ...]
     diag: tuple[tuple[Fraction, ...], ...]
     off: tuple[tuple[_OffEntry, ...], ...]
@@ -198,13 +197,13 @@ def _inverse_differences(point: Sequence[Fraction]) -> tuple[int, list[list[int]
 MAX_N = 5
 
 
-def build_local_system(n: int, p: Sequence[Fraction | int], c: Fraction | int, *,
-                       prefactor: Fraction | None = None) -> ConnectionMatrix:
+def build_local_system(n: int, p: Sequence[Fraction | int],
+                       c: Fraction | int) -> ConnectionMatrix:
     """Assemble the vectorized connection for N particles.
 
-    ``prefactor`` overrides the coefficient carried by the off-diagonal
-    (permutation) part of the connection; by default it is the coupling c
-    itself, as dictated by the operator whose eigenproblem is vectorized.
+    The coupling c is the coefficient of the off-diagonal (permutation) part
+    of the connection, as dictated by the operator whose eigenproblem is
+    vectorized; the diagonal carries the momenta.
     """
     if n < 2:
         raise ValueError("need at least two particles")
@@ -214,8 +213,7 @@ def build_local_system(n: int, p: Sequence[Fraction | int], c: Fraction | int, *
     if len(p) != n:
         raise ValueError(f"{len(p)} momenta for N={n} particles")
     c = Fraction(c)
-    scale = c if prefactor is None else Fraction(prefactor)
-    neg = -scale
+    neg = -c
     perms = tuple(Permutation.all_elements(n))
     index = {sig.images: i for i, sig in enumerate(perms)}
     diag: list[tuple[Fraction, ...]] = []
@@ -236,12 +234,12 @@ def build_local_system(n: int, p: Sequence[Fraction | int], c: Fraction | int, *
                 col = index[tuple(swapped)]
                 a = images[m]
                 if a < k:
-                    ok.append(_OffEntry(row, col, scale, a, k))
+                    ok.append(_OffEntry(row, col, c, a, k))
                 else:
                     ok.append(_OffEntry(row, col, neg, k, a))
         diag.append(tuple(dk))
         off.append(tuple(ok))
-    return ConnectionMatrix(n=n, p=p, c=c, perms=perms,
+    return ConnectionMatrix(n=n, p=p, perms=perms,
                             diag=tuple(diag), off=tuple(off))
 
 

@@ -225,6 +225,15 @@ class TestTransportCommand:
                              "--path", str(tmp_path / "none.json"), "--p", "1,2")
         assert code == 2
 
+    def test_prefactor_option_is_gone(self, capsys, tmp_path):
+        # the connection depends on c only through this coefficient, so the
+        # coupling has one option
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(LOOP3))
+        code, out, _ = run_cli(capsys, "transport", "--path", str(path),
+                               "--p", "1/2,-1/3,1/4", "--prefactor", "2")
+        assert code == 2 and out == ""
+
 
 class TestSimulateCommand:
     def test_benchmark_run(self, capsys, tmp_path):
@@ -315,6 +324,13 @@ class TestSimulateCommand:
                                  "--t", "1e300", "--dt", "1e-3")
         assert code == 2
         assert out == "" and "MAX_STEPS" in err and "Traceback" not in err
+
+    def test_duration_of_zero_steps_is_usage_error(self, capsys):
+        # t / dt = 1e-5 rounds to no step at all
+        code, out, err = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1",
+                                 "--t", "1e-9", "--dt", "1e-4")
+        assert code == 2
+        assert out == "" and "zero steps" in err and "Traceback" not in err
 
     def test_zero_tolerances_are_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1",

@@ -1,5 +1,5 @@
-"""The benchmark's layer tracer must see every suite, Dunkl and symbol
-function that its per-function metrics name.
+"""The benchmark's layer tracer must see every suite, Dunkl, symbol and Lax
+step function that its per-function metrics name.
 
 The tracer wraps functions by patching module attributes, so a call that
 bypasses the module-level name (a dispatch table built at import time, say)
@@ -59,3 +59,21 @@ def test_count_tracer_sees_every_symbolcalc_metric(capsys):
     assert watched == {"symbolcalc.permutation_series", "symbolcalc.quantize_apply",
                        "symbolcalc.apply_shift_word"}
     assert [name for name in sorted(watched) if calls.get(name, 0) == 0] == []
+
+
+def test_count_tracer_sees_every_lax_step(capsys):
+    # laxdyn.steps counts calls of the one RK4 step function
+    layertrace = _layertrace()
+    tracer = layertrace.CountTracer()
+    tracer.install()
+    try:
+        code = calogero.cli.main(["simulate", "--x=0,1,3", "--p=1,0,-1", "--t=0.01",
+                                  "--dt=1e-3"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    calls = dict(zip(tracer.names, tracer.calls))
+    assert layertrace._FUNCTION_METRICS["laxdyn.steps"] == ("laxdyn._rk4_step", "calls")
+    assert calls["laxdyn._rk4_step"] == 10
+    assert calls["laxdyn.integrate"] == 1

@@ -418,14 +418,16 @@ class TestTransportOde:
         with pytest.raises(PathValidationError):
             transport_ode(conn, benchmark_path)
 
-    def test_prefactor_overrides_coupling_scale(self):
-        # off-diagonal entries scale with the prefactor, diagonal stays put
+    def test_off_diagonal_scales_with_coupling(self):
+        # off-diagonal entries scale with c, the momentum diagonal stays put
         base = build_local_system(2, (F(1), F(2)), F(1))
-        scaled = build_local_system(2, (F(1), F(2)), F(1), prefactor=F(3))
+        scaled = build_local_system(2, (F(1), F(2)), F(3))
         x = np.array([0.0, 1.0])
         m0, m1 = base.eval_numeric(0, x), scaled.eval_numeric(0, x)
+        assert m0[0, 1] != 0
         assert np.isclose(m1[0, 1], 3 * m0[0, 1])
-        assert np.isclose(m1[0, 0], m0[0, 0])
+        assert np.isclose(m1[1, 0], 3 * m0[1, 0])
+        assert m1[0, 0] == m0[0, 0] and m1[1, 1] == m0[1, 1]
 
 
 class TestTransportDyson:
