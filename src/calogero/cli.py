@@ -115,17 +115,39 @@ def _check_writable(path: str) -> None:
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
+def _matrix_text(matrix: np.ndarray) -> str:
+    """The text ``json.dumps(indent=2)`` gives a complex matrix as nested
+    ``[re, im]`` lists at key depth 1, without building the lists.
+
+    ``json`` writes a finite float with ``float.__repr__``; only a matrix with
+    a non-finite entry pays for ``json.dumps`` on every value."""
+    rows, cols = matrix.shape
+    values = np.stack([matrix.real, matrix.imag], axis=-1).ravel().tolist()
+    text = float.__repr__ if np.isfinite(matrix).all() else json.dumps
+    entry = "[\n        %s,\n        %s\n      ]"
+    row = "[\n      " + ",\n      ".join([entry] * cols) + "\n    ]"
+    return ("[\n    " + ",\n    ".join([row] * rows) + "\n  ]") % tuple(map(text, values))
+
+
+def _report_text(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, where a
+    ``matrix`` entry is a complex ndarray written by :func:`_matrix_text`."""
+    matrix = report.get("matrix")
+    if matrix is None:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps({**report, "matrix": None}, indent=2, sort_keys=True)
+    # json escapes control characters inside strings, so a raw newline, two
+    # spaces and a quote only ever start a top-level key.
+    return text.replace('\n  "matrix": null', '\n  "matrix": ' + _matrix_text(matrix), 1) + "\n"
+
+
 def _emit(report: dict, out: str | None) -> None:
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    payload = _report_text(report)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-
-
-def _matrix_json(matrix: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
 
 
 # -- verify ---------------------------------------------------------------------
@@ -175,7 +197,7 @@ def cmd_transport(args) -> int:
         "N": path.n,
         "p": [str(v) for v in args.p],
         "c": str(args.c),
-        "matrix": _matrix_json(result.matrix),
+        "matrix": result.matrix,
         "holonomyDeviation": holonomy,
         "stepStats": result.step_stats,
         "dysonComparison": comparison,

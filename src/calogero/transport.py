@@ -197,6 +197,15 @@ def _inverse_differences(point: Sequence[Fraction]) -> tuple[int, list[list[int]
 MAX_N = 5
 
 
+def _float_sized(value: Fraction, what: str) -> Fraction:
+    """Refuse a value whose float overflows: the numeric arrays hold floats."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+    return value
+
+
 def build_local_system(n: int, p: Sequence[Fraction | int],
                        c: Fraction | int) -> ConnectionMatrix:
     """Assemble the vectorized connection for N particles.
@@ -209,10 +218,10 @@ def build_local_system(n: int, p: Sequence[Fraction | int],
         raise ValueError("need at least two particles")
     if n > MAX_N:
         raise ValueError(f"N={n} exceeds the configured cap {MAX_N} (N! components)")
-    p = tuple(Fraction(v) for v in p)
+    p = tuple(_float_sized(Fraction(v), "a momentum") for v in p)
     if len(p) != n:
         raise ValueError(f"{len(p)} momenta for N={n} particles")
-    c = Fraction(c)
+    c = _float_sized(Fraction(c), "the coupling")
     neg = -c
     perms = tuple(Permutation.all_elements(n))
     index = {sig.images: i for i, sig in enumerate(perms)}

@@ -1,6 +1,8 @@
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from calogero import cli, laxdyn, suites
@@ -9,6 +11,12 @@ from calogero.cli import main
 LOOP3 = {"N": 3, "margin": 0.1,
          "waypoints": [[0.0, 1.0, 2.0], [0.3, 1.2, 2.5],
                        [-0.2, 0.9, 2.1], [0.0, 1.0, 2.0]]}
+LOOP4 = {"N": 4, "margin": 0.1,
+         "waypoints": [[0.0, 1.0, 2.0, 3.0], [0.2, 1.1, 2.3, 3.1],
+                       [-0.1, 0.9, 2.1, 3.2], [0.0, 1.0, 2.0, 3.0]]}
+LOOP5 = {"N": 5, "margin": 0.1,
+         "waypoints": [[0.0, 1.0, 2.0, 3.0, 4.0], [0.05, 1.02, 2.03, 3.0, 4.01],
+                       [0.0, 1.0, 2.0, 3.0, 4.0]]}
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +228,17 @@ class TestTransportCommand:
         assert code == 2
         assert out == "" and "MiB bound" in err
 
+    @pytest.mark.parametrize("args", [
+        ["--p=1,0,-1", "--c=1e400"], ["--p=1,0,-1e400"],
+    ])
+    def test_value_whose_float_overflows_is_usage_error(self, capsys, tmp_path, args):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(LOOP3))
+        code, out, err = run_cli(capsys, "transport", "--path", str(path), *args)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "too large" in err
+        assert "Traceback" not in err
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "transport",
                              "--path", str(tmp_path / "none.json"), "--p", "1,2")
@@ -346,22 +365,71 @@ class TestReportBytes:
     checked against it."""
 
     @pytest.mark.parametrize("argv", [
-        ["transport", "--path", "{loop}", "--p", "1/2,-1/3,1/4", "--c", "1"],
+        ["transport", "--path", "{loop3}", "--p", "1/2,-1/3,1/4", "--c", "1"],
+        ["transport", "--path", "{loop4}", "--p", "1/2,-1/3,1/4,1", "--c", "1",
+         "--compare-dyson", "2", "20"],
+        ["transport", "--path", "{loop5}", "--p", "1/2,-1/3,1/4,1,-1", "--c", "1"],
         ["simulate", "--x", "0,1,3", "--p", "1,0,-1", "--t", "0.05", "--dt", "1e-3"],
         ["symbols", "--n", "2", "--deg", "3"],
-    ], ids=["transport", "simulate", "symbols"])
+    ], ids=["transport", "transport-n4-dyson", "transport-n5", "simulate", "symbols"])
     def test_deterministic_canonical_bytes(self, capsys, tmp_path, argv):
-        loop = tmp_path / "loop.json"
-        loop.write_text(json.dumps(LOOP3))
-        argv = [arg.format(loop=loop) for arg in argv]
+        loops = {}
+        for name, data in (("loop3", LOOP3), ("loop4", LOOP4), ("loop5", LOOP5)):
+            loops[name] = tmp_path / f"{name}.json"
+            loops[name].write_text(json.dumps(data))
+        argv = [arg.format(**loops) for arg in argv]
         runs = []
         for name in ("a.json", "b.json"):
             code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / name))
             assert code == 0
             runs.append((tmp_path / name).read_bytes())
         assert runs[0] == runs[1]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.encode("utf-8") == runs[0]
         text = runs[0].decode("utf-8")
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+FINITE_SPECIALS = [-0.0, 5e-324, 1e-7, 1e16, 1e22, 1 / 3]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _matrix_with(d: int, values: list) -> np.ndarray:
+    """A random complex d x d matrix whose first float parts, real and
+    imaginary in row order, are ``values``."""
+    rng = np.random.default_rng(d)
+    parts = rng.standard_normal(2 * d * d)
+    parts[:len(values)] = values
+    m = np.empty((d, d), dtype=complex)
+    m.real = parts[0::2].reshape(d, d)
+    m.imag = parts[1::2].reshape(d, d)
+    return m
+
+
+class TestMatrixWriter:
+    """The transport matrix is written without ``json``; its bytes must be
+    those ``json.dumps(indent=2, sort_keys=True)`` gives the nested
+    ``[re, im]`` lists, non-finite values and the splice included."""
+
+    @pytest.mark.parametrize("d", [2, 24, 120])
+    @pytest.mark.parametrize("values", [
+        FINITE_SPECIALS, NON_FINITE + FINITE_SPECIALS[:5],
+    ], ids=["finite", "non-finite"])
+    @pytest.mark.parametrize("path", ["loop.json", 'x\n  "matrix": null\n  "y'])
+    def test_bytes_equal_json_dumps(self, d, values, path):
+        m = _matrix_with(d, values)
+        parts = np.stack([m.real, m.imag], axis=-1).ravel()
+        np.testing.assert_array_equal(parts[:len(values)], values)
+        report = {
+            "schemaVersion": 1, "command": "transport",
+            "config": {"path": path, "tol": 1e-10}, "method": "dp45", "N": 3,
+            "p": ["1/2"], "c": "1", "holonomyDeviation": None,
+            "stepStats": {"accepted": 3}, "dysonComparison": {"order": 2},
+        }
+        nested = [[[float(v.real), float(v.imag)] for v in row] for row in m]
+        expected = json.dumps({**report, "matrix": nested}, indent=2, sort_keys=True) + "\n"
+        assert cli._report_text({**report, "matrix": m}) == expected
 
 
 class TestSymbolsCommand:

@@ -125,6 +125,14 @@ class TestBuildLocalSystem:
         with pytest.raises(ValueError):
             build_local_system(3, [F(1)], 1)
 
+    @pytest.mark.parametrize("p, c, what", [
+        ([F(1), F(0), F(-1)], F(10) ** 400, "coupling"),
+        ([F(1), F(0), -F(10) ** 400], F(1), "momentum"),
+    ])
+    def test_value_whose_float_overflows_is_refused(self, p, c, what):
+        with pytest.raises(ValueError, match=what):
+            build_local_system(3, p, c)
+
 
 class TestFlatness:
     def test_two_particles_at_unit_gap(self):
