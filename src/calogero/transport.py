@@ -16,9 +16,13 @@ an embedded Runge-Kutta 5(4) pair and, independently, by truncated
 time-ordered iterated integrals.
 
 The connection has one representation: its exact entries, from which
-construction derives index and coefficient arrays once.  Numeric evaluation
-is a scatter of those arrays (batched over many points at once for the
-iterated integrals).  Exact flatness scales each point's residuals to integers:
+construction derives index and coefficient arrays once.  Every off-diagonal
+position of the connection belongs to one pair (a, b), so along a velocity v
+its value is ``(coef @ v) / (x_a - x_b)`` and numeric evaluation is one put of
+those values (batched over many points at once for the iterated integrals).
+On a segment x = a + t v the numerators and the gaps' rates are fixed, so the
+ODE right-hand side takes them once and at each new t writes one division
+into a preset matrix.  Exact flatness scales each point's residuals to integers:
 with L the lcm of the numerators of the pair differences, every
 ``L / (x_a - x_b)`` is an integer, so the curvature is a sum of Python ints and
 only a nonzero total becomes a ``Fraction``.  The iterated integrals hold three
@@ -90,10 +94,11 @@ class ConnectionMatrix:
     entries are the one representation: construction derives from them, once,
     the arrays every evaluator reads.
 
-    * Numeric: the entries of all coordinates in order, as flat ``row*d+col``
-      positions with their coordinate, pair ``(a, b)`` and float coefficient,
-      plus the float diagonal of shape ``(n, d)``.  ``velocity_matrix``
-      scatters them with one ``np.bincount``.
+    * Numeric: the entries grouped by their flat ``row*d+col`` position,
+      each position with its pair ``(a, b)`` and one row of a
+      ``(positions, n)`` float coefficient matrix, plus the float diagonal of
+      shape ``(n, d)``.  ``velocity_matrix`` and ``along`` write
+      ``(coef @ v) / (x_a - x_b)`` into those positions with one put.
     * Exact: the coefficients as integers over their common denominator, and
       the momenta as integers over theirs, so the flatness and equivariance
       residuals at a rational point are sums of Python ints.
@@ -106,24 +111,42 @@ class ConnectionMatrix:
     off: tuple[tuple[_OffEntry, ...], ...]
 
     def __post_init__(self):
-        entries = [(k, e) for k, off_k in enumerate(self.off) for e in off_k]
         d = self.dim
+        coef_den = math.lcm(*(e.coeff.denominator for off_k in self.off for e in off_k))
+        diag_den = math.lcm(*(q.denominator for dk in self.diag for q in dk))
+        coef_num = tuple(tuple(_scaled_int(e.coeff, coef_den) for e in off_k)
+                         for off_k in self.off)
+        # numeric: the entries grouped by position, each position holding
+        # the entries of one pair (a, b); its value is (coef @ v) / (x_a - x_b).
+        # int / int rounds correctly, as float(Fraction) does
+        as_float = {q: q / coef_den for q in {q for nums in coef_num for q in nums}}
+        slot: dict[int, int] = {}  # flat position -> row of coef
+        pairs: list[tuple[int, int]] = []
+        coef: list[list[float]] = []
+        for k, (off_k, nums) in enumerate(zip(self.off, coef_num)):
+            for e, q in zip(off_k, nums):
+                g = slot.setdefault(e.row * d + e.col, len(pairs))
+                if g == len(pairs):
+                    if e.row == e.col:
+                        raise ValueError("an off-diagonal entry lies on the diagonal")
+                    pairs.append((e.a, e.b))
+                    coef.append([0.0] * self.n)
+                elif pairs[g] != (e.a, e.b):
+                    raise ValueError("an off-diagonal position must hold one pair")
+                coef[g][k] += as_float[q]
         derived = {
-            "_k": np.array([k for k, _ in entries], dtype=np.intp),
-            "_flat": np.array([e.row * d + e.col for _, e in entries], dtype=np.intp),
-            "_a": np.array([e.a for _, e in entries], dtype=np.intp),
-            "_b": np.array([e.b for _, e in entries], dtype=np.intp),
-            "_coef": np.array([float(e.coeff) for _, e in entries], dtype=float),
+            "_pos": np.array(list(slot), dtype=np.intp),
+            "_pa": np.array([a for a, _ in pairs], dtype=np.intp),
+            "_pb": np.array([b for _, b in pairs], dtype=np.intp),
+            "_coef": np.array(coef),
             "_diag": np.array([[float(q) for q in dk] for dk in self.diag],
                               dtype=float).reshape(self.n, d),
-            "_coef_den": math.lcm(*(e.coeff.denominator for _, e in entries)),
-            "_diag_den": math.lcm(*(q.denominator for dk in self.diag for q in dk)),
+            "_coef_den": coef_den,
+            "_diag_den": diag_den,
+            "_coef_num": coef_num,
+            "_diag_num": tuple(tuple(_scaled_int(q, diag_den) for q in dk)
+                               for dk in self.diag),
         }
-        derived["_coef_num"] = tuple(
-            tuple(_scaled_int(e.coeff, derived["_coef_den"]) for e in off_k)
-            for off_k in self.off)
-        derived["_diag_num"] = tuple(
-            tuple(_scaled_int(q, derived["_diag_den"]) for q in dk) for dk in self.diag)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -140,14 +163,45 @@ class ConnectionMatrix:
         v = np.asarray(v, dtype=float)
         d = self.dim
         xs = np.atleast_2d(x)
-        m = len(xs)
-        vals = v[self._k] * self._coef / (xs[:, self._a] - xs[:, self._b])
-        flat = self._flat if m == 1 else (np.arange(m)[:, None] * (d * d) + self._flat)
-        out = np.bincount(flat.ravel(), weights=vals.ravel(), minlength=m * d * d)
-        out = out.astype(complex).reshape(m, d, d)
+        out = np.zeros((len(xs), d * d), dtype=complex)
+        gaps = xs[:, self._pa]  # in place: a grid's gaps are the largest temporary
+        gaps -= xs[:, self._pb]
+        out.real[:, self._pos] = np.divide(self._coef @ v, gaps, out=gaps)
+        out = out.reshape(len(xs), d, d)
         idx = np.arange(d)
         out[:, idx, idx] = 1j * (v @ self._diag)
         return out if x.ndim > 1 else out[0]
+
+    def along(self, a: np.ndarray, v: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
+        """``rhs(t, y) = velocity_matrix(a + t*v, v) @ y`` on the segment
+        x(t) = a + t*v.
+
+        The numerators ``coef @ v``, the pair gaps at ``a`` and their rates
+        are taken once, and the diagonal ``i (v . D)`` is set once in a
+        (d, d) buffer.  A call writes the off-diagonal entries into that
+        buffer only when ``t`` differs from the previous call's (the last two
+        Dormand-Prince stages share t + h)."""
+        a = np.asarray(a, dtype=float)
+        v = np.asarray(v, dtype=float)
+        d = self.dim
+        num = self._coef @ v
+        g0 = a[self._pa] - a[self._pb]
+        dg = v[self._pa] - v[self._pb]
+        pos = self._pos
+        buf = np.zeros((d, d), dtype=complex)
+        idx = np.arange(d)
+        buf[idx, idx] = 1j * (v @ self._diag)
+        off = buf.real.reshape(-1)  # a view: the off-diagonal entries are real
+        last_t = None
+
+        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+            nonlocal last_t
+            if t != last_t:
+                off[pos] = num / (g0 + t * dg)
+                last_t = t
+            return buf @ y
+
+        return rhs
 
     def eval_numeric(self, k: int, x: np.ndarray) -> np.ndarray:
         """Omega_k(x)."""
@@ -470,36 +524,45 @@ def _integrate_dp45(fun: Callable[[float, np.ndarray], np.ndarray],
 
     The stages live in one stacked array; each stage input and both
     solutions are a single contraction of the tableau row with that stack.
+    When the step size underflows, raises ``OverflowError`` if the last error
+    estimate was not finite (the solution overflowed) and
+    :class:`TransportStepError` otherwise.
     """
     t, y = t0, y0
     h = min(t1 - t0, max_step(t0))
     steps = 0
     rejected = 0
     max_err = 0.0
+    err = 0.0
     shape = np.shape(y0)
     k = np.empty((7, np.size(y0)), dtype=complex)  # stage s, flattened
-    k[0] = fun(t, y).ravel()
-    while t < t1:
-        h = min(h, t1 - t, max_step(t))
-        if h < _MIN_STEP:
-            raise TransportStepError(
-                f"step size underflow at t={t:.6g} (chamber margin too tight)")
-        for s in range(1, 7):
-            ys = y + h * (_DP_A[s, :s] @ k[:s]).reshape(shape)
-            k[s] = fun(t + _DP_C[s] * h, ys).ravel()
-        y5 = ys
-        y4 = y + h * (_DP_B4 @ k).reshape(shape)
-        scale = tol * (1.0 + np.max(np.abs(y)))
-        err = np.max(np.abs(y5 - y4)) / scale
-        if err <= 1.0:
-            t += h
-            y = y5
-            k[0] = k[6]
-            steps += 1
-            max_err = max(max_err, float(err * scale))
-        else:
-            rejected += 1
-        h *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
+    # an overflowing solution shows as a non-finite error estimate, which
+    # rejects every step until the step size underflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        k[0] = fun(t, y).ravel()
+        while t < t1:
+            h = min(h, t1 - t, max_step(t))
+            if h < _MIN_STEP:
+                if not math.isfinite(err):
+                    raise OverflowError(f"the transported frame overflowed at t={t:.6g}")
+                raise TransportStepError(
+                    f"step size underflow at t={t:.6g} (chamber margin too tight)")
+            for s in range(1, 7):
+                ys = y + h * (_DP_A[s, :s] @ k[:s]).reshape(shape)
+                k[s] = fun(t + _DP_C[s] * h, ys).ravel()
+            y5 = ys
+            y4 = y + h * (_DP_B4 @ k).reshape(shape)
+            scale = tol * (1.0 + np.max(np.abs(y)))
+            err = np.max(np.abs(y5 - y4)) / scale
+            if err <= 1.0:
+                t += h
+                y = y5
+                k[0] = k[6]
+                steps += 1
+                max_err = max(max_err, float(err * scale))
+            else:
+                rejected += 1
+            h *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
     return y, {"steps": steps, "rejected": rejected, "maxLocalError": max_err}
 
 
@@ -513,7 +576,10 @@ def transport_ode(conn: ConnectionMatrix, path: ChamberPath,
     """Solve dW/dt = (sum_k xdot_k Omega_k(x(t))) W along the path, W(0) = 1.
 
     The adaptive step is capped so a single step never moves farther than half
-    the distance to the nearest chamber wall.
+    the distance to the nearest chamber wall.  A frame that overflows (a
+    coupling or momenta too large for float transport) raises ``ValueError``
+    naming the segment; a step size that underflows with a finite error
+    estimate raises :class:`TransportStepError`.
     """
     if path.n != conn.n:
         raise PathValidationError("path dimension does not match the system")
@@ -528,16 +594,19 @@ def transport_ode(conn: ConnectionMatrix, path: ChamberPath,
         if speed == 0.0:
             continue
 
-        def rhs(t: float, y: np.ndarray, a=a, v=v) -> np.ndarray:
-            x = a + t * v
-            return conn.velocity_matrix(x, v) @ y
-
         def max_step(t: float, a=a, v=v, speed=speed) -> float:
             x = a + t * v
             return max(_wall_margin(x) / (2.0 * speed), _MIN_STEP * 10)
 
         try:
-            w, seg_stats = _integrate_dp45(rhs, 0.0, 1.0, w, tol, max_step)
+            w, seg_stats = _integrate_dp45(conn.along(a, v), 0.0, 1.0, w, tol, max_step)
+        except OverflowError as exc:
+            coupling = max(abs(e.coeff) for off_k in conn.off for e in off_k)
+            raise ValueError(
+                f"{exc} on segment {a.tolist()} -> {b.tolist()}: the coupling "
+                f"|c| = {float(coupling):.6g} or the momenta "
+                f"p = {[float(q) for q in conn.p]} are too large for float transport"
+            ) from None
         except TransportStepError as exc:
             raise TransportStepError(
                 f"{exc} on segment {a.tolist()} -> {b.tolist()}") from exc

@@ -239,6 +239,20 @@ class TestTransportCommand:
         assert out == "" and err.startswith("error: ") and "too large" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("c", ["1e6", "1e10", "1e300"])
+    def test_coupling_that_overflows_the_frame_is_usage_error(self, capsys, tmp_path, c,
+                                                              recwarn):
+        # the path is fine: the transported frame overflows, and numpy's
+        # overflow warnings stay silent
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(LOOP3))
+        code, out, err = run_cli(capsys, "transport", "--path", str(path),
+                                 "--p=1,0,-1", f"--c={c}")
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "too large" in err
+        assert "RuntimeWarning" not in err and "chamber" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "transport",
                              "--path", str(tmp_path / "none.json"), "--p", "1,2")

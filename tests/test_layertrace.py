@@ -1,5 +1,5 @@
-"""The benchmark's layer tracer must see every suite, Dunkl, symbol and Lax
-step function that its per-function metrics name.
+"""The benchmark's layer tracer must see every suite, Dunkl, symbol, transport
+and Lax step function that its per-function metrics name.
 
 The tracer wraps functions by patching module attributes, so a call that
 bypasses the module-level name (a dispatch table built at import time, say)
@@ -7,6 +7,7 @@ would leave a metric silently at zero.  The tracer is read from
 ``perfbench/layertrace.py`` without importing it as a file, so no bytecode
 is written next to it."""
 
+import json
 import pathlib
 import types
 
@@ -77,3 +78,28 @@ def test_count_tracer_sees_every_lax_step(capsys):
     assert layertrace._FUNCTION_METRICS["laxdyn.steps"] == ("laxdyn._rk4_step", "calls")
     assert calls["laxdyn._rk4_step"] == 10
     assert calls["laxdyn.integrate"] == 1
+
+
+def test_count_tracer_sees_transport(capsys, tmp_path):
+    # transport.ode_steps comes from a result hook on transport_ode, so it
+    # must equal the step count the report states
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps({"N": 3, "margin": 0.1,
+                                "waypoints": [[0.0, 1.0, 2.0], [0.3, 1.2, 2.5],
+                                              [-0.2, 0.9, 2.1], [0.0, 1.0, 2.0]]}))
+    layertrace = _layertrace()
+    tracer = layertrace.CountTracer()
+    tracer.install()
+    try:
+        code = calogero.cli.main(["transport", f"--path={loop}", "--p=1/2,-1/3,1/4",
+                                  "--compare-dyson", "2", "20"])
+    finally:
+        tracer.uninstall()
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    calls = dict(zip(tracer.names, tracer.calls))
+    for name in ("transport.transport_ode", "transport.transport_dyson",
+                 "transport.build_local_system"):
+        assert calls[name] == 1, name
+    assert report["stepStats"]["steps"] > 0
+    assert tracer.counters["transport.ode_steps"] == report["stepStats"]["steps"]

@@ -13,6 +13,8 @@ from calogero.transport import (
     ChamberPath,
     EquivarianceError,
     PathValidationError,
+    TransportStepError,
+    _integrate_dp45,
     build_local_system,
     equivariance_check,
     free_transport,
@@ -116,6 +118,47 @@ class TestBuildLocalSystem:
                     unit = np.eye(n)[k]
                     assert np.allclose(conn.eval_numeric(k, x),
                                        _entry_loop_velocity(conn, x, unit), rtol=0, atol=1e-14)
+
+    def test_segment_form_matches_velocity_matrix(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 4, 5):
+            conn = build_local_system(n, [F(i + 1, 3) - 1 for i in range(n)], F(5, 4))
+            a = np.cumsum(rng.uniform(0.2, 1.5, size=n))
+            v = np.cumsum(rng.uniform(0.2, 1.5, size=n)) - a
+            y = rng.normal(size=(conn.dim, conn.dim)) + 1j * rng.normal(size=(conn.dim, conn.dim))
+            rhs = conn.along(a, v)
+            for t in (0.0, 0.37, 1.0):
+                ref = conn.velocity_matrix(a + t * v, v) @ y
+                # the gaps are a_a - a_b + t (v_a - v_b) here and
+                # x_a - x_b there, so they may round differently
+                assert np.max(np.abs(rhs(t, y) - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+
+    def test_segment_form_refreshes_the_matrix_not_the_product(self):
+        # the matrix is rewritten whenever t changes and reused while it does
+        # not; the product is taken afresh at every call
+        rng = np.random.default_rng(11)
+        conn = build_local_system(3, P3, F(1))
+        a, b = (np.asarray(w) for w in LOOP3[:2])
+        v = b - a
+        rhs = conn.along(a, v)
+        ys = [rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for _ in range(4)]
+        for t, y in ((0.25, ys[0]), (0.6, ys[1]), (0.25, ys[2]), (0.25, ys[3])):
+            ref = conn.velocity_matrix(a + t * v, v) @ y
+            assert np.max(np.abs(rhs(t, y) - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("move", ["pair", "diagonal"])
+    def test_entries_that_one_put_cannot_hold_are_refused(self, move):
+        # each off-diagonal position holds the entries of one pair
+        conn = build_local_system(3, P3, F(1))
+        off = [list(o) for o in conn.off]
+        e = off[1][0]
+        if move == "pair":
+            a, b = next(ab for ab in ((0, 1), (0, 2), (1, 2)) if ab != (e.a, e.b))
+            off[1][0] = dataclasses.replace(e, a=a, b=b)
+        else:
+            off[1][0] = dataclasses.replace(e, col=e.row)
+        with pytest.raises(ValueError):
+            dataclasses.replace(conn, off=tuple(tuple(o) for o in off))
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
@@ -425,6 +468,23 @@ class TestTransportOde:
         conn = build_local_system(2, (F(1), F(2)), F(1))
         with pytest.raises(PathValidationError):
             transport_ode(conn, benchmark_path)
+
+    def test_finite_too_stiff_right_hand_side_is_a_step_error(self):
+        # y' = -1e20 y is unstable for every step above the floor, yet each
+        # error estimate stays finite: the step size underflows
+        y0 = np.ones((2, 2), dtype=complex)
+        with pytest.raises(TransportStepError, match="underflow"):
+            _integrate_dp45(lambda t, y: -1e20 * y, 0.0, 1.0, y0, 1e-10, lambda t: 1.0)
+
+    def test_overflowing_frame_blames_the_coupling(self, recwarn):
+        # the CLI tests cover couplings 1e6 and 1e10, which take seconds
+        conn = build_local_system(3, (F(1), F(0), F(-1)), F(10) ** 300)
+        loop = ChamberPath(LOOP3, margin=0.1)
+        with pytest.raises(ValueError, match="too large") as info:
+            transport_ode(conn, loop)
+        assert not isinstance(info.value, PathValidationError)
+        assert "segment" in str(info.value) and "chamber" not in str(info.value)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_off_diagonal_scales_with_coupling(self):
         # off-diagonal entries scale with c, the momentum diagonal stays put
