@@ -22,6 +22,7 @@ from .exactalg import (
     MultiPoly,
     Permutation,
     RationalSection,
+    _compositions,
 )
 
 __all__ = [
@@ -157,7 +158,7 @@ def calogero_apply(f: RationalSection, g: MultiPoly | Fraction | int) -> Rationa
     c(c+1); a polynomial is multiplied in as a section.
     """
     if isinstance(g, MultiPoly):
-        g = RationalSection.from_poly(g)
+        g = RationalSection(g)
     return laplacian(f).scale(Fraction(-1, 2)) + pair_potential(f) * g
 
 
@@ -166,30 +167,20 @@ def vandermonde(n: int) -> RationalSection:
     p = MultiPoly.one(n)
     for i, j in itertools.combinations(range(n), 2):
         p = p * (MultiPoly.variable(n, i) - MultiPoly.variable(n, j))
-    return RationalSection.from_poly(p)
-
-
-def _partitions(total: int, max_part: int | None = None):
-    if total == 0:
-        yield ()
-        return
-    if max_part is None:
-        max_part = total
-    for head in range(min(total, max_part), 0, -1):
-        for tail in _partitions(total - head, head):
-            yield (head,) + tail
+    return RationalSection(p)
 
 
 def symmetric_basis(n: int, max_degree: int) -> list[RationalSection]:
-    """Monomial symmetric polynomials m_lambda, |lambda| <= max_degree."""
+    """Monomial symmetric polynomials m_lambda, |lambda| <= max_degree, by
+    degree and then by partition lambda in descending order.  Each m_lambda
+    sums the exponent vectors whose non-increasing sort is lambda."""
     out = []
     for deg in range(max_degree + 1):
-        for lam in _partitions(deg):
-            if len(lam) > n:
-                continue
-            exps = set(itertools.permutations(tuple(lam) + (0,) * (n - len(lam))))
-            poly = MultiPoly(n, {e + (0,): 1 for e in exps})
-            out.append(RationalSection.from_poly(poly))
+        orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for e in _compositions(deg, n):
+            orbits.setdefault(tuple(sorted(e, reverse=True)), []).append(e)
+        for lam in sorted(orbits, reverse=True):
+            out.append(RationalSection(MultiPoly(n, {e + (0,): 1 for e in orbits[lam]})))
     return out
 
 

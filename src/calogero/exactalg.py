@@ -102,6 +102,8 @@ class MultiPoly:
                 if len(exp) != arity + 1:
                     raise ValueError(f"exponent {exp} has wrong length for arity {arity} "
                                      "(one slot per coordinate plus the coupling slot)")
+                if min(exp) < 0:
+                    raise ValueError(f"exponent {exp} has a negative entry")
                 coef = _as_rat(coef)
                 if coef:
                     clean[tuple(exp)] = coef
@@ -467,21 +469,23 @@ class RationalSection:
     __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den: Mapping[tuple[int, int], int] | None = None):
-        self.num = num
+        """``num / prod (x_i - x_j)^d`` for ``den = {(i, j): d}``; a pair given
+        as i > j is stored as (j, i), with its sign (-1)^d in the numerator."""
         clean: dict[tuple[int, int], int] = {}
         if den:
             for (i, j), d in den.items():
                 if d < 0:
                     raise ValueError("denominator exponents must be >= 0")
-                if d > 0:
+                if not (0 <= i < num.arity and 0 <= j < num.arity):
+                    raise ValueError(f"pair ({i}, {j}) is out of range for arity {num.arity}")
+                if d:
                     clean[_pair(i, j)] = clean.get(_pair(i, j), 0) + d
+                if i > j and d % 2:
+                    num = -num
+        self.num = num
         self.den = clean
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "RationalSection":
-        return cls(p)
 
     @classmethod
     def zero(cls, arity: int) -> "RationalSection":
@@ -498,8 +502,7 @@ class RationalSection:
     @classmethod
     def inverse_difference(cls, arity: int, i: int, j: int, power: int = 1) -> "RationalSection":
         """1 / (x_i - x_j)^power; for i > j the sign moves to the numerator."""
-        sign = 1 if i < j else (-1) ** power
-        return cls(MultiPoly.constant(arity, sign), {_pair(i, j): power})
+        return cls(MultiPoly.one(arity), {(i, j): power})
 
     # -- canonical form ---------------------------------------------------
 
@@ -714,4 +717,4 @@ def parse_section(text: str, arity: int | None = None) -> RationalSection:
         for m in _DEN_RE.finditer(dentext.strip()[1:-1]):
             den[(int(m.group(1)), int(m.group(2)))] = int(m.group(3))
         return RationalSection(num, den)
-    return RationalSection.from_poly(_parse_multipoly(text, arity))
+    return RationalSection(_parse_multipoly(text, arity))

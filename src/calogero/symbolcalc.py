@@ -1,21 +1,23 @@
-"""Normal-ordering calculus: shift/sign-flip/dilation words, the truncated
-Taylor form of the sign-changing operator, the normal-ordered swap series,
-and its symbol.
+"""Normal-ordering calculus: shift and dilation words, the truncated Taylor
+form of the sign-changing operator, the normal-ordered swap series, and its
+symbol.
 
 A :class:`ShiftWord` is a product of exactly-computable substitution
-operators: ``exp(a x_j d_k)`` replaces ``x_k`` by ``x_k + a x_j``,
-``(-1)^{x_k d_k}`` flips the sign of ``x_k``, and ``q^{x_k d_k}`` rescales
-it.  Words are written in operator order (leftmost acts last), so applying a
-word walks its atoms right to left.  The registry below collects the candidate
-shift-word factorizations of the coordinate swap; the suite reports which of
-them reproduce the swap exactly rather than assuming they all do.
+operators: ``exp(a x_j d_k)`` replaces ``x_k`` by ``x_k + a x_j``, and the
+dilation ``q^{x_k d_k}`` rescales it; the sign flip ``(-1)^{x_k d_k}`` is the
+dilation by -1.  Words are written in operator order (leftmost acts last), so
+applying a word walks its atoms right to left.  The registry below collects
+the candidate shift-word factorizations of the coordinate swap; the suite
+reports which of them reproduce the swap exactly rather than assuming they
+all do.
 
-The normal-ordered swap series is
+Both series are the normal-ordered Taylor sum ``sum_n gap^n / n! D^n f``
+(gap factors left of derivatives), truncated at ``n <= order``: the swap
 
-    P_jk = sum_n (x_j - x_k)^n / n! (d_k - d_j)^n
+    P_jk = sum_n (x_j - x_k)^n / n! (d_k - d_j)^n,
 
-(x factors left of derivatives), exact on polynomials once the truncation
-order reaches the total degree.
+and the sign flip with gap ``-2v`` and ``D = d_v``.  Each is exact on
+polynomials once the truncation order reaches the total degree.
 """
 
 from __future__ import annotations
@@ -31,14 +33,12 @@ from .exactalg import MultiPoly, Permutation, _poly_from, monomial_exponents
 
 __all__ = [
     "Shift",
-    "SignFlip",
     "Scale",
     "ShiftWord",
     "apply_shift_word",
     "swap_word_registry",
     "sign_flip_series",
     "permutation_series",
-    "scaling_apply",
     "SymbolTerm",
     "symbol_of_permutation",
     "quantize_apply",
@@ -58,17 +58,8 @@ class Shift:
 
 
 @dataclass(frozen=True)
-class SignFlip:
-    """(-1)^{x_target d_target}: x_target <- -x_target."""
-    target: int
-
-    def apply(self, f: MultiPoly) -> MultiPoly:
-        return f.substitute_scale(self.target, Fraction(-1))
-
-
-@dataclass(frozen=True)
 class Scale:
-    """q^{x_target d_target}: x_target <- q * x_target."""
+    """q^{x_target d_target}: x_target <- q * x_target; q = -1 is the sign flip."""
     target: int
     q: Fraction
 
@@ -76,7 +67,7 @@ class Scale:
         return f.substitute_scale(self.target, self.q)
 
 
-Atom = Union[Shift, SignFlip, Scale]
+Atom = Union[Shift, Scale]
 ShiftWord = tuple  # tuple of atoms in operator order
 
 
@@ -102,43 +93,42 @@ def swap_word_registry(j: int, k: int) -> dict[str, ShiftWord]:
     """
     one = Fraction(1)
     return {
-        "flip-left": (SignFlip(k), Shift(k, j, one), Shift(j, k, -one), Shift(k, j, one)),
-        "flip-right": (Shift(j, k, one), Shift(k, j, -one), Shift(j, k, one), SignFlip(k)),
-        "flip-left-reversed": (SignFlip(j), Shift(k, j, -one), Shift(j, k, one), Shift(k, j, -one)),
+        "flip-left": (Scale(k, -one), Shift(k, j, one), Shift(j, k, -one), Shift(k, j, one)),
+        "flip-right": (Shift(j, k, one), Shift(k, j, -one), Shift(j, k, one), Scale(k, -one)),
+        "flip-left-reversed": (Scale(j, -one), Shift(k, j, -one), Shift(j, k, one), Shift(k, j, -one)),
     }
 
 
+def _taylor(f: MultiPoly, gap: MultiPoly, derive, order: int) -> MultiPoly:
+    """sum_{n<=order} gap^n / n! D^n f with ``D = derive``, gap factors on the
+    left; the sum stops early once D^n f vanishes."""
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    out = MultiPoly.zero(f.arity)
+    deriv = f
+    power = MultiPoly.one(f.arity)
+    for n in range(order + 1):
+        if n > 0:
+            deriv = derive(deriv)
+            power = power * gap
+        if deriv.is_zero():
+            break
+        out = out + (power * deriv).scale(Fraction(1, math.factorial(n)))
+    return out
+
+
 def sign_flip_series(coeffs: Sequence[Fraction | int], order: int) -> tuple[Fraction, ...]:
-    """Truncated Taylor form of the sign flip on a univariate polynomial:
+    """Truncated Taylor form of the sign flip on a univariate polynomial
+    (coefficients from degree 0 up):
 
         sum_{n<=order} (-2v)^n / n! d_v^n f(v)
 
     Exact (equals f(-v)) once ``order >= deg f``; lower orders return the
-    literal truncated sum.
+    literal truncated sum, without trailing zero coefficients.
     """
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    cs = [Fraction(v) for v in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    out = [Fraction(0)] * len(cs)
-    deriv = list(cs)
-    for n in range(order + 1):
-        if n > 0:
-            deriv = [deriv[m] * m for m in range(1, len(deriv))]
-        if not deriv:
-            break
-        # multiply d_v^n f by (-2v)^n / n!: degree shifts back up by n
-        factor = Fraction((-2) ** n, math.factorial(n))
-        for m, val in enumerate(deriv):
-            out[m + n] += val * factor
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _directional_derivative(f: MultiPoly, k: int, j: int) -> MultiPoly:
-    return f.partial(k) - f.partial(j)
+    f = MultiPoly(1, {(m, 0): Fraction(v) for m, v in enumerate(coeffs)})
+    out = _taylor(f, MultiPoly.monomial(1, (1,), -2), lambda g: g.partial(0), order)
+    return tuple(Fraction(out.terms.get((m, 0), 0)) for m in range(out.total_degree() + 1))
 
 
 def permutation_series(j: int, k: int, f: MultiPoly, order: int) -> MultiPoly:
@@ -148,26 +138,8 @@ def permutation_series(j: int, k: int, f: MultiPoly, order: int) -> MultiPoly:
 
     Exact (equals the swap) once ``order >= deg f``.
     """
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    n_vars = f.arity
-    diff = MultiPoly.variable(n_vars, j) - MultiPoly.variable(n_vars, k)
-    out = MultiPoly.zero(n_vars)
-    deriv = f
-    power = MultiPoly.one(n_vars)
-    for n in range(order + 1):
-        if n > 0:
-            deriv = _directional_derivative(deriv, k, j)
-            power = power * diff
-        if deriv.is_zero():
-            break
-        out = out + (power * deriv).scale(Fraction(1, math.factorial(n)))
-    return out
-
-
-def scaling_apply(q: Fraction | int, k: int, f: MultiPoly) -> MultiPoly:
-    """Dilation q^{x_k d_k}: substitutes x_k <- q x_k."""
-    return f.substitute_scale(k, Fraction(q))
+    gap = MultiPoly.variable(f.arity, j) - MultiPoly.variable(f.arity, k)
+    return _taylor(f, gap, lambda g: g.partial(k) - g.partial(j), order)
 
 
 @dataclass(frozen=True)

@@ -203,10 +203,6 @@ class ConnectionMatrix:
 
         return rhs
 
-    def eval_numeric(self, k: int, x: np.ndarray) -> np.ndarray:
-        """Omega_k(x)."""
-        return self.velocity_matrix(x, np.eye(self.n)[k])
-
     def _phase_matrix(self, dx: np.ndarray) -> np.ndarray:
         """exp(i sum_k dx_k D_k): transport of the diagonal (c=0) part over
         the displacement ``dx``."""
@@ -711,8 +707,7 @@ def transport_dyson(conn: ConnectionMatrix, path: ChamberPath,
 
 
 def plane_wave_map(conn: ConnectionMatrix, base_point: Sequence[float],
-                   lam_max: float, tol: float = 1e-10,
-                   margin: float | None = None) -> dict:
+                   lam_max: float, tol: float = 1e-10) -> dict:
     """Transport outward along the dilation ray x -> lam*x and report the
     lam-dependence of the frame after stripping the free phases.
 
@@ -727,8 +722,7 @@ def plane_wave_map(conn: ConnectionMatrix, base_point: Sequence[float],
     lambdas = [1.0]
     while lambdas[-1] < lam_max:
         lambdas.append(min(lambdas[-1] * 2.0, lam_max))
-    if margin is None:
-        margin = 0.5 * float(np.min(np.diff(x0)))
+    margin = 0.5 * float(np.min(np.diff(x0)))  # the gaps only grow along the ray
 
     w = np.eye(conn.dim, dtype=complex)
     frames = []
@@ -759,12 +753,12 @@ def permute_momenta(p: Sequence[Fraction], sigma: Permutation) -> tuple[Fraction
     return tuple(Fraction(p[inv(j)]) for j in range(len(p)))
 
 
-def random_chamber_point(n: int, rng, max_num: int = 12, max_den: int = 4) -> tuple[Fraction, ...]:
-    """Strictly ordered exact rational point with gaps >= 1/max_den."""
-    x = Fraction(rng.randint(-2 * max_num, 2 * max_num), rng.randint(1, max_den))
+def random_chamber_point(n: int, rng) -> tuple[Fraction, ...]:
+    """Strictly ordered exact rational point with gaps a/b >= 1/4 (a <= 12, b <= 4)."""
+    x = Fraction(rng.randint(-24, 24), rng.randint(1, 4))
     out = [x]
     for _ in range(n - 1):
-        x = x + Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
+        x = x + Fraction(rng.randint(1, 12), rng.randint(1, 4))
         out.append(x)
     return tuple(out)
 

@@ -206,7 +206,7 @@ def test_criterion_10_free_limit_degeneration():
         if not commutator_dunkl(0, 2, f).specialize_coupling(0).is_zero():
             ok = False
     lap = sum_of_squares(RationalSection.monomial(3, (2, 0, 0)))
-    if lap.specialize_coupling(0) != RationalSection.from_poly(MultiPoly.constant(3, 2)):
+    if lap.specialize_coupling(0) != RationalSection(MultiPoly.constant(3, 2)):
         ok = False
     # transport decouples into pure phases at c=0
     conn = build_local_system(3, BENCHMARK_P, 0)

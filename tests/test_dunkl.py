@@ -105,7 +105,7 @@ class TestIntertwining:
 
 class TestSumOfSquares:
     def test_matches_normal_form_antisymmetric(self):
-        f = RationalSection.from_poly(
+        f = RationalSection(
             MultiPoly.variable(2, 0) - MultiPoly.variable(2, 1))
         assert (sum_of_squares(f) - sum_of_squares_normal_form(f)).is_zero()
 
@@ -116,7 +116,7 @@ class TestSumOfSquares:
     def test_free_limit_is_laplacian(self):
         f = mono(2, 2, 0)
         assert sum_of_squares(f).specialize_coupling(0) == \
-            RationalSection.from_poly(MultiPoly.constant(2, 2))
+            RationalSection(MultiPoly.constant(2, 2))
 
     def test_graded_pieces_of_residual_vanish(self):
         f = mono(3, 2, 0, 1)
@@ -134,7 +134,7 @@ class TestRestriction:
         assert result == expected
 
     def test_antisymmetric_linear_carries_cm1_factor(self):
-        f = RationalSection.from_poly(
+        f = RationalSection(
             MultiPoly.variable(2, 0) - MultiPoly.variable(2, 1))
         result = restricted_projection(f, "antisymmetric")
         expected = RationalSection(g_minus(2).scale(F(-2)), {(0, 1): 1})
@@ -157,7 +157,7 @@ class TestRestriction:
             calogero_apply(v, g_minus(2)).scale(-2)
 
     def test_free_limit_is_laplacian(self):
-        f = RationalSection.from_poly(
+        f = RationalSection(
             MultiPoly.monomial(2, (2, 0)) + MultiPoly.monomial(2, (0, 2)))
         res = restricted_projection(f, "symmetric").specialize_coupling(0)
         assert res == laplacian(f)
@@ -172,7 +172,7 @@ class TestRestriction:
 class TestCalogeroApply:
     def test_free_quadratic(self):
         assert calogero_apply(mono(2, 2, 0), 0) == \
-            RationalSection.from_poly(MultiPoly.constant(2, -1))
+            RationalSection(MultiPoly.constant(2, -1))
 
     def test_unit_coupling_constant_input(self):
         assert calogero_apply(RationalSection.one(2), 1) == \
@@ -183,7 +183,7 @@ class TestCalogeroApply:
         expected = RationalSection.zero(3)
         for i, j in itertools.combinations(range(3), 2):
             expected = expected + RationalSection.inverse_difference(3, i, j, 2) * \
-                RationalSection.from_poly(g_minus(3))
+                RationalSection(g_minus(3))
         assert result == expected
 
 
@@ -247,3 +247,77 @@ def test_c2_sign_mutation_in_shared_normal_ordered_loop_fails_both_suites(monkey
     assert len(sumsq["failures"]) == sumsq["caseCount"] > 0
     assert len(restriction["failures"]) == restriction["caseCount"] > 0
     assert {f["sign"] for f in restriction["failures"]} == {"symmetric", "antisymmetric"}
+
+
+def _broken_dunkl(k, f):
+    """nabla_k, except that coordinate 0's exchange term carries 2c, not c:
+    2 (d_0 f - c X f) - d_0 f = d_0 f - 2c X f."""
+    if k != 0:
+        return apply_dunkl(k, f)
+    return apply_dunkl(0, f).scale(2) - f.partial(0)
+
+
+def _broken_zero_curvature_failures(n, degree):
+    out = []
+    for e in monomial_exponents(n, degree):
+        f = RationalSection.monomial(n, e)
+        for j, k in itertools.combinations(range(n), 2):
+            residual = _broken_dunkl(j, _broken_dunkl(k, f)) - _broken_dunkl(k, _broken_dunkl(j, f))
+            if not residual.is_zero():
+                out.append((list(e), [j, k], residual))
+    return out
+
+
+def _broken_intertwining_failures(n, degree):
+    out = []
+    for e in monomial_exponents(n, degree):
+        f = RationalSection.monomial(n, e)
+        for j, k in itertools.combinations(range(n), 2):
+            s = Permutation.transposition(n, j, k)
+            for l in range(n):
+                residual = (_broken_dunkl(l, f).permute(s)
+                            - _broken_dunkl(s(l), f.permute(s)))
+                if not residual.is_zero():
+                    out.append((list(e), [j, k], l, residual))
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched module only when forked"))])
+def test_broken_operator_fails_zero_curvature(monkeypatch, workers):
+    # The suite must compare nabla_j nabla_k with nabla_k nabla_j, not a
+    # difference that vanishes whatever the operator: with a wrong exchange
+    # coefficient on one coordinate, its failures are exactly the nonzero
+    # commutators of the broken operator, in case order.
+    monkeypatch.setattr(suites, "apply_dunkl", _broken_dunkl)
+    for n, degree, failing in ((2, 2, 6), (3, 2, 20)):
+        with suites.worker_pool(workers) as pool:
+            record = suites.zero_curvature_suite(n, degree, pool)
+        expected = _broken_zero_curvature_failures(n, degree)
+        assert len(expected) == failing
+        assert [(f["monomial"], f["pair"]) for f in record["failures"]] == \
+            [(e, pair) for e, pair, _ in expected]
+        for failure, (_, _, residual) in zip(record["failures"], expected):
+            assert failure["residual"] == residual.to_text()
+            assert failure["nonzeroCouplingPowers"] == [
+                pw for pw in (1, 2) if not residual.coupling_component(pw).is_zero()]
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched module only when forked"))])
+def test_broken_operator_fails_intertwining(monkeypatch, workers):
+    # Likewise the swap must be compared with the operator on the swapped
+    # section: the failures are exactly the broken operator's nonzero
+    # intertwining residuals.
+    monkeypatch.setattr(suites, "apply_dunkl", _broken_dunkl)
+    for n, degree, failing in ((2, 2, 12), (3, 2, 40)):
+        with suites.worker_pool(workers) as pool:
+            record = suites.intertwining_suite(n, degree, pool)
+        expected = _broken_intertwining_failures(n, degree)
+        assert len(expected) == failing
+        assert [(f["monomial"], f["pair"], f["component"]) for f in record["failures"]] == \
+            [(e, pair, l) for e, pair, l, _ in expected]
+        for failure, (_, _, _, residual) in zip(record["failures"], expected):
+            assert failure["residual"] == residual.to_text()

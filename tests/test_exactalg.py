@@ -59,7 +59,7 @@ class TestCouplingSlot:
         assert MultiPoly.constant(2, 5).shift_var(2, 2) == coupling_poly(2, 0, 0, 5)
         assert MultiPoly.coupling(2, 2).scale(5) == coupling_poly(2, 0, 0, 5)
         f = RationalSection(var(2, 1), {(0, 1): 1})
-        assert f.mul_coupling(2) == f * RationalSection.from_poly(MultiPoly.coupling(2, 2))
+        assert f.mul_coupling(2) == f * RationalSection(MultiPoly.coupling(2, 2))
 
     def test_coupling_slot_is_not_a_coordinate(self):
         p = MultiPoly.monomial(2, (1, 2)) * MultiPoly.coupling(2, 3)
@@ -78,7 +78,7 @@ class TestCouplingSlot:
         p = (coupling_poly(2, 1, 2) * var(2, 1) + coupling_poly(2, F(-1, 2), 0, 3)
              + MultiPoly.coupling(2))
         assert p.to_text() == "(-1/2 + 1 c + 3 c^2) x^(0,0) + (1 + 2 c) x^(0,1)"
-        assert parse_section(p.to_text()) == RationalSection.from_poly(p)
+        assert parse_section(p.to_text()) == RationalSection(p)
 
 
 class TestMultiPoly:
@@ -211,7 +211,7 @@ class TestRationalSection:
     def test_arithmetic_defers_reduction_to_text(self):
         x0, x1 = var(2, 0), var(2, 1)
         f = RationalSection.one(2).mul_inverse_difference(0, 1)
-        g = f * RationalSection.from_poly(x0 - x1)
+        g = f * RationalSection(x0 - x1)
         assert g.den == {(0, 1): 1}            # kept as built
         assert g == RationalSection.one(2)
         assert g.reduced().den == {} and g.to_text() == RationalSection.one(2).to_text()
@@ -220,6 +220,34 @@ class TestRationalSection:
     def test_scale_by_zero(self):
         f = RationalSection.inverse_difference(2, 0, 1)
         assert f.scale(0).is_zero()
+
+    def test_reversed_pair_keeps_its_sign(self):
+        # {(1, 0): d} is 1/(x1 - x0)^d: the odd power changes sign against
+        # (x0 - x1), the even one does not
+        one = MultiPoly.one(2)
+        for d, value in ((1, F(1)), (2, F(1)), (3, F(1, 8))):
+            point = [0, 1] if d < 3 else [0, 2]
+            f = RationalSection(one, {(1, 0): d})
+            assert f.eval(point) == value
+            assert f == RationalSection.inverse_difference(2, 1, 0, d)
+            assert f == RationalSection(one, {(0, 1): d}).scale((-1) ** d)
+
+    def test_reversed_pair_in_text_keeps_its_sign(self):
+        f = parse_section("[(1) x^(0,0)] / [(x1-x0)^1]", arity=2)
+        assert f.eval([0, 1]) == 1
+        assert f.to_text() == "[(-1) x^(0,0)] / [(x0-x1)^1]"
+
+    def test_pair_out_of_range_is_refused(self):
+        for pair in ((0, 5), (-1, 1), (2, 0)):
+            with pytest.raises(ValueError):
+                RationalSection(MultiPoly.one(2), {pair: 1})
+
+    def test_negative_exponent_is_refused(self):
+        for exp in ((-1, 0, 0), (0, 1, -2)):
+            with pytest.raises(ValueError):
+                MultiPoly(2, {exp: 1})
+        with pytest.raises(ValueError):
+            parse_section("(1) x^(-1,0)", arity=2)
 
 
 class TestRandomizedInvariants:
@@ -270,7 +298,7 @@ class TestRandomizedInvariants:
         with pytest.raises(ValueError):
             parse_section("0")  # arity cannot be inferred
         coupled = RationalSection.inverse_difference(2, 0, 1) * \
-            RationalSection.from_poly(coupling_poly(2, F(-1, 2), 0, F(3)))
+            RationalSection(coupling_poly(2, F(-1, 2), 0, F(3)))
         assert parse_section(coupled.to_text()) == coupled
 
     def test_permute_size_mismatch(self):

@@ -7,12 +7,10 @@ from calogero.exactalg import MultiPoly, Permutation, monomial_exponents
 from calogero.symbolcalc import (
     Scale,
     Shift,
-    SignFlip,
     apply_shift_word,
     permutation_series,
     quantize_apply,
     realization_report,
-    scaling_apply,
     sign_flip_series,
     swap_word_registry,
     symbol_of_permutation,
@@ -30,7 +28,7 @@ def swap(f, j=0, k=1):
 class TestShiftWords:
     def test_sign_flip_even_power(self):
         f = mono(2, 2, 1)
-        assert apply_shift_word((SignFlip(0),), f) == f
+        assert apply_shift_word((Scale(0, F(-1)),), f) == f
 
     def test_single_shift(self):
         f = MultiPoly.variable(2, 0)
@@ -102,24 +100,20 @@ class TestPermutationSeries:
 class TestScaling:
     def test_minus_one_is_sign_flip(self):
         f = mono(2, 3, 0)
-        assert scaling_apply(-1, 0, f) == f.scale(F(-1))
+        assert Scale(0, F(-1)).apply(f) == f.scale(F(-1))
 
     def test_eigenvalue_powers(self):
-        assert scaling_apply(2, 0, mono(2, 2, 0)) == MultiPoly.monomial(2, (2, 0), 4)
+        assert Scale(0, F(2)).apply(mono(2, 2, 0)) == MultiPoly.monomial(2, (2, 0), 4)
 
     def test_identity(self):
         f = mono(2, 1, 4)
-        assert scaling_apply(1, 0, f) == f
+        assert Scale(0, F(1)).apply(f) == f
 
     def test_composition_multiplies_factors(self):
         for exps in monomial_exponents(2, 4):
             f = MultiPoly.monomial(2, exps)
-            twice = scaling_apply(F(2), 0, scaling_apply(F(3, 2), 0, f))
-            assert twice == scaling_apply(F(3), 0, f)
-
-    def test_scale_atom_matches_function(self):
-        f = mono(2, 2, 1)
-        assert apply_shift_word((Scale(0, F(5)),), f) == scaling_apply(5, 0, f)
+            twice = Scale(0, F(2)).apply(Scale(0, F(3, 2)).apply(f))
+            assert twice == Scale(0, F(3)).apply(f)
 
 
 class TestSymbol:

@@ -121,7 +121,7 @@ POLYS3 = [
 
 
 def _poly_expr(p, xs):
-    return _from_text(RationalSection.from_poly(p), xs)
+    return _from_text(RationalSection(p), xs)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)])

@@ -82,12 +82,12 @@ class TestBuildLocalSystem:
     def test_free_two_particle_diagonals(self):
         conn = build_local_system(2, [F(1), F(2)], 0)
         x = np.array([0.0, 1.0])
-        assert np.allclose(conn.eval_numeric(0, x), np.diag([1j, 2j]))
-        assert np.allclose(conn.eval_numeric(1, x), np.diag([2j, 1j]))
+        assert np.allclose(conn.velocity_matrix(x, np.eye(2)[0]), np.diag([1j, 2j]))
+        assert np.allclose(conn.velocity_matrix(x, np.eye(2)[1]), np.diag([2j, 1j]))
 
     def test_two_particle_off_diagonal_coupling(self):
         conn = build_local_system(2, [F(1), F(2)], F(3))
-        m = conn.eval_numeric(0, np.array([0.0, 1.0]))
+        m = conn.velocity_matrix(np.array([0.0, 1.0]), np.eye(2)[0])
         assert np.isclose(m[0, 1], 3.0)   # 3/(x1-x0)
         assert np.isclose(m[1, 0], 3.0)
 
@@ -116,7 +116,7 @@ class TestBuildLocalSystem:
                 assert np.array_equal(conn.velocity_matrix(x, v), m)
                 for k in range(n):
                     unit = np.eye(n)[k]
-                    assert np.allclose(conn.eval_numeric(k, x),
+                    assert np.allclose(conn.velocity_matrix(x, unit),
                                        _entry_loop_velocity(conn, x, unit), rtol=0, atol=1e-14)
 
     def test_segment_form_matches_velocity_matrix(self):
@@ -491,7 +491,7 @@ class TestTransportOde:
         base = build_local_system(2, (F(1), F(2)), F(1))
         scaled = build_local_system(2, (F(1), F(2)), F(3))
         x = np.array([0.0, 1.0])
-        m0, m1 = base.eval_numeric(0, x), scaled.eval_numeric(0, x)
+        m0, m1 = base.velocity_matrix(x, np.eye(2)[0]), scaled.velocity_matrix(x, np.eye(2)[0])
         assert m0[0, 1] != 0
         assert np.isclose(m1[0, 1], 3 * m0[0, 1])
         assert np.isclose(m1[1, 0], 3 * m0[1, 0])
