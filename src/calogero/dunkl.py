@@ -74,8 +74,6 @@ def verify_intertwining(j: int, l: int, k: int, f: RationalSection) -> RationalS
     with an untouched component; both are the single statement that the swap
     conjugates the Dunkl family by relabeling its index.
     """
-    if j == k:
-        raise ValueError("transposition needs distinct indices")
     swap = Permutation.transposition(f.arity, j, k)
     left = apply_dunkl(l, f).permute(swap)
     right = apply_dunkl(swap(l), f.permute(swap))

@@ -382,6 +382,8 @@ class Permutation:
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
         if i == j:
             raise ValueError("transposition needs distinct indices")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"transposition ({i} {j}) is out of range for n={n}")
         im = list(range(n))
         im[i], im[j] = j, i
         return cls(im)
@@ -596,6 +598,9 @@ class RationalSection:
         """Multiply by 1/(x_i - x_j)^power."""
         if power < 0:
             raise ValueError("denominator exponents must be >= 0")
+        n = self.arity
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"pair ({i}, {j}) is out of range for arity {n}")
         if power == 0:
             return self
         pair = _pair(i, j)

@@ -230,13 +230,14 @@ def realization_report(n_vars: int, max_degree: int, j: int = 0, k: int = 1) -> 
     The series and the symbol are truncated at ``max_degree`` for every
     monomial: the series stops where the derivative vanishes, and a symbol
     term of order above a monomial's degree gives zero on it."""
+    # first, so that j or k out of range is refused before any work
+    swap = Permutation.transposition(n_vars, j, k)
     basis = [MultiPoly.monomial(n_vars, e) for e in monomial_exponents(n_vars, max_degree)]
     symbol = symbol_of_permutation(n_vars, j, k, max(max_degree, 0))
     realizations = {name: functools.partial(apply_shift_word, word)
                     for name, word in swap_word_registry(j, k).items()}
     realizations["normal-ordered-series"] = lambda f: permutation_series(j, k, f, max_degree)
     realizations["quantized-symbol"] = lambda f: quantize_apply(symbol, f)
-    swap = Permutation.transposition(n_vars, j, k)
     cases = [(mono, mono.permute(swap)) for mono in basis]
     results = {}
     for name, realize in realizations.items():

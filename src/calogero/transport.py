@@ -25,9 +25,10 @@ ODE right-hand side takes them once and at each new t writes one division
 into a preset matrix.  Exact flatness scales each point's residuals to integers:
 with L the lcm of the numerators of the pair differences, every
 ``L / (x_a - x_b)`` is an integer, so the curvature is a sum of Python ints and
-only a nonzero total becomes a ``Fraction``.  The iterated integrals hold three
-complex d x d matrices per grid node and refuse grids above
-``DYSON_MAX_BYTES``.
+only a nonzero total becomes a ``Fraction``.  Momentum equivariance needs no
+point: it is an identity of the exact entries under one derived relabelling
+of the components.  The iterated integrals hold three complex d x d matrices
+per grid node and refuse grids above ``DYSON_MAX_BYTES``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "TransportResult",
     "PathValidationError",
     "TransportStepError",
-    "EquivarianceError",
     "DYSON_MAX_BYTES",
     "MAX_N",
     "build_local_system",
@@ -69,10 +69,6 @@ class PathValidationError(ValueError):
 
 class TransportStepError(RuntimeError):
     """Adaptive step size underflowed, typically near a chamber wall."""
-
-
-class EquivarianceError(RuntimeError):
-    """No candidate regular action conjugates the two systems exactly."""
 
 
 @dataclass(frozen=True)
@@ -100,8 +96,8 @@ class ConnectionMatrix:
       shape ``(n, d)``.  ``velocity_matrix`` and ``along`` write
       ``(coef @ v) / (x_a - x_b)`` into those positions with one put.
     * Exact: the coefficients as integers over their common denominator, and
-      the momenta as integers over theirs, so the flatness and equivariance
-      residuals at a rational point are sums of Python ints.
+      the momenta as integers over theirs, so the flatness residuals at a
+      rational point are sums of Python ints.
     """
 
     n: int
@@ -208,7 +204,7 @@ class ConnectionMatrix:
         the displacement ``dx``."""
         return np.diag(np.exp(1j * (np.asarray(dx, dtype=float) @ self._diag)))
 
-    # -- exact evaluation (flatness, equivariance) -------------------------
+    # -- exact evaluation (flatness) -------------------------------------
 
     def _scaled_rows(self, k: int, inv: list[list[int]]) -> list[list[tuple[int, int]]]:
         """Entries of Omega_k grouped by row as ``(col, value * coef_den * L)``,
@@ -717,6 +713,8 @@ def plane_wave_map(conn: ConnectionMatrix, base_point: Sequence[float],
     x0 = np.asarray([float(v) for v in base_point], dtype=float)
     if np.min(np.diff(x0)) <= 0:
         raise PathValidationError("base point must be strictly ordered")
+    if not math.isfinite(lam_max):
+        raise ValueError(f"lam_max {lam_max} is not finite")
     if lam_max < 1:
         raise ValueError("lam_max must be >= 1")
     lambdas = [1.0]
@@ -764,64 +762,55 @@ def random_chamber_point(n: int, rng) -> tuple[Fraction, ...]:
 
 
 def equivariance_check(conn_p: ConnectionMatrix, conn_sp: ConnectionMatrix,
-                       sigma: Permutation, points: Sequence[Sequence[Fraction]]) -> dict:
-    """Search the regular actions (left/right, direct/inverse) for a
-    permutation matrix conjugating Omega(p) into Omega(sigma . p), exactly at
-    the given rational points.  Raises when no candidate matches."""
-    if conn_p.n != conn_sp.n:
+                       sigma: Permutation) -> dict:
+    """Exact identity ``Omega_k(sigma . p) = R Omega_k(p) R^-1`` for the one
+    right regular action ``rho(s) = s * sigma``.
+
+    The action is derived, not searched: with ``(sigma . p)_j =
+    p_{sigma^-1(j)}``, row ``s`` of ``Omega_k(sigma . p)`` is row
+    ``s * sigma`` of ``Omega_k(p)`` with every column relabelled the same way.
+    The diagonals are compared momentum by momentum.  The off-diagonal
+    coefficients of each side are summed by ``(row, col, a, b)``, zero totals
+    dropped, after relabelling ``conn_p``'s rows and columns by ``rho^-1``.
+    Each entry is ``coeff / (x_a - x_b)`` and these functions are linearly
+    independent for distinct pairs, so equal coefficients make the identity
+    hold at every point of the chamber: no point is evaluated.
+    """
+    n = conn_p.n
+    if conn_sp.n != n:
         raise ValueError("systems have different sizes")
-    perms = conn_p.perms
-    index = {s.images: i for i, s in enumerate(perms)}
-    inv_sigma = sigma.inverse()
-    candidates = {
-        "right": [index[(s * sigma).images] for s in perms],
-        "right-inverse": [index[(s * inv_sigma).images] for s in perms],
-        "left": [index[(sigma * s).images] for s in perms],
-        "left-inverse": [index[(inv_sigma * s).images] for s in perms],
-    }
-    # per point, each system's scaled entries keyed by (row, col): value *
-    # coef_den * L, with L common to both systems
-    n, d = conn_p.n, conn_p.dim
-    scaled = []
-    for point in points:
-        lcm, inv = _inverse_differences([Fraction(v) for v in point])
-        entries = ([], [])
-        for conn, out in zip((conn_p, conn_sp), entries):
-            for k in range(n):
-                ent: dict[tuple[int, int], int] = {}
-                for r, row in enumerate(conn._scaled_rows(k, inv)):
-                    for col, v in row:
-                        ent[r, col] = ent.get((r, col), 0) + v
-                out.append(ent)
-        scaled.append((lcm, entries))
-    den_p, den_s = conn_p._coef_den, conn_sp._coef_den
-    results = {}
-    for name, rho in candidates.items():
-        back = [0] * d
-        for rr, r in enumerate(rho):
-            back[r] = rr
-        worst = Fraction(0)
-        exact = True
-        # the momentum diagonals do not depend on the point
-        for k in range(n):
-            for rr in range(d):
-                if conn_sp.diag[k][rr] != conn_p.diag[k][rho[rr]]:
-                    exact = False
-                    worst = max(worst, abs(conn_sp.diag[k][rr] - conn_p.diag[k][rho[rr]]))
-        for lcm, (ents_p, ents_s) in scaled:
-            for k in range(n):
-                # Omega(p) conjugated by rho; entries absent from both are zero
-                ep = {(back[r], back[col]): v for (r, col), v in ents_p[k].items()}
-                es = ents_s[k]
-                for key in es.keys() | ep.keys():
-                    dv = es.get(key, 0) * den_p - ep.get(key, 0) * den_s
-                    if dv:
-                        exact = False
-                        worst = max(worst, Fraction(abs(dv), den_p * den_s * lcm))
-        results[name] = {"exact": exact, "maxResidual": str(worst)}
-    matches = [name for name, r in results.items() if r["exact"]]
-    if not matches:
-        raise EquivarianceError(
-            f"no regular action conjugates the permuted-momentum system: {results}")
-    return {"matched": matches, "candidates": results,
-            "pointCount": len(points)}
+    if sigma.size != n:
+        raise ValueError(f"sigma acts on {sigma.size} slots, not on N={n}")
+    index = {s.images: i for i, s in enumerate(conn_p.perms)}
+    rho = [index[(s * sigma).images] for s in conn_sp.perms]
+    back = [0] * len(rho)  # rho^-1: conn_p's label -> conn_sp's
+    for r, pr in enumerate(rho):
+        back[pr] = r
+    failures = []
+    for k in range(n):
+        for r, pr in enumerate(rho):
+            expected, found = conn_p.diag[k][pr], conn_sp.diag[k][r]
+            if expected != found:
+                failures.append({"k": k, "entry": f"{r},{r}", "pair": None,
+                                 "expected": str(expected), "found": str(found)})
+        ep = _coefficients(conn_p, k, back)
+        es = _coefficients(conn_sp, k, range(len(rho)))
+        for key in sorted(ep.keys() | es.keys()):
+            expected, found = ep.get(key, Fraction(0)), es.get(key, Fraction(0))
+            if expected != found:
+                row, col, a, b = key
+                failures.append({"k": k, "entry": f"{row},{col}", "pair": [a, b],
+                                 "expected": str(expected), "found": str(found)})
+    return {"identity": "equivariance", "N": n, "caseCount": n,
+            "failures": failures}
+
+
+def _coefficients(conn: ConnectionMatrix, k: int,
+                  label: Sequence[int]) -> dict[tuple[int, int, int, int], Fraction]:
+    """Omega_k's off-diagonal coefficients keyed by ``(label[row],
+    label[col], a, b)``, equal keys summed and zero totals dropped."""
+    out: dict[tuple[int, int, int, int], Fraction] = {}
+    for e in conn.off[k]:
+        key = (label[e.row], label[e.col], e.a, e.b)
+        out[key] = out.get(key, 0) + e.coeff
+    return {key: q for key, q in out.items() if q}

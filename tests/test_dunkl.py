@@ -102,6 +102,10 @@ class TestIntertwining:
         res = verify_intertwining(0, 1, 1, f).specialize_coupling(0)
         assert res.is_zero()
 
+    def test_swap_out_of_range_is_refused(self):
+        with pytest.raises(ValueError, match="out of range"):
+            verify_intertwining(0, 1, 3, mono(3, 1, 0, 1))
+
 
 class TestSumOfSquares:
     def test_matches_normal_form_antisymmetric(self):

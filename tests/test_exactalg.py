@@ -151,6 +151,11 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation((0, 0, 2))
 
+    def test_transposition_out_of_range_is_refused(self):
+        for i, j in ((0, 3), (3, 0), (-1, 1), (5, 7)):
+            with pytest.raises(ValueError, match="out of range"):
+                Permutation.transposition(3, i, j)
+
 
 class TestRationalSection:
     def test_quotient_rule_simple(self):
@@ -241,6 +246,14 @@ class TestRationalSection:
         for pair in ((0, 5), (-1, 1), (2, 0)):
             with pytest.raises(ValueError):
                 RationalSection(MultiPoly.one(2), {pair: 1})
+
+    def test_multiplied_pair_out_of_range_is_refused(self):
+        # refused as the constructor refuses it, not later by eval's IndexError
+        one = RationalSection.one(2)
+        for pair in ((0, 5), (-1, 1), (2, 0)):
+            for power in (0, 1):
+                with pytest.raises(ValueError, match="out of range"):
+                    one.mul_inverse_difference(*pair, power)
 
     def test_negative_exponent_is_refused(self):
         for exp in ((-1, 0, 0), (0, 1, -2)):

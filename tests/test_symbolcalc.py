@@ -211,6 +211,11 @@ def test_realization_report_builds_the_symbol_once(monkeypatch):
     assert report["realizations"]["quantized-symbol"]["matchesSwap"]
 
 
+def test_realization_report_refuses_a_swap_out_of_range():
+    with pytest.raises(ValueError, match="out of range"):
+        realization_report(3, 2, 0, 5)
+
+
 def test_negative_order_rejected():
     with pytest.raises(ValueError):
         permutation_series(0, 1, MultiPoly.one(2), -1)

@@ -11,7 +11,6 @@ from calogero.exactalg import Permutation, RationalSection
 from calogero.transport import (
     DYSON_MAX_BYTES,
     ChamberPath,
-    EquivarianceError,
     PathValidationError,
     TransportStepError,
     _integrate_dp45,
@@ -601,58 +600,139 @@ class TestPlaneWaveMap:
         with pytest.raises(PathValidationError):
             plane_wave_map(conn, (1.0, 0.0), 4.0)
 
+    @pytest.mark.parametrize("lam_max", [float("nan"), float("inf")])
+    def test_non_finite_lam_max_rejected(self, lam_max):
+        # nan passed the lam_max < 1 test and returned one frame; inf doubled
+        # lambda until the float overflowed
+        conn = build_local_system(2, (F(1), F(2)), F(1))
+        with pytest.raises(ValueError, match="not finite"):
+            plane_wave_map(conn, (0.0, 1.0), lam_max)
+
+
+def _right_action(perms, sigma):
+    """rho(r), the index of perms[r] * sigma, with the product composed by
+    hand: (s * sigma)(i) = s(sigma(i))."""
+    images = [s.images for s in perms]
+    return [images.index(tuple(s[sigma(i)] for i in range(len(s)))) for s in images]
+
+
+def _oracle_deviation(conn_p, conn_sp, sigma, rng, points=3):
+    """Largest |Omega_k(sigma . p) - P Omega_k(p) P^T| over random float
+    chamber points and every k, with P[r, rho(r)] = 1: the conjugation done
+    numerically on velocity_matrix, sharing no code with the exact check."""
+    n, d = conn_p.n, conn_p.dim
+    perm = np.zeros((d, d))
+    for r, pr in enumerate(_right_action(conn_p.perms, sigma)):
+        perm[r, pr] = 1.0
+    worst = 0.0
+    for _ in range(points):
+        x = np.cumsum([rng.uniform(-3, 3)] + [rng.uniform(0.25, 2) for _ in range(n - 1)])
+        for k in range(n):
+            e_k = np.eye(n)[k]
+            lhs = conn_sp.velocity_matrix(x, e_k)
+            rhs = perm @ conn_p.velocity_matrix(x, e_k) @ perm.T
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
 
 class TestEquivariance:
-    def test_identity_matches_trivially(self):
-        rng = random.Random(5)
-        conn = build_local_system(3, P3, F(1))
-        other = build_local_system(3, P3, F(1))
-        report = equivariance_check(conn, other, Permutation.identity(3),
-                                    [random_chamber_point(3, rng)])
-        assert "right" in report["matched"]
+    @staticmethod
+    def _sigmas(n, rng):
+        elements = Permutation.all_elements(n)
+        return elements if n == 3 else rng.sample(elements, 8)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_right_action_holds_and_matches_the_numeric_oracle(self, n):
+        # every sigma of S_3 and a sample of S_4: the derived action is exact,
+        # and the oracle sees zero deviation exactly when the check passes,
+        # also for the system built from sigma^-1 . p (the other convention)
+        rng = random.Random(40 + n)
+        p = P3 + (F(7, 3),) if n == 4 else P3
+        conn = build_local_system(n, p, F(2, 3))
+        for sigma in self._sigmas(n, rng):
+            for tau in (sigma, sigma.inverse()):
+                permuted = build_local_system(n, permute_momenta(p, tau), F(2, 3))
+                report = equivariance_check(conn, permuted, sigma)
+                assert report["identity"] == "equivariance"
+                assert (report["N"], report["caseCount"]) == (n, n)
+                exact = report["failures"] == []
+                assert exact == (tau == sigma)
+                assert exact == (_oracle_deviation(conn, permuted, sigma, rng) <= 1e-12)
 
     def test_two_particle_swap(self):
-        rng = random.Random(6)
         sigma = Permutation.transposition(2, 0, 1)
         p = (F(1, 2), F(5, 3))
         conn = build_local_system(2, p, F(2))
         permuted = build_local_system(2, permute_momenta(p, sigma), F(2))
-        report = equivariance_check(conn, permuted, sigma,
-                                    [random_chamber_point(2, rng) for _ in range(3)])
-        assert report["matched"]
+        assert equivariance_check(conn, permuted, sigma) == {
+            "identity": "equivariance", "N": 2, "caseCount": 2, "failures": []}
 
-    def test_three_particle_swap_five_points(self):
-        rng = random.Random(7)
-        sigma = Permutation.transposition(3, 0, 1)
-        p = (F(1), F(2), F(5))
-        conn = build_local_system(3, p, F(1))
-        permuted = build_local_system(3, permute_momenta(p, sigma), F(1))
-        report = equivariance_check(conn, permuted, sigma,
-                                    [random_chamber_point(3, rng) for _ in range(5)])
-        assert report["matched"] == ["right", "right-inverse"]
+    def test_convention_change_fails_on_the_diagonal_only(self):
+        # momenta permuted by sigma^-1 for a 3-cycle: diagonal row s of
+        # Omega_k(q) is q_{s^-1(k)}, so the check expects p_{sigma^-1 s^-1 (k)}
+        # and finds p_{sigma s^-1 (k)}; these differ in every row
+        sigma = Permutation((1, 2, 0))
+        conn = build_local_system(3, P3, F(1))
+        wrong = build_local_system(3, permute_momenta(P3, sigma.inverse()), F(1))
+        inv = sigma.inverse()
+        expected = []
+        for k in range(3):
+            for r, s in enumerate(conn.perms):
+                m = s.inverse()(k)
+                expected.append({"k": k, "entry": f"{r},{r}", "pair": None,
+                                 "expected": str(P3[inv(m)]), "found": str(P3[sigma(m)])})
+        assert equivariance_check(conn, wrong, sigma)["failures"] == expected
 
-    def test_mismatched_momenta_raise(self):
-        rng = random.Random(8)
-        sigma = Permutation.transposition(3, 0, 1)
-        p = (F(1), F(2), F(5))
-        conn = build_local_system(3, p, F(1))
-        wrong = build_local_system(3, (F(9), F(9), F(9)), F(1))
-        with pytest.raises(EquivarianceError):
-            equivariance_check(conn, wrong, sigma,
-                               [random_chamber_point(3, rng)])
+    def test_negated_coupling_fails_every_off_diagonal_entry(self):
+        sigma = Permutation((1, 2, 0))
+        conn = build_local_system(3, P3, F(1))
+        permuted = build_local_system(3, permute_momenta(P3, sigma), F(1))
+        wrong = build_local_system(3, permute_momenta(P3, sigma), F(-1))
+        failures = equivariance_check(conn, wrong, sigma)["failures"]
+        assert {f["k"] for f in failures} == {0, 1, 2}
+        assert all(f["pair"] is not None and f["found"] == str(-F(f["expected"]))
+                   for f in failures)
+        named = sorted((f["k"], f["entry"], tuple(f["pair"])) for f in failures)
+        assert named == sorted((k, f"{e.row},{e.col}", (e.a, e.b))
+                               for k in range(3) for e in permuted.off[k])
 
-    def test_mismatched_momenta_raise_without_points(self):
-        # the diagonals alone tell the systems apart, so no point is needed
+    @pytest.mark.parametrize("side", ["p", "sp"])
+    def test_one_tampered_entry_fails_exactly_there(self, side):
+        # one coefficient of Omega_1 moved to 7/5, on either side: the failure
+        # names that k and that position (relabelled by rho^-1 on the p side)
+        sigma = Permutation((1, 2, 0))
+        conn = build_local_system(3, P3, F(1))
+        permuted = build_local_system(3, permute_momenta(P3, sigma), F(1))
+        target = conn if side == "p" else permuted
+        off = [list(o) for o in target.off]
+        e = off[1][0]
+        off[1][0] = dataclasses.replace(e, coeff=F(7, 5))
+        bad = dataclasses.replace(target, off=tuple(tuple(o) for o in off))
+        if side == "p":
+            rho = _right_action(conn.perms, sigma)
+            row, col = rho.index(e.row), rho.index(e.col)
+            report = equivariance_check(bad, permuted, sigma)
+            expected, found = "7/5", str(e.coeff)
+        else:
+            row, col = e.row, e.col
+            report = equivariance_check(conn, bad, sigma)
+            expected, found = str(e.coeff), "7/5"
+        assert report["failures"] == [{"k": 1, "entry": f"{row},{col}",
+                                       "pair": [e.a, e.b],
+                                       "expected": expected, "found": found}]
+
+    def test_mismatched_momenta_fail_on_the_diagonal(self):
         sigma = Permutation.transposition(3, 0, 1)
         conn = build_local_system(3, (F(1), F(2), F(3)), F(1))
         wrong = build_local_system(3, (F(5), F(7), F(9)), F(1))
-        with pytest.raises(EquivarianceError):
-            equivariance_check(conn, wrong, sigma, [])
+        failures = equivariance_check(conn, wrong, sigma)["failures"]
+        assert len(failures) == 3 * 6
+        assert all(f["pair"] is None for f in failures)
 
-    def test_coincident_point_is_refused(self):
-        # two equal coordinates put the point on a pole of the connection
-        sigma = Permutation.transposition(3, 0, 1)
+    def test_sizes_must_agree(self):
         conn = build_local_system(3, P3, F(1))
-        permuted = build_local_system(3, permute_momenta(P3, sigma), F(1))
-        with pytest.raises(PathValidationError, match="not strictly ordered"):
-            equivariance_check(conn, permuted, sigma, [(0, 1, 1)])
+        with pytest.raises(ValueError, match="different sizes"):
+            equivariance_check(conn, build_local_system(2, P3[:2], F(1)),
+                               Permutation.identity(3))
+        with pytest.raises(ValueError, match="slots"):
+            equivariance_check(conn, conn, Permutation.identity(2))
