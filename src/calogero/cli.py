@@ -242,9 +242,10 @@ def cmd_simulate(args) -> int:
 def cmd_symbols(args) -> int:
     if not (0 <= args.j < args.n and 0 <= args.k < args.n) or args.j == args.k:
         raise ValueError("--j/--k must be distinct coordinates below --n")
-    rep = realization_report(args.n, args.deg, args.j, args.k)
     order = args.order if args.order is not None else args.deg
     terms = symbol_of_permutation(args.n, args.j, args.k, order)
+    rep = realization_report(args.n, args.deg, args.j, args.k,
+                             symbol=terms if order == args.deg else None)
     report = {
         "schemaVersion": SCHEMA_VERSION,
         "command": "symbols",

@@ -17,7 +17,17 @@ Both series are the normal-ordered Taylor sum ``sum_n gap^n / n! D^n f``
     P_jk = sum_n (x_j - x_k)^n / n! (d_k - d_j)^n,
 
 and the sign flip with gap ``-2v`` and ``D = d_v``.  Each is exact on
-polynomials once the truncation order reaches the total degree.
+polynomials once the truncation order reaches the total degree.  The sum is
+taken in integers as ``m!/n! gap^n D^n f`` (m the last nonzero order) and
+divided by ``m!`` once.
+
+The symbol of the swap is the list of its normal-ordered terms.  To apply it,
+:func:`group_symbol` groups the terms by momentum exponent over one common
+denominator, and :func:`quantize_apply` skips every group whose exponent
+exceeds the polynomial's top exponent in some coordinate, by comparing
+exponents alone, sums integer numerators times the remaining derivatives and
+divides by the denominator once.  A coefficient is an ``int`` wherever it is
+integral.
 """
 
 from __future__ import annotations
@@ -26,8 +36,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
-from typing import Sequence, Union
+from operator import add, gt
+from typing import NamedTuple, Sequence, Union
 
 from .exactalg import MultiPoly, Permutation, _poly_from, monomial_exponents
 
@@ -41,6 +51,8 @@ __all__ = [
     "permutation_series",
     "SymbolTerm",
     "symbol_of_permutation",
+    "GroupedSymbol",
+    "group_symbol",
     "quantize_apply",
     "realization_report",
 ]
@@ -101,20 +113,40 @@ def swap_word_registry(j: int, k: int) -> dict[str, ShiftWord]:
 
 def _taylor(f: MultiPoly, gap: MultiPoly, derive, order: int) -> MultiPoly:
     """sum_{n<=order} gap^n / n! D^n f with ``D = derive``, gap factors on the
-    left; the sum stops early once D^n f vanishes."""
+    left; the sum stops early once D^n f vanishes.
+
+    With m the last n whose D^n f is nonzero, the terms are summed as
+    ``m!/n! gap^n D^n f``, which keeps integer coefficients integral, and
+    divided by m! once at the end."""
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    out = MultiPoly.zero(f.arity)
-    deriv = f
-    power = MultiPoly.one(f.arity)
-    for n in range(order + 1):
-        if n > 0:
-            deriv = derive(deriv)
-            power = power * gap
+    derivs = [] if f.is_zero() else [f]
+    while derivs and len(derivs) <= order:
+        deriv = derive(derivs[-1])
         if deriv.is_zero():
             break
-        out = out + (power * deriv).scale(Fraction(1, math.factorial(n)))
-    return out
+        derivs.append(deriv)
+    top = math.factorial(max(len(derivs) - 1, 0))
+    acc: dict[tuple[int, ...], int | Fraction] = {}
+    power = MultiPoly.one(f.arity)
+    for n, deriv in enumerate(derivs):
+        if n:
+            power = power * gap
+        weight = top // math.factorial(n)
+        for ea, ca in power.terms.items():
+            ca *= weight
+            for eb, cb in deriv.terms.items():
+                key = tuple(map(add, ea, eb))
+                acc[key] = acc.get(key, 0) + ca * cb
+    return _poly_from(f.arity, {e: _over(v, top) for e, v in acc.items() if v})
+
+
+def _over(v: int | Fraction, den: int) -> int | Fraction:
+    """v / den, an ``int`` where integral."""
+    if type(v) is int and not v % den:
+        return v // den
+    q = Fraction(v, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 def sign_flip_series(coeffs: Sequence[Fraction | int], order: int) -> tuple[Fraction, ...]:
@@ -147,7 +179,7 @@ class SymbolTerm:
     """One normal-ordered term: coeff * x^x_exp * (d)^p_exp, x on the left."""
     x_exp: tuple[int, ...]
     p_exp: tuple[int, ...]
-    coeff: Fraction
+    coeff: int | Fraction
 
     def to_json(self) -> dict:
         return {
@@ -163,16 +195,17 @@ def symbol_of_permutation(n_vars: int, j: int, k: int, order: int) -> list[Symbo
     Term n of the series contributes the expansion of
     (x_j - x_k)^n / n! times (p_k - p_j)^n; quantization sends each momentum
     monomial to the matching derivative product, x factors multiplying from
-    the left.
+    the left.  The coefficients are summed as integers over ``order!``.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    terms: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
+    top = math.factorial(order)
+    terms: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for n in range(order + 1):
-        scale = Fraction(1, math.factorial(n))
+        weight = top // math.factorial(n)
         for a in range(n + 1):
             # (x_j - x_k)^n -> C(n,a) x_j^a (-x_k)^(n-a)
-            xc = math.comb(n, a) * (-1) ** (n - a)
+            xc = weight * math.comb(n, a) * (-1) ** (n - a)
             xe = [0] * n_vars
             xe[j] += a
             xe[k] += n - a
@@ -182,33 +215,52 @@ def symbol_of_permutation(n_vars: int, j: int, k: int, order: int) -> list[Symbo
                 pe[k] += b
                 pe[j] += n - b
                 key = (tuple(xe), tuple(pe))
-                terms[key] = terms.get(key, Fraction(0)) + scale * xc * pc
-    out = [SymbolTerm(xe, pe, c) for (xe, pe), c in sorted(terms.items()) if c != 0]
-    return out
+                terms[key] = terms.get(key, 0) + xc * pc
+    return [SymbolTerm(xe, pe, _over(v, top)) for (xe, pe), v in sorted(terms.items()) if v]
 
 
-def quantize_apply(terms: Sequence[SymbolTerm], f: MultiPoly) -> MultiPoly:
-    """Apply a normal-ordered symbol: each p_m becomes d/dx_m, acting first.
+class GroupedSymbol(NamedTuple):
+    """A symbol grouped by momentum exponent over one common denominator.
 
-    Each distinct derivative d^p f is taken once per call, from the one a
-    single order lower, and every product coeff * x^x_exp * d^p f is added
-    into one exponent -> coefficient dict."""
+    ``groups[p_exp]`` lists ``(x_exp + (0,), numerator)`` pairs, one per term
+    ``numerator / den * x^x_exp d^p_exp``; the trailing 0 is the coupling
+    slot, so the exponent adds straight onto a :class:`MultiPoly` key."""
+    den: int
+    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]]
+
+
+def group_symbol(terms: Sequence[SymbolTerm]) -> GroupedSymbol:
+    """The terms grouped by ``p_exp``, over the lcm of their denominators."""
+    den = math.lcm(*(t.coeff.denominator for t in terms))
+    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for t in terms:
+        groups.setdefault(t.p_exp, []).append((t.x_exp + (0,), int(t.coeff * den)))
+    return GroupedSymbol(den, groups)
+
+
+def quantize_apply(symbol: GroupedSymbol, f: MultiPoly) -> MultiPoly:
+    """Apply a grouped normal-ordered symbol: each p_m becomes d/dx_m, acting
+    first.
+
+    A group whose ``p_exp`` exceeds, in some coordinate, the top exponent of
+    that coordinate in f is skipped without taking its derivative.  Each
+    other distinct derivative d^p f is taken once per call, from the one a
+    single order lower; the integer numerators times d^p f are summed into
+    one exponent -> coefficient dict, and each sum is divided by ``den``
+    once."""
+    tops = [max(col) for col in zip(*f.terms)]
     derivs = {(0,) * f.arity: f}
-    out: dict[tuple[int, ...], int | Fraction] = {}
-    for term in terms:
-        g = _derivative(derivs, term.p_exp)
-        coeff = term.coeff
-        if g.is_zero() or not coeff:
+    acc: dict[tuple[int, ...], int | Fraction] = {}
+    for p_exp, row in symbol.groups.items():
+        if any(map(gt, p_exp, tops)):
             continue
-        shift = term.x_exp + (0,)
-        for exp, v in g.terms.items():
-            key = tuple(map(add, exp, shift))
-            s = out.get(key, 0) + coeff * v
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return _poly_from(f.arity, out)
+        g = _derivative(derivs, p_exp).terms.items()
+        for shift, num in row:
+            for exp, v in g:
+                key = tuple(map(add, exp, shift))
+                acc[key] = acc.get(key, 0) + num * v
+    den = symbol.den
+    return _poly_from(f.arity, {e: _over(v, den) for e, v in acc.items() if v})
 
 
 def _derivative(derivs: dict[tuple[int, ...], MultiPoly], p_exp: tuple[int, ...]) -> MultiPoly:
@@ -223,21 +275,26 @@ def _derivative(derivs: dict[tuple[int, ...], MultiPoly], p_exp: tuple[int, ...]
     return g
 
 
-def realization_report(n_vars: int, max_degree: int, j: int = 0, k: int = 1) -> dict:
+def realization_report(n_vars: int, max_degree: int, j: int = 0, k: int = 1, *,
+                       symbol: Sequence[SymbolTerm] | None = None) -> dict:
     """Check every registered swap realization against the exact swap on all
     monomials of total degree <= max_degree; report which hold verbatim.
 
     The series and the symbol are truncated at ``max_degree`` for every
     monomial: the series stops where the derivative vanishes, and a symbol
-    term of order above a monomial's degree gives zero on it."""
+    group whose derivative exceeds a monomial's exponents is skipped on it.
+    ``symbol`` is the swap symbol at that order when the caller has built it
+    already; otherwise it is built here.  Either way it is grouped once."""
     # first, so that j or k out of range is refused before any work
     swap = Permutation.transposition(n_vars, j, k)
     basis = [MultiPoly.monomial(n_vars, e) for e in monomial_exponents(n_vars, max_degree)]
-    symbol = symbol_of_permutation(n_vars, j, k, max(max_degree, 0))
+    if symbol is None:
+        symbol = symbol_of_permutation(n_vars, j, k, max(max_degree, 0))
+    grouped = group_symbol(symbol)
     realizations = {name: functools.partial(apply_shift_word, word)
                     for name, word in swap_word_registry(j, k).items()}
     realizations["normal-ordered-series"] = lambda f: permutation_series(j, k, f, max_degree)
-    realizations["quantized-symbol"] = lambda f: quantize_apply(symbol, f)
+    realizations["quantized-symbol"] = lambda f: quantize_apply(grouped, f)
     cases = [(mono, mono.permute(swap)) for mono in basis]
     results = {}
     for name, realize in realizations.items():

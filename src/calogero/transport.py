@@ -710,7 +710,12 @@ def plane_wave_map(conn: ConnectionMatrix, base_point: Sequence[float],
     Exploratory: successive differences of the stripped frames are reported,
     not asserted to converge.
     """
-    x0 = np.asarray([float(v) for v in base_point], dtype=float)
+    point = [float(v) for v in base_point]
+    if len(point) != conn.n:
+        raise ValueError(f"base point has {len(point)} coordinates for N={conn.n}")
+    if not all(map(math.isfinite, point)):
+        raise ValueError(f"base point {tuple(point)} is not finite")
+    x0 = np.asarray(point, dtype=float)
     if np.min(np.diff(x0)) <= 0:
         raise PathValidationError("base point must be strictly ordered")
     if not math.isfinite(lam_max):

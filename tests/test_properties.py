@@ -1,5 +1,5 @@
-"""Property-based checks of the ring axioms, the section operations and the
-Lax-matrix identities."""
+"""Property-based checks of the ring axioms, the section operations, the
+quantized swap symbol and the Lax-matrix identities."""
 
 import math
 from fractions import Fraction as F
@@ -15,6 +15,12 @@ from calogero.laxdyn import (
     hamiltonian,
     trace_integrals,
     trace_p3_explicit,
+)
+from calogero.symbolcalc import (
+    group_symbol,
+    permutation_series,
+    quantize_apply,
+    symbol_of_permutation,
 )
 
 N_VARS = 3
@@ -73,6 +79,16 @@ def test_division_by_pair_difference_inverts_multiplication(p, pair, swap, const
 def test_zero_polynomial_divides_to_zero():
     for i, j in [(0, 1), (2, 0)]:
         assert MultiPoly.zero(N_VARS).divide_by_difference(i, j).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, st.sampled_from([(j, k) for j in range(N_VARS) for k in range(N_VARS) if j != k]),
+       st.integers(min_value=0, max_value=6))
+def test_quantized_symbol_equals_series(f, pair, order):
+    # Fraction coefficients and coupling powers take the Fraction(v, den)
+    # path; orders below the degree compare the truncated sums
+    symbol = group_symbol(symbol_of_permutation(N_VARS, *pair, order))
+    assert quantize_apply(symbol, f) == permutation_series(*pair, f, order)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,12 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from calogero import symbolcalc
+from calogero import cli, symbolcalc
 from calogero.exactalg import MultiPoly, Permutation, monomial_exponents
 from calogero.symbolcalc import (
+    GroupedSymbol,
     Scale,
     Shift,
     apply_shift_word,
+    group_symbol,
     permutation_series,
     quantize_apply,
     realization_report,
@@ -135,20 +137,20 @@ class TestSymbol:
         for exps in monomial_exponents(2, 4):
             f = MultiPoly.monomial(2, exps)
             order = sum(exps)
-            terms = symbol_of_permutation(2, 0, 1, order)
-            assert quantize_apply(terms, f) == permutation_series(0, 1, f, order)
+            symbol = group_symbol(symbol_of_permutation(2, 0, 1, order))
+            assert quantize_apply(symbol, f) == permutation_series(0, 1, f, order)
 
     def test_quantized_symbol_round_trip_against_swap(self):
         for exps in monomial_exponents(2, 4):
             f = MultiPoly.monomial(2, exps)
-            terms = symbol_of_permutation(2, 0, 1, sum(exps))
-            assert quantize_apply(terms, f) == swap(f)
+            symbol = group_symbol(symbol_of_permutation(2, 0, 1, sum(exps)))
+            assert quantize_apply(symbol, f) == swap(f)
 
     def test_each_derivative_taken_once(self, monkeypatch):
         # order 6 at N=3 has 140 terms over 28 momentum exponents; a full
         # degree-6 polynomial keeps every derivative nonzero
-        terms = symbol_of_permutation(3, 0, 2, 6)
-        distinct = {t.p_exp for t in terms if any(t.p_exp)}
+        symbol = group_symbol(symbol_of_permutation(3, 0, 2, 6))
+        distinct = {p for p in symbol.groups if any(p)}
         s = sum((MultiPoly.variable(3, i) for i in range(3)), MultiPoly.zero(3))
         f = s ** 6 + mono(3, 3, 0, 3) * MultiPoly.coupling(3)
         calls = []
@@ -159,13 +161,81 @@ class TestSymbol:
             return partial(self, k)
 
         monkeypatch.setattr(MultiPoly, "partial", counted)
-        assert quantize_apply(terms, f) == swap(f, 0, 2)
+        assert quantize_apply(symbol, f) == swap(f, 0, 2)
         assert 0 < len(calls) <= len(distinct)
+
+    def test_integral_coefficients_are_ints(self):
+        f = mono(2, 3, 1)
+        series = permutation_series(0, 1, f, 4)
+        quantized = quantize_apply(group_symbol(symbol_of_permutation(2, 0, 1, 4)), f)
+        for g in (series, quantized):
+            assert g == mono(2, 1, 3)
+            assert [type(c) for c in g.terms.values()] == [int]
 
     def test_json_form(self):
         term = symbol_of_permutation(2, 0, 1, 0)[0]
         assert term.to_json() == {"xExponents": [0, 0], "pExponents": [0, 0],
                                   "coefficient": "1"}
+
+
+class TestGroupedSymbol:
+    def test_one_denominator_keeps_every_term(self):
+        terms = symbol_of_permutation(2, 0, 1, 4)
+        symbol = group_symbol(terms)
+        assert symbol.den == 24
+        regrouped = {(x[:-1], p): F(num, symbol.den)
+                     for p, row in symbol.groups.items() for x, num in row}
+        assert regrouped == {(t.x_exp, t.p_exp): t.coeff for t in terms}
+        assert all(type(num) is int and x[-1] == 0
+                   for row in symbol.groups.values() for x, num in row)
+
+    def test_derivatives_taken_only_below_the_exponents(self, monkeypatch):
+        # x0^3 x1 at order 4: of the symbol's 15 momentum exponents only the
+        # 8 with p <= (3, 1) are differentiated; the rest are skipped by
+        # comparing exponents, with no derivative taken
+        symbol = group_symbol(symbol_of_permutation(2, 0, 1, 4))
+        assert len(symbol.groups) == 15
+        taken = set()
+        derivative = symbolcalc._derivative
+
+        def counted(derivs, p_exp):
+            taken.add(p_exp)
+            return derivative(derivs, p_exp)
+
+        partials = []
+        partial = MultiPoly.partial
+
+        def counted_partial(self, k):
+            partials.append(k)
+            return partial(self, k)
+
+        monkeypatch.setattr(symbolcalc, "_derivative", counted)
+        monkeypatch.setattr(MultiPoly, "partial", counted_partial)
+        assert quantize_apply(symbol, mono(2, 3, 1)) == mono(2, 1, 3)
+        assert taken == {(a, b) for a in range(4) for b in range(2)}
+        assert len(partials) == 7
+
+    def test_removing_a_live_group_breaks_the_round_trip(self):
+        f = mono(2, 3, 1)
+        symbol = group_symbol(symbol_of_permutation(2, 0, 1, 4))
+        live = {p for p in symbol.groups if p[0] <= 3 and p[1] <= 1}
+        assert len(live) == 8
+        for p in symbol.groups:
+            rest = GroupedSymbol(symbol.den, {q: row for q, row in symbol.groups.items()
+                                              if q != p})
+            assert (quantize_apply(rest, f) == swap(f)) == (p not in live), p
+
+    def test_fraction_coefficients_and_coupling_powers(self):
+        f = MultiPoly(3, {(2, 1, 0, 1): F(1, 3), (0, 1, 2, 0): F(-5, 2), (1, 0, 0, 2): 4})
+        symbol = group_symbol(symbol_of_permutation(3, 0, 2, 3))
+        got = quantize_apply(symbol, f)
+        assert got == permutation_series(0, 2, f, 3) == swap(f, 0, 2)
+        assert any(type(c) is F for c in got.terms.values())
+
+    def test_zero_polynomial(self):
+        symbol = group_symbol(symbol_of_permutation(2, 0, 1, 3))
+        assert quantize_apply(symbol, MultiPoly.zero(2)).is_zero()
+        assert permutation_series(0, 1, MultiPoly.zero(2), 3).is_zero()
 
 
 def test_realization_report_all_match():
@@ -209,6 +279,24 @@ def test_realization_report_builds_the_symbol_once(monkeypatch):
     report = realization_report(3, 4, 0, 2)
     assert calls == [(3, 0, 2, 4)]
     assert report["realizations"]["quantized-symbol"]["matchesSwap"]
+
+
+@pytest.mark.parametrize("order, builds", [(None, [4]), (4, [4]), (2, [2, 4])])
+def test_symbols_command_builds_the_symbol_once_per_order(monkeypatch, capsys, order, builds):
+    # the report's symbol at --deg is reused as the printed one when --order
+    # is the same
+    orders = []
+
+    def counted(n, j, k, order):
+        orders.append(order)
+        return symbol_of_permutation(n, j, k, order)
+
+    monkeypatch.setattr(symbolcalc, "symbol_of_permutation", counted)
+    monkeypatch.setattr(cli, "symbol_of_permutation", counted)
+    extra = [] if order is None else [f"--order={order}"]
+    assert cli.main(["symbols", "--n=3", "--deg=4", *extra]) == 0
+    capsys.readouterr()
+    assert orders == builds
 
 
 def test_realization_report_refuses_a_swap_out_of_range():

@@ -600,6 +600,18 @@ class TestPlaneWaveMap:
         with pytest.raises(PathValidationError):
             plane_wave_map(conn, (1.0, 0.0), 4.0)
 
+    @pytest.mark.parametrize("point, match", [
+        ((0.0, float("nan")), "not finite"),
+        ((float("-inf"), 0.0), "not finite"),
+        ((0.0, 1.0, 2.0), "3 coordinates for N=2"),
+    ])
+    def test_bad_base_point_rejected(self, point, match):
+        # a NaN passed the ordering test and gave an all-NaN frame; a point of
+        # the wrong length failed inside numpy's matmul
+        conn = build_local_system(2, (F(1), F(2)), F(1))
+        with pytest.raises(ValueError, match=match):
+            plane_wave_map(conn, point, 4.0)
+
     @pytest.mark.parametrize("lam_max", [float("nan"), float("inf")])
     def test_non_finite_lam_max_rejected(self, lam_max):
         # nan passed the lam_max < 1 test and returned one frame; inf doubled
