@@ -282,9 +282,10 @@ def realization_report(n_vars: int, max_degree: int, j: int = 0, k: int = 1, *,
 
     The series and the symbol are truncated at ``max_degree`` for every
     monomial: the series stops where the derivative vanishes, and a symbol
-    group whose derivative exceeds a monomial's exponents is skipped on it.
-    ``symbol`` is the swap symbol at that order when the caller has built it
-    already; otherwise it is built here.  Either way it is grouped once."""
+    group whose momentum exponent exceeds a monomial's exponents is skipped
+    on it.  ``symbol`` is the swap symbol at that order when the caller has
+    built it already; otherwise it is built here.  Either way it is grouped
+    once."""
     # first, so that j or k out of range is refused before any work
     swap = Permutation.transposition(n_vars, j, k)
     basis = [MultiPoly.monomial(n_vars, e) for e in monomial_exponents(n_vars, max_degree)]
