@@ -262,14 +262,7 @@ def cmd_symbols(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="calogero",
-        description="Exact Dunkl-operator identity suites and chamber transport.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run exact identity suites")
+def _verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_int_at_least(2), required=True, help="particle count (>= 2)")
     p.add_argument("--deg", type=_positive_int, default=6,
                    help="spanning-set degree bound (>= 1)")
@@ -279,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("transport", help="parallel transport along a chamber path")
+
+def _transport_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--path", required=True, help="path file: JSON {N, margin, waypoints}")
     p.add_argument("--p", type=_rational_vector, required=True,
                    help="momenta, comma-separated rationals")
@@ -293,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_transport)
 
-    p = sub.add_parser("simulate", help="classical trajectory with conserved-trace drift")
+
+def _simulate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", type=_float_vector, required=True,
                    help="initial positions, strictly increasing")
     p.add_argument("--p", type=_float_vector, required=True, help="initial momenta")
@@ -315,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("symbols", help="normal-ordering realizations and swap symbol")
+
+def _symbols_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_int_at_least(2), default=2, help="particle count (>= 2)")
     p.add_argument("--deg", type=_non_negative_int, default=6,
                    help="monomial degree bound (>= 0)")
@@ -325,6 +321,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="symbol truncation order (>= 0; default: --deg)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_symbols)
+
+
+# name: (help line, builder of its options); each builder sets the command
+# function by its module global when the parser is built
+_COMMANDS = {
+    "verify": ("run exact identity suites", _verify_options),
+    "transport": ("parallel transport along a chamber path", _transport_options),
+    "simulate": ("classical trajectory with conserved-trace drift", _simulate_options),
+    "symbols": ("normal-ordering realizations and swap symbol", _symbols_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or with ``command`` alone.
+
+    A parser for one command parses that command's arguments exactly as the
+    full one does, and its usage line still lists every subcommand, so its
+    messages read alike."""
+    parser = argparse.ArgumentParser(
+        prog="calogero",
+        description="Exact Dunkl-operator identity suites and chamber transport.")
+    parser.add_argument("--version", action="version", version=__version__)
+    listed = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name, (help_line, options) in _COMMANDS.items():
+        if command is None or command == name:
+            options(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -359,8 +382,9 @@ def main(argv=None) -> int:
     stderr and its exit code.  Any other exception propagates.  Output files
     (``--out``, ``--csv``) that cannot be written are refused before the run,
     so a refusal leaves none of them written."""
-    parser = build_parser()
-    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else list(argv))
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    args = parser.parse_args(argv)
     try:
         for path in (args.out, vars(args).get("csv")):
             if path:

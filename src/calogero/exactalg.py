@@ -22,8 +22,9 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
-from operator import add
+from operator import add, itemgetter
 from typing import Iterator, Mapping, Sequence
 
 __all__ = [
@@ -79,6 +80,43 @@ def _poly_from(arity: int, terms: dict) -> "MultiPoly":
     p.arity = arity
     p.terms = terms
     return p
+
+
+def _add_terms(out: dict, terms: Mapping, negate: bool) -> None:
+    """``out += terms``, or ``out -= terms`` when ``negate``, in place;
+    zero sums are dropped."""
+    get = out.get
+    for exp, coef in terms.items():
+        s = get(exp, 0) - coef if negate else get(exp, 0) + coef
+        if s:
+            out[exp] = s if type(s) is int else _as_rat(s)
+        else:
+            del out[exp]
+
+
+def _add_product(out: dict, terms: Mapping, factor: tuple) -> None:
+    """``out += terms * factor`` in place, one pass over ``terms``; ``factor``
+    is a polynomial given as its (exponent delta, int weight) pairs."""
+    get = out.get
+    for exp, coef in terms.items():
+        for delta, weight in factor:
+            key = tuple(map(add, exp, delta))
+            s = get(key, 0) + coef * weight
+            if s:
+                out[key] = s if type(s) is int else _as_rat(s)
+            else:
+                del out[key]
+
+
+@lru_cache(maxsize=256)
+def _difference_product(arity: int, factor: tuple, negate: bool) -> tuple:
+    """The terms of ``prod (x_i - x_j)^e`` over ``factor = ((i, j, e), ...)``,
+    negated when ``negate``, as (exponent delta, int weight) pairs; built once
+    per distinct factor."""
+    p = MultiPoly.constant(arity, -1 if negate else 1)
+    for i, j, e in factor:
+        p = p * (MultiPoly.variable(arity, i) - MultiPoly.variable(arity, j)) ** e
+    return tuple(p.terms.items())
 
 
 class MultiPoly:
@@ -171,13 +209,7 @@ class MultiPoly:
         """self + other, or self - other when ``negate``."""
         self._check(other)
         out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            s = out.get(exp, 0)
-            s = s - coef if negate else s + coef
-            if s:
-                out[exp] = s
-            else:
-                del out[exp]
+        _add_terms(out, other.terms, negate)
         return _poly_from(self.arity, out)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
@@ -199,7 +231,7 @@ class MultiPoly:
                 exp = tuple(map(add, ea, eb))
                 s = out.get(exp, 0) + ca * cb
                 if s:
-                    out[exp] = s
+                    out[exp] = s if type(s) is int else _as_rat(s)
                 else:
                     del out[exp]
         return _poly_from(self.arity, out)
@@ -211,7 +243,11 @@ class MultiPoly:
         factor = _as_rat(factor)
         if not factor:
             return MultiPoly.zero(self.arity)
-        return _poly_from(self.arity, {e: c * factor for e, c in self.terms.items()})
+        out = {}
+        for exp, coef in self.terms.items():
+            v = coef * factor
+            out[exp] = v if type(v) is int else _as_rat(v)
+        return _poly_from(self.arity, out)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -240,7 +276,8 @@ class MultiPoly:
         for exp, coef in self.terms.items():
             e = exp[k]
             if e:
-                out[exp[:k] + (e - 1,) + exp[k + 1:]] = coef * e
+                v = coef * e
+                out[exp[:k] + (e - 1,) + exp[k + 1:]] = v if type(v) is int else _as_rat(v)
         return _poly_from(self.arity, out)
 
     def substitute_shift(self, k: int, j: int, alpha) -> "MultiPoly":
@@ -263,7 +300,7 @@ class MultiPoly:
                 t = tuple(key)
                 s = out.get(t, 0) + coef * comb(e, i) * alpha_pow[i]
                 if s:
-                    out[t] = s
+                    out[t] = s if type(s) is int else _as_rat(s)
                 else:
                     del out[t]
         return _poly_from(self.arity, out)
@@ -275,16 +312,19 @@ class MultiPoly:
         for exp, coef in self.terms.items():
             c = coef * q ** exp[k]
             if c:
-                out[exp] = c
+                out[exp] = c if type(c) is int else _as_rat(c)
         return _poly_from(self.arity, out)
 
     def permute(self, sigma: "Permutation") -> "MultiPoly":
         """Action on functions: x_k is mapped to x_{sigma(k)}; c stays."""
         if sigma.size != self.arity:
             raise ValueError("permutation size does not match arity")
-        order = sigma.inverse().images + (self.arity,)
-        return _poly_from(self.arity, {tuple([exp[t] for t in order]): coef
-                                       for exp, coef in self.terms.items()})
+        # slot sigma(k) of the new exponent is slot k of the old one
+        order = [self.arity] * (self.arity + 1)
+        for k, image in enumerate(sigma.images):
+            order[image] = k
+        slots = itemgetter(*order)
+        return _poly_from(self.arity, {slots(exp): coef for exp, coef in self.terms.items()})
 
     def eval(self, point: Sequence[Fraction | int], cval=0) -> Fraction:
         if len(point) != self.arity:
@@ -316,17 +356,14 @@ class MultiPoly:
         remainder = _poly_from(self.arity, by_deg.get(0, {})) + carry
         return out if remainder.is_zero() else None
 
-    def mul_difference(self, i: int, j: int) -> "MultiPoly":
-        """Multiply by (x_i - x_j): each term moves to exp + e_i, and its
-        negative to exp + e_j."""
-        out = self.shift_var(i).terms
-        for exp, coef in self.terms.items():
-            key = exp[:j] + (exp[j] + 1,) + exp[j + 1:]
-            s = out.get(key, 0) - coef
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+    def mul_difference(self, i: int, j: int, power: int = 1) -> "MultiPoly":
+        """Multiply by (x_i - x_j)**power."""
+        if power < 0:
+            raise ValueError("negative power")
+        if not (0 <= i < self.arity and 0 <= j < self.arity):
+            raise ValueError(f"pair ({i}, {j}) is out of range for arity {self.arity}")
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        _add_product(out, self.terms, _difference_product(self.arity, ((i, j, power),), False))
         return _poly_from(self.arity, out)
 
     def shift_var(self, j: int, power: int = 1) -> "MultiPoly":
@@ -542,29 +579,36 @@ class RationalSection:
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
 
-    def _raise_to_den(self, target: Mapping[tuple[int, int], int]) -> MultiPoly:
-        """Numerator after extending this section's denominator to ``target``."""
-        num = self.num
-        for pair, d in target.items():
-            extra = d - self.den.get(pair, 0)
-            if extra < 0:
-                raise ValueError("target denominator is not a multiple")
-            for _ in range(extra):
-                num = num.mul_difference(*pair)
-        return num
-
     def _merge(self, other: "RationalSection", negate: bool) -> "RationalSection":
-        """self + other, or self - other when ``negate``."""
+        """self + other, or self - other when ``negate``, over the least
+        common denominator: each numerator is multiplied by the pair
+        differences its denominator lacks and added into one dict."""
         self._check(other)
         if other.is_zero():
             return self
         if self.is_zero():
             return -other if negate else other
-        target = dict(self.den)
-        for pair, d in other.den.items():
-            target[pair] = max(target.get(pair, 0), d)
-        num = self._raise_to_den(target)._merge(other._raise_to_den(target), negate)
-        return _section_from(num, target)
+        a, b = self.den, other.den
+        # the least common denominator, and the factor each side lacks of it
+        target = dict(a)
+        lack_a = []
+        for pair, d in b.items():
+            e = a.get(pair, 0)
+            if d > e:
+                target[pair] = d
+                lack_a.append(pair + (d - e,))
+        lack_b = [pair + (d - b.get(pair, 0),) for pair, d in a.items() if d > b.get(pair, 0)]
+        arity = self.arity
+        if lack_a:
+            out = {}
+            _add_product(out, self.num.terms, _difference_product(arity, tuple(lack_a), False))
+        else:
+            out = dict(self.num.terms)
+        if lack_b:
+            _add_product(out, other.num.terms, _difference_product(arity, tuple(lack_b), negate))
+        else:
+            _add_terms(out, other.num.terms, negate)
+        return _section_from(_poly_from(arity, out), target)
 
     def __add__(self, other: "RationalSection") -> "RationalSection":
         return self._merge(other, False)
@@ -626,8 +670,9 @@ class RationalSection:
         num = self.num.permute(sigma)
         den: dict[tuple[int, int], int] = {}
         flip = 0
+        images = sigma.images
         for (i, j), d in self.den.items():
-            a, b = sigma(i), sigma(j)
+            a, b = images[i], images[j]
             if a > b:
                 flip += d
             den[_pair(a, b)] = den.get(_pair(a, b), 0) + d

@@ -168,8 +168,10 @@ def permutation_series(j: int, k: int, f: MultiPoly, order: int) -> MultiPoly:
 
         sum_{n<=order} (x_j - x_k)^n / n! (d_k - d_j)^n f
 
-    Exact (equals the swap) once ``order >= deg f``.
+    Exact (equals the swap) once ``order >= deg f``.  ``j`` and ``k`` must
+    be distinct coordinates of f (``ValueError`` otherwise).
     """
+    Permutation.transposition(f.arity, j, k)  # refuses the pair before any work
     gap = MultiPoly.variable(f.arity, j) - MultiPoly.variable(f.arity, k)
     return _taylor(f, gap, lambda g: g.partial(k) - g.partial(j), order)
 
@@ -196,9 +198,12 @@ def symbol_of_permutation(n_vars: int, j: int, k: int, order: int) -> list[Symbo
     (x_j - x_k)^n / n! times (p_k - p_j)^n; quantization sends each momentum
     monomial to the matching derivative product, x factors multiplying from
     the left.  The coefficients are summed as integers over ``order!``.
+    ``j`` and ``k`` must be distinct coordinates below ``n_vars``
+    (``ValueError`` otherwise).
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
+    Permutation.transposition(n_vars, j, k)  # refuses the pair before any work
     top = math.factorial(order)
     terms: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for n in range(order + 1):

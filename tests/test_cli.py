@@ -533,3 +533,68 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+COMMANDS = ("verify", "transport", "simulate", "symbols")
+
+
+def _parse_with(parser, capsys, argv):
+    """Exit code, stdout and stderr of ``parser.parse_args(argv)``, which
+    exits on help and usage errors."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestOneCommandParser:
+    """``main`` builds only the options of the command it runs; everything it
+    prints must read as the fully built parser's output."""
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        assert all(name in out for name in COMMANDS)
+        assert (code, out) == _parse_with(cli.build_parser(), capsys, ["--help"])[:2]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_is_the_full_parsers(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert out == _parse_with(cli.build_parser(), capsys, [command, "--help"])[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "2"], ["transport", "--path", "p.json", "--p", "0,0"],
+        ["simulate", "--x", "0,1", "--p", "0,0"], ["symbols"],
+    ])
+    def test_usage_error_reads_as_the_full_parsers(self, capsys, argv):
+        # an unknown option is reported with the top-level usage line
+        argv = argv + ["--no-such-option"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "{verify,transport,simulate,symbols}" in err
+        assert (code, out, err) == _parse_with(cli.build_parser(), capsys, argv)
+
+    def test_one_command_parser_holds_only_its_options(self):
+        parser = cli.build_parser("symbols")
+        args = parser.parse_args(["symbols", "--j", "1", "--k", "0"])
+        assert args.func is cli.cmd_symbols
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", "--n", "2"])
+
+    def test_unknown_command_is_invalid_choice(self, capsys):
+        code, out, err = run_cli(capsys, "bogus")
+        assert code == 2 and out == ""
+        assert "invalid choice: 'bogus'" in err
+
+    def test_empty_argv_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys)
+        assert code == 2 and out == ""
+        assert "required" in err
+
+    def test_command_function_is_read_when_the_parser_is_built(self, capsys, monkeypatch):
+        # a replaced module global is the one that runs, as for a wrapper
+        calls = []
+        monkeypatch.setattr(cli, "cmd_symbols", lambda args: calls.append(args.n) or 0)
+        assert main(["symbols", "--n", "3"]) == 0
+        assert calls == [3]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -117,18 +118,46 @@ class TestMultiPoly:
     def test_mul_difference_matches_general_product(self):
         rng = random.Random(5)
         for n in (2, 3, 4):
-            for _ in range(10):
+            for _ in range(6):
                 p = random_section(rng, n).num
-                for i in range(n):
-                    for j in range(n):
-                        if i != j:
-                            assert p.mul_difference(i, j) == p * (var(n, i) - var(n, j))
+                for i, j in itertools.permutations(range(n), 2):
+                    diff = var(n, i) - var(n, j)
+                    for power in range(5):
+                        assert p.mul_difference(i, j, power) == p * diff ** power
+
+    def test_mul_difference_refuses_bad_pair_or_power(self):
+        p = var(3, 0)
+        for args in [(0, 3), (-1, 0), (3, 1), (0, 1, -1)]:
+            with pytest.raises(ValueError):
+                p.mul_difference(*args)
 
     def test_integral_coefficients_stay_int(self):
         p = MultiPoly.monomial(2, (3, 0), F(4, 2)).partial(0)
         assert all(type(v) is int for v in p.terms.values())
         half = coupling_poly(2, F(1, 2), F(4, 2))
         assert type(half.terms[(0, 0, 0)]) is F and type(half.terms[(0, 0, 1)]) is int
+
+        def integral_as_int(p):
+            return all(type(v) is int or v.denominator != 1 for v in p.terms.values())
+
+        x0_half = MultiPoly(2, {(1, 0, 0): F(1, 2)})
+        results = [
+            x0_half * MultiPoly(2, {(0, 1, 0): 2}),
+            x0_half + x0_half,
+            x0_half - MultiPoly(2, {(1, 0, 0): F(-1, 2)}),
+            x0_half.scale(2),
+            MultiPoly(2, {(2, 0, 0): F(1, 2)}).partial(0),
+            MultiPoly(2, {(1, 0, 0): F(1, 2)}).substitute_scale(0, 2),
+            MultiPoly(2, {(2, 0, 0): F(1, 2)}).substitute_shift(0, 1, 1),
+            MultiPoly(2, {(0, 0, 0): F(1, 2)}).mul_difference(0, 1, 2),
+        ]
+        # 1/2 + 1/(x0 - x1)^2: the 1/2 is raised by x0^2 - 2 x0 x1 + x1^2
+        raised = (RationalSection(MultiPoly.constant(2, F(1, 2)))
+                  + RationalSection.inverse_difference(2, 0, 1, 2))
+        results.append(raised.num)
+        assert all(integral_as_int(p) for p in results)
+        assert results[0].terms == {(1, 1, 0): 1}
+        assert raised.num.terms[(1, 1, 0)] == -1
 
 
 class TestPermutation:

@@ -99,6 +99,19 @@ def test_section_field_operations(f, g):
     assert f * g == g * f
 
 
+# exact points off the walls x_i = x_j, where every section is defined
+points = st.lists(rationals, min_size=N_VARS, max_size=N_VARS, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sections, sections, points, rationals)
+def test_section_sum_evaluates_pointwise(f, g, pt, cval):
+    # evaluation shares no code with the common-denominator sum
+    fv, gv = f.eval(pt, cval), g.eval(pt, cval)
+    assert (f + g).eval(pt, cval) == fv + gv
+    assert (f - g).eval(pt, cval) == fv - gv
+
+
 @settings(max_examples=60, deadline=None)
 @given(sections, perms, perms)
 def test_permutation_left_action(f, sigma, tau):

@@ -304,6 +304,26 @@ def test_realization_report_refuses_a_swap_out_of_range():
         realization_report(3, 2, 0, 5)
 
 
+@pytest.mark.parametrize("j, k, match", [
+    (-1, 0, "out of range"), (0, -1, "out of range"), (0, 2, "out of range"),
+    (5, 1, "out of range"), (1, 1, "distinct"),
+])
+def test_series_refuses_a_bad_pair(j, k, match):
+    # -1 used to wrap to the coupling slot and return a wrong series silently
+    with pytest.raises(ValueError, match=match):
+        permutation_series(j, k, mono(2, 1, 0), 1)
+
+
+@pytest.mark.parametrize("j, k, match", [
+    (-1, 0, "out of range"), (0, 5, "out of range"), (2, 0, "out of range"),
+    (0, 0, "distinct"),
+])
+def test_symbol_refuses_a_bad_pair(j, k, match):
+    # (-1, 0) used to build the symbol of the swap (1 0); (0, 5) raised IndexError
+    with pytest.raises(ValueError, match=match):
+        symbol_of_permutation(2, j, k, 2)
+
+
 def test_negative_order_rejected():
     with pytest.raises(ValueError):
         permutation_series(0, 1, MultiPoly.one(2), -1)
