@@ -323,8 +323,8 @@ def _symbols_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=cmd_symbols)
 
 
-# name: (help line, builder of its options); each builder sets the command
-# function by its module global when the parser is built
+# name: (help line, function adding its options); each such function sets the
+# command function by its module global when the parser is built
 _COMMANDS = {
     "verify": ("run exact identity suites", _verify_options),
     "transport": ("parallel transport along a chamber path", _transport_options),
