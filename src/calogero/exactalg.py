@@ -357,7 +357,11 @@ class MultiPoly:
         return out if remainder.is_zero() else None
 
     def mul_difference(self, i: int, j: int, power: int = 1) -> "MultiPoly":
-        """Multiply by (x_i - x_j)**power."""
+        """Multiply by (x_i - x_j)**power.
+
+        The one-factor case of the section sum's kernel (``_difference_product``
+        and ``_add_product``); no library path calls it, and the tests use it to
+        check that kernel against plain ``MultiPoly`` products."""
         if power < 0:
             raise ValueError("negative power")
         if not (0 <= i < self.arity and 0 <= j < self.arity):

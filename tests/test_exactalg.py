@@ -118,7 +118,7 @@ class TestMultiPoly:
     def test_mul_difference_matches_general_product(self):
         rng = random.Random(5)
         for n in (2, 3, 4):
-            for _ in range(6):
+            for _ in range(10):
                 p = random_section(rng, n).num
                 for i, j in itertools.permutations(range(n), 2):
                     diff = var(n, i) - var(n, j)
