@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactalg import (
     MultiPoly,
@@ -44,16 +45,27 @@ class SymmetryError(ValueError):
     """Input section does not have the declared S_N symmetry type."""
 
 
+@lru_cache(maxsize=None)
+def _swaps(n: int) -> tuple:
+    """``_swaps(n)[i][k]`` is the transposition of i and k (``None`` for
+    i == k): each of the n(n-1)/2 swaps built once per process."""
+    swap = {(i, k): Permutation.transposition(n, i, k)
+            for i, k in itertools.combinations(range(n), 2)}
+    return tuple(tuple(swap.get((min(i, k), max(i, k))) for k in range(n))
+                 for i in range(n))
+
+
 def apply_dunkl(k: int, f: RationalSection) -> RationalSection:
     """nabla_k f, exact."""
     n = f.arity
     if not 0 <= k < n:
         raise ValueError(f"coordinate index {k} out of range")
     result = f.partial(k)
+    swaps = _swaps(n)[k]
     for i in range(n):
         if i == k:
             continue
-        swapped = f.permute(Permutation.transposition(n, i, k))
+        swapped = f.permute(swaps[i])
         result = result - swapped.mul_inverse_difference(i, k).mul_coupling()
     return result
 
@@ -115,8 +127,8 @@ def sum_of_squares_normal_form(f: RationalSection) -> RationalSection:
     on the diagonal (P_ij moves the coefficient past itself with a sign flip),
     while the mixed-index quadratic terms cancel by the cyclic identity.
     """
-    n = f.arity
-    return _normal_ordered(f, lambda i, j: f.permute(Permutation.transposition(n, i, j)))
+    swaps = _swaps(f.arity)
+    return _normal_ordered(f, lambda i, j: f.permute(swaps[i][j]))
 
 
 def pair_potential(f: RationalSection) -> RationalSection:
@@ -143,8 +155,8 @@ def restricted_projection(f: RationalSection, sign: str) -> RationalSection:
     n = f.arity
     swapped = f if sign == "symmetric" else -f
     # adjacent transpositions generate S_N
-    if any(f.permute(Permutation.transposition(n, i, i + 1)) != swapped
-           for i in range(n - 1)):
+    swaps = _swaps(n)
+    if any(f.permute(swaps[i][i + 1]) != swapped for i in range(n - 1)):
         raise SymmetryError(f"section is not {sign}")
     return _normal_ordered(f, lambda i, j: swapped)
 

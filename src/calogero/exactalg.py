@@ -163,6 +163,9 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "MultiPoly":
+        """The coordinate x_index; the coupling slot is not a variable."""
+        if not 0 <= index < arity:
+            raise ValueError(f"variable index {index} is out of range for arity {arity}")
         return cls.monomial(arity, tuple(1 if i == index else 0 for i in range(arity)))
 
     @classmethod

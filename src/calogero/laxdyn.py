@@ -14,10 +14,16 @@ The simulator (fixed-step RK4) steps first and measures in blocks.  A
 ``PhasePoint`` is validated once; the stepping loop then carries the
 positions, momenta and force, runs one RK4 step and the ordering test per
 step, and writes every state into a preallocated block.  The step runs on
-plain Python floats for every N: at three or four particles it takes about a
-third of the time of the same step on numpy arrays, which is mostly per-call
-cost, and from about a dozen particles on a numpy step would be faster (the
-README gives the measured times).  Each full or final block is then
+plain Python floats, in a kernel generated once per particle count: straight-
+line source on scalar locals ``x0, x1, ...`` (no loops, lists or index
+lookups inside a step), compiled with ``exec`` and cached on N.  Each of its
+force evaluations divides every pair once, in row-major order, so each row
+sum adds its terms left to right; every float operation runs in the order a
+numpy reference of the step runs it below eight particles, which the tests
+hold bit for bit.  At three or four particles a step takes about a quarter
+of the time of a loop over lists and a tenth of a step on numpy arrays; from
+about twenty particles on a numpy step would be faster (the README gives the
+measured times and the compile cost).  Each full or final block is then
 measured at once: one stacked pair array gives H and tr P^1..tr P^jmax of
 every state, the drift is taken over every step, and every
 ``sample_stride``-th state is kept.  ``duration / dt`` is capped at
@@ -30,9 +36,11 @@ spectrum {1 (N-1 times), 1-N}.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -210,33 +218,71 @@ class Trajectory:
                                 + [repr(float(v)) for v in self.invariants[i]])
 
 
-def _cube_row_sums(x: list) -> list:
-    """sum_j inv[i, j]**3 for every i, each pair divided once."""
-    # inv[j, i]**3 is -inv[i, j]**3; running sums over the pairs in row-major
-    # order add each row left to right
-    n = len(x)
-    sums = [0.0] * n
+def _force_block(n: int, y: str, f: str) -> list[str]:
+    """Source lines that set ``f0..`` to the force -dH/dx at positions
+    ``y0..``, given ``k = 2.0 * g2`` and ``w = omega ** 2``.
+
+    Each pair is divided once, in row-major order, so every row sum of
+    inv[i, j]**3 adds its terms left to right (inv[j, i]**3 is
+    -inv[i, j]**3).  Two coinciding positions divide by zero and give the
+    all-inf force: it makes the new positions non-finite (from the last stage,
+    the next step's), which the ordering test reports as a collision."""
+    body = [" = ".join(f"s{i}" for i in range(n)) + " = 0.0"]
     for i in range(n - 1):
-        xi = x[i]
         for j in range(i + 1, n):
-            a = 1.0 / (xi - x[j])
-            c = a * a * a
-            sums[i] += c
-            sums[j] -= c
-    return sums
+            body += [f"a = 1.0 / ({y}{i} - {y}{j})", "c = a * a * a",
+                     f"s{i} += c", f"s{j} -= c"]
+    body += [f"{f}{i} = k * s{i} - w * {y}{i}" for i in range(n)]
+    return (["try:"] + ["    " + line for line in body]
+            + ["except ZeroDivisionError:",
+               "    " + " = ".join(f"{f}{i}" for i in range(n)) + " = inf"])
+
+
+def _kernel_source(n: int) -> str:
+    """Python source of ``force`` and ``step`` for ``n`` particles: the float
+    operations of one force evaluation and one RK4 step, written out on scalar
+    locals in the order the tests hold bit for bit to a numpy reference."""
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in range(n))
+
+    def each(template):
+        return [template.format(i=i) for i in range(n)]
+
+    force = (["def force(x, g2, omega):", f"[{names('y')}] = x",
+              "k = 2.0 * g2", "w = omega ** 2"]
+             + _force_block(n, "y", "f") + [f"return [{names('f')}]"])
+    step = (["def step(x, p, f, dt, g2, omega):", f"[{names('x')}] = x",
+             f"[{names('p')}] = p", f"[{names('f')}] = f",
+             "k = 2.0 * g2", "w = omega ** 2", "h = 0.5 * dt"]
+            + each("k2x{i} = p{i} + h * f{i}") + each("y{i} = x{i} + h * p{i}")
+            + _force_block(n, "y", "k2p")
+            + each("k3x{i} = p{i} + h * k2p{i}") + each("y{i} = x{i} + h * k2x{i}")
+            + _force_block(n, "y", "k3p")
+            + each("k4x{i} = p{i} + dt * k3p{i}") + each("y{i} = x{i} + dt * k3x{i}")
+            + _force_block(n, "y", "k4p")
+            + each("xn{i} = x{i} + dt * (p{i} + 2.0 * k2x{i} + 2.0 * k3x{i} + k4x{i}) / 6.0")
+            + each("pn{i} = p{i} + dt * (f{i} + 2.0 * k2p{i} + 2.0 * k3p{i} + k4p{i}) / 6.0")
+            + _force_block(n, "xn", "fn")
+            + [f"return [{names('xn')}], [{names('pn')}], [{names('fn')}]"])
+    return "\n\n".join("\n    ".join(lines) for lines in (force, step)) + "\n"
+
+
+class _Kernel(NamedTuple):
+    force: Callable
+    step: Callable
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(n: int) -> _Kernel:
+    """The force and RK4 step for ``n`` particles, compiled once per process."""
+    namespace = {"inf": math.inf}
+    exec(compile(_kernel_source(n), f"<laxdyn kernel, n={n}>", "exec"), namespace)
+    return _Kernel(namespace["force"], namespace["step"])
 
 
 def _force(x: list, g2: float, omega: float) -> list:
     """Force -dH/dx at one state."""
-    try:
-        sums = _cube_row_sums(x)
-    except ZeroDivisionError:
-        # two stage positions coincide: an infinite force makes the new
-        # positions non-finite (from the last stage, the next step's), which
-        # the ordering test reports as a collision
-        return [math.inf] * len(x)
-    k, w = 2.0 * g2, omega ** 2
-    return [k * s - w * xi for s, xi in zip(sums, x)]
+    return _kernel(len(x)).force(x, g2, omega)
 
 
 def _rk4_step(x: list, p: list, f: list, dt: float, g2: float, omega: float):
@@ -245,18 +291,7 @@ def _rk4_step(x: list, p: list, f: list, dt: float, g2: float, omega: float):
 
     ``integrate`` makes one call per step, which the benchmark's layer tracer
     (``perfbench/layertrace.py``) counts as ``laxdyn.steps``."""
-    h = 0.5 * dt
-    k2x = [a + h * b for a, b in zip(p, f)]
-    k2p = _force([a + h * b for a, b in zip(x, p)], g2, omega)
-    k3x = [a + h * b for a, b in zip(p, k2p)]
-    k3p = _force([a + h * b for a, b in zip(x, k2x)], g2, omega)
-    k4x = [a + dt * b for a, b in zip(p, k3p)]
-    k4p = _force([a + dt * b for a, b in zip(x, k3x)], g2, omega)
-    xn = [y + dt * (a + 2 * b + 2 * c + d) / 6.0
-          for y, a, b, c, d in zip(x, p, k2x, k3x, k4x)]
-    pn = [y + dt * (a + 2 * b + 2 * c + d) / 6.0
-          for y, a, b, c, d in zip(p, f, k2p, k3p, k4p)]
-    return xn, pn, _force(xn, g2, omega)
+    return _kernel(len(x)).step(x, p, f, dt, g2, omega)
 
 
 def _block_length(n: int) -> int:

@@ -125,6 +125,12 @@ class TestMultiPoly:
                     for power in range(5):
                         assert p.mul_difference(i, j, power) == p * diff ** power
 
+    @pytest.mark.parametrize("index", [5, -1, 2])
+    def test_variable_index_out_of_range_is_refused(self, index):
+        # 2 is the coupling slot of an arity-2 polynomial, not a coordinate
+        with pytest.raises(ValueError, match="out of range"):
+            MultiPoly.variable(2, index)
+
     def test_mul_difference_refuses_bad_pair_or_power(self):
         p = var(3, 0)
         for args in [(0, 3), (-1, 0), (3, 1), (0, 1, -1)]:

@@ -328,6 +328,58 @@ class TestStep:
         assert not np.array_equal(xr, x0)
 
 
+def _stage_positions(x, p, dt, g2, omega):
+    """Positions of the three inner RK4 stages and the new point of one
+    reference step, where the step evaluates its four forces."""
+    def force(y):
+        return _reference_force(y, g2, omega)
+
+    h = 0.5 * dt
+    y1 = x + h * p
+    k2x, k2p = p + h * force(x), force(y1)
+    y2 = x + h * k2x
+    k3x, k3p = p + h * k2p, force(y2)
+    y3 = x + dt * k3x
+    k4x = p + dt * k3p
+    return [y1, y2, y3, x + dt * (p + 2 * k2x + 2 * k3x + k4x) / 6.0]
+
+
+class TestKernel:
+    # uncoupled oscillators (g2=0, omega=1) in which particles 1 and 2 mirror
+    # each other exactly, and dt=1: the pair meets at 0 at exactly one of the
+    # step's force evaluations, whose own division-by-zero branch must give
+    # the collision the reference reports
+    @pytest.mark.parametrize("x, p, stage", [
+        ((-10.0, -1.0, 1.0), (0.0, 2.0, -2.0), 0),           # first inner stage
+        ((-10.0, -1.0, 1.0), (0.0, 1.5, -1.5), 1),           # second inner stage
+        ((-10.0, -3.0, 3.0), (0.0, 2.0, -2.0), 2),           # third inner stage
+        ((-10.0, -2.5, 2.5), (0.0, 1.625, -1.625), 3),       # the new point
+    ])
+    def test_coincidence_at_each_force_is_a_collision(self, x, p, stage):
+        state = PhasePoint(x, p, g2=0.0, omega=1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            positions = _stage_positions(np.array(x), np.array(p), 1.0, 0.0, 1.0)
+        meets = [y[1] == y[2] for y in positions]
+        assert meets.index(True) == stage
+        with pytest.raises(CollisionError) as ref:
+            _reference_integrate(state, 10.0, 1.0, 1, 1)
+        with pytest.raises(CollisionError) as err:
+            integrate(state, 10.0, 1.0, jmax=1)
+        assert err.value.time == ref.value.time == 1.0
+
+    def test_coincident_force_is_infinite(self):
+        assert laxdyn._force([0.0, 1.0, 1.0], 1.0, 0.0) == [math.inf] * 3
+
+    def test_kernel_is_compiled_once_per_particle_count(self):
+        laxdyn._kernel.cache_clear()
+        for _ in range(2):
+            for state in (BENCH3, BENCH3, random_state(random.Random(4), 4)):
+                integrate(state, 0.01, 1e-3, jmax=1)
+        info = laxdyn._kernel.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert info.hits > 0
+
+
 class TestBlocks:
     @pytest.mark.parametrize("n", [3, 7])
     def test_blocks_match_per_step_reference(self, monkeypatch, n):
