@@ -49,10 +49,10 @@ class SymmetryError(ValueError):
 def _swaps(n: int) -> tuple:
     """``_swaps(n)[i][k]`` is the transposition of i and k (``None`` for
     i == k): each of the n(n-1)/2 swaps built once per process."""
-    swap = {(i, k): Permutation.transposition(n, i, k)
-            for i, k in itertools.combinations(range(n), 2)}
-    return tuple(tuple(swap.get((min(i, k), max(i, k))) for k in range(n))
-                 for i in range(n))
+    table = [[None] * n for _ in range(n)]
+    for i, k in itertools.combinations(range(n), 2):
+        table[i][k] = table[k][i] = Permutation.transposition(n, i, k)
+    return tuple(map(tuple, table))
 
 
 def apply_dunkl(k: int, f: RationalSection) -> RationalSection:

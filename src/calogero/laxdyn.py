@@ -14,16 +14,16 @@ The simulator (fixed-step RK4) steps first and measures in blocks.  A
 ``PhasePoint`` is validated once; the stepping loop then carries the
 positions, momenta and force, runs one RK4 step and the ordering test per
 step, and writes every state into a preallocated block.  The step runs on
-plain Python floats, in a kernel generated once per particle count: straight-
-line source on scalar locals ``x0, x1, ...`` (no loops, lists or index
-lookups inside a step), compiled with ``exec`` and cached on N.  Each of its
+plain Python floats, in a kernel generated once per particle count:
+straight-line source on scalar locals ``x0, x1, ...``, with no loop or list
+indexing inside a step, compiled with ``exec`` and cached on N.  Each of its
 force evaluations divides every pair once, in row-major order, so each row
 sum adds its terms left to right; every float operation runs in the order a
 numpy reference of the step runs it below eight particles, which the tests
 hold bit for bit.  At three or four particles a step takes about a quarter
 of the time of a loop over lists and a tenth of a step on numpy arrays; from
-about twenty particles on a numpy step would be faster (the README gives the
-measured times and the compile cost).  Each full or final block is then
+about eighteen particles on a numpy step would be faster (the README gives
+the measured times and the compile cost).  Each full or final block is then
 measured at once: one stacked pair array gives H and tr P^1..tr P^jmax of
 every state, the drift is taken over every step, and every
 ``sample_stride``-th state is kept.  ``duration / dt`` is capped at
