@@ -19,9 +19,7 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import __version__
+from . import _Numpy, __version__
 from .laxdyn import MAX_STEPS, CollisionError, PhasePoint, integrate
 from .suites import SUITE_NAMES, run_suite, worker_pool
 from .symbolcalc import realization_report, symbol_of_permutation
@@ -33,6 +31,8 @@ from .transport import (
     transport_dyson,
     transport_ode,
 )
+
+np = _Numpy(globals())
 
 SCHEMA_VERSION = 1
 

@@ -31,6 +31,9 @@ every state, the drift is taken over every step, and every
 
 The rank-two constant matrix ``I - e e^T`` driving the reduction has
 spectrum {1 (N-1 times), 1-N}.
+
+``np`` is the package's numpy stand-in until the first numerical call, so
+importing this module, as every ``calogero`` command does, does not load numpy.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
+from . import _Numpy
+
+np = _Numpy(globals())
 
 __all__ = [
     "PhasePoint",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor
 from typing import Iterator, NamedTuple
 
 from .dunkl import (
@@ -65,6 +65,8 @@ def worker_pool(workers: int) -> Iterator[WorkerPool | None]:
     if workers <= 1:
         yield None
         return
+    # imported here so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as executor:
         yield WorkerPool(executor, workers)
 

@@ -29,6 +29,9 @@ only a nonzero total becomes a ``Fraction``.  Momentum equivariance needs no
 point: it is an identity of the exact entries under one derived relabelling
 of the components.  The iterated integrals hold three complex d x d matrices
 per grid node and refuse grids above ``DYSON_MAX_BYTES``.
+
+``np`` is the package's numpy stand-in until the first numerical call, so
+importing this module, as every ``calogero`` command does, does not load numpy.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
+from . import _Numpy
 from .exactalg import Permutation
+
+np = _Numpy(globals())
 
 __all__ = [
     "ConnectionMatrix",
@@ -490,11 +494,12 @@ class TransportResult:
 
 # -- embedded Runge-Kutta 5(4), Dormand-Prince coefficients -------------------
 
-# Row s of _DP_A weights the stages before s.  Row 6 equals _DP_B5, so the
-# last stage is f(t + h, y5) and, once the step is accepted, the first stage
-# of the next one (first same as last).
+# Row s of _DP_A weights the stages before s.  Row 6 holds the fifth-order
+# weights, so the last stage is f(t + h, y5) and, once the step is accepted,
+# the first stage of the next one (first same as last).  The tables are plain
+# floats so that importing the module does not load numpy.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = np.array([
+_DP_A = (
     (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
     (1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0),
     (3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0),
@@ -502,9 +507,9 @@ _DP_A = np.array([
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-])
-_DP_B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                   187 / 2100, 1 / 40))
+)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+          187 / 2100, 1 / 40)
 
 _MIN_STEP = 1e-14
 
@@ -528,6 +533,7 @@ def _integrate_dp45(fun: Callable[[float, np.ndarray], np.ndarray],
     err = 0.0
     shape = np.shape(y0)
     k = np.empty((7, np.size(y0)), dtype=complex)  # stage s, flattened
+    dp_a, dp_b4 = np.array(_DP_A), np.array(_DP_B4)
     # an overflowing solution shows as a non-finite error estimate, which
     # rejects every step until the step size underflows
     with np.errstate(over="ignore", invalid="ignore"):
@@ -540,10 +546,10 @@ def _integrate_dp45(fun: Callable[[float, np.ndarray], np.ndarray],
                 raise TransportStepError(
                     f"step size underflow at t={t:.6g} (chamber margin too tight)")
             for s in range(1, 7):
-                ys = y + h * (_DP_A[s, :s] @ k[:s]).reshape(shape)
+                ys = y + h * (dp_a[s, :s] @ k[:s]).reshape(shape)
                 k[s] = fun(t + _DP_C[s] * h, ys).ravel()
             y5 = ys
-            y4 = y + h * (_DP_B4 @ k).reshape(shape)
+            y4 = y + h * (dp_b4 @ k).reshape(shape)
             scale = tol * (1.0 + np.max(np.abs(y)))
             err = np.max(np.abs(y5 - y4)) / scale
             if err <= 1.0:

@@ -77,7 +77,8 @@ class TestVerifyCommand:
                 built.append(kwargs)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", CountedPool)
+        # worker_pool imports the pool class from concurrent.futures when it builds one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountedPool)
         _, solo, _ = run_cli(capsys, "verify", "--n", "3", "--deg", "3")
         code, pooled, _ = run_cli(capsys, "verify", "--n", "3", "--deg", "3",
                                   "--workers", "2")
@@ -92,7 +93,7 @@ class TestVerifyCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("a serial run built a process pool")
 
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
         assert suites.restriction_suite(3, 3)["failures"] == []
         for name in suites.SUITE_NAMES:
             assert suites.run_suite(name, 2, 2)["failures"] == []

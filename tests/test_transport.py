@@ -13,6 +13,9 @@ from calogero.transport import (
     ChamberPath,
     PathValidationError,
     TransportStepError,
+    _DP_A,
+    _DP_B4,
+    _DP_C,
     _integrate_dp45,
     build_local_system,
     equivariance_check,
@@ -385,6 +388,17 @@ class TestChamberPath:
 
 
 class TestTransportOde:
+    def test_dormand_prince_tableau(self):
+        # the tables are plain floats; each row of A sums to its node, the
+        # last row is the fifth-order weights and the fourth-order ones sum to 1
+        assert len(_DP_A) == len(_DP_C) == len(_DP_B4) == 7
+        for s, row in enumerate(_DP_A):
+            assert len(row) == 6 and all(type(a) is float for a in row)
+            assert abs(sum(row) - _DP_C[s]) <= 1e-15
+        b5 = (F(35, 384), 0, F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84))
+        assert _DP_A[6] == tuple(float(b) for b in b5)
+        assert abs(sum(_DP_B4) - 1.0) <= 1e-15
+
     def test_zero_length_path_gives_identity(self):
         conn = build_local_system(2, [F(1), F(2)], F(3))
         res = transport_ode(conn, ChamberPath(((0.0, 1.0),), margin=0.1))
