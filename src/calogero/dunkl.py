@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactalg import (
     MultiPoly,
@@ -45,23 +44,13 @@ class SymmetryError(ValueError):
     """Input section does not have the declared S_N symmetry type."""
 
 
-@lru_cache(maxsize=None)
-def _swaps(n: int) -> tuple:
-    """``_swaps(n)[i][k]`` is the transposition of i and k (``None`` for
-    i == k): each of the n(n-1)/2 swaps built once per process."""
-    table = [[None] * n for _ in range(n)]
-    for i, k in itertools.combinations(range(n), 2):
-        table[i][k] = table[k][i] = Permutation.transposition(n, i, k)
-    return tuple(map(tuple, table))
-
-
 def apply_dunkl(k: int, f: RationalSection) -> RationalSection:
     """nabla_k f, exact."""
     n = f.arity
     if not 0 <= k < n:
         raise ValueError(f"coordinate index {k} out of range")
     result = f.partial(k)
-    swaps = _swaps(n)[k]
+    swaps = Permutation.transpositions(n)[k]
     for i in range(n):
         if i == k:
             continue
@@ -127,7 +116,7 @@ def sum_of_squares_normal_form(f: RationalSection) -> RationalSection:
     on the diagonal (P_ij moves the coefficient past itself with a sign flip),
     while the mixed-index quadratic terms cancel by the cyclic identity.
     """
-    swaps = _swaps(f.arity)
+    swaps = Permutation.transpositions(f.arity)
     return _normal_ordered(f, lambda i, j: f.permute(swaps[i][j]))
 
 
@@ -155,7 +144,7 @@ def restricted_projection(f: RationalSection, sign: str) -> RationalSection:
     n = f.arity
     swapped = f if sign == "symmetric" else -f
     # adjacent transpositions generate S_N
-    swaps = _swaps(n)
+    swaps = Permutation.transpositions(n)
     if any(f.permute(swaps[i][i + 1]) != swapped for i in range(n - 1)):
         raise SymmetryError(f"section is not {sign}")
     return _normal_ordered(f, lambda i, j: swapped)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add, itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 __all__ = [
     "MultiPoly",
@@ -94,9 +94,10 @@ def _add_terms(out: dict, terms: Mapping, negate: bool) -> None:
             del out[exp]
 
 
-def _add_product(out: dict, terms: Mapping, factor: tuple) -> None:
+def _add_product(out: dict, terms: Mapping, factor: Collection) -> None:
     """``out += terms * factor`` in place, one pass over ``terms``; ``factor``
-    is a polynomial given as its (exponent delta, int weight) pairs."""
+    is a polynomial given as its (exponent delta, coefficient) pairs, such as
+    ``MultiPoly.terms.items()``, and is iterated once per term."""
     get = out.get
     for exp, coef in terms.items():
         for delta, weight in factor:
@@ -229,14 +230,7 @@ class MultiPoly:
             return self.scale(other)
         self._check(other)
         out: dict[tuple[int, ...], int | Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(map(add, ea, eb))
-                s = out.get(exp, 0) + ca * cb
-                if s:
-                    out[exp] = s if type(s) is int else _as_rat(s)
-                else:
-                    del out[exp]
+        _add_product(out, self.terms, other.terms.items())
         return _poly_from(self.arity, out)
 
     __rmul__ = __mul__
@@ -359,20 +353,6 @@ class MultiPoly:
         remainder = _poly_from(self.arity, by_deg.get(0, {})) + carry
         return out if remainder.is_zero() else None
 
-    def mul_difference(self, i: int, j: int, power: int = 1) -> "MultiPoly":
-        """Multiply by (x_i - x_j)**power.
-
-        The one-factor case of the section sum's kernel (``_difference_product``
-        and ``_add_product``); no library path calls it, and the tests use it to
-        check that kernel against plain ``MultiPoly`` products."""
-        if power < 0:
-            raise ValueError("negative power")
-        if not (0 <= i < self.arity and 0 <= j < self.arity):
-            raise ValueError(f"pair ({i}, {j}) is out of range for arity {self.arity}")
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        _add_product(out, self.terms, _difference_product(self.arity, ((i, j, power),), False))
-        return _poly_from(self.arity, out)
-
     def shift_var(self, j: int, power: int = 1) -> "MultiPoly":
         """Multiply by x_j**power; ``j == arity`` is the coupling slot, so
         ``shift_var(arity, k)`` multiplies by c**k."""
@@ -431,6 +411,18 @@ class Permutation:
         im = list(range(n))
         im[i], im[j] = j, i
         return cls(im)
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def transpositions(n: int) -> tuple[tuple["Permutation | None", ...], ...]:
+        """``transpositions(n)[i][k]`` is the transposition of i and k
+        (``None`` for i == k): each of the n(n-1)/2 swaps is built once per
+        process.  Indexing takes no range check; callers that must refuse a
+        bad pair use :meth:`transposition`."""
+        table = [[None] * n for _ in range(n)]
+        for i, k in itertools.combinations(range(n), 2):
+            table[i][k] = table[k][i] = Permutation.transposition(n, i, k)
+        return tuple(map(tuple, table))
 
     @classmethod
     def all_elements(cls, n: int) -> list["Permutation"]:

@@ -1,9 +1,12 @@
 """Lax matrix of the classical inverse-square model and trajectory checks.
 
-The Hermitian matrix ``P`` with momenta on the diagonal and ``i/(x_j - x_k)``
-off-diagonal has conserved trace powers along the Hamiltonian flow of
+The Hermitian matrix ``P`` with momenta on the diagonal and
+``i g/(x_j - x_k)`` off-diagonal, ``g = sqrt(g2)`` (Moser's Lax matrix), has
+conserved trace powers along the Hamiltonian flow of
 
     H = sum_i (p_i^2/2 + omega^2 x_i^2/2) + sum_{i<j} g^2/(x_i - x_j)^2.
+
+At ``g2 = 0`` it is ``diag(p)``.
 
 Every pair quantity (the Lax matrix, the potential, the forces and the
 explicit cubic trace) is read from one array ``inv[..., i, j] =
@@ -125,14 +128,14 @@ def _inverse_differences(x: np.ndarray) -> np.ndarray:
     return 1.0 / diff
 
 
-def _lax(p: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    out = 1j * inv
+def _lax(p: np.ndarray, inv: np.ndarray, g: float) -> np.ndarray:
+    out = 1j * g * inv
     _diagonal(out)[...] = p
     return out
 
 
-def _trace_powers(p: np.ndarray, inv: np.ndarray, jmax: int) -> np.ndarray:
-    lax = _lax(p, inv)
+def _trace_powers(p: np.ndarray, inv: np.ndarray, g: float, jmax: int) -> np.ndarray:
+    lax = _lax(p, inv, g)
     out = np.empty(p.shape[:-1] + (jmax,))
     out[..., 0] = np.trace(lax, axis1=-2, axis2=-1).real
     power = lax
@@ -159,9 +162,9 @@ def _arrays(state: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_lax(state: PhasePoint) -> np.ndarray:
-    """Hermitian Lax matrix: momenta on the diagonal, i/(x_j - x_k) off it."""
+    """Hermitian Lax matrix: momenta on the diagonal, i g/(x_j - x_k) off it."""
     x, p = _arrays(state)
-    return _lax(p, _inverse_differences(x))
+    return _lax(p, _inverse_differences(x), math.sqrt(state.g2))
 
 
 def trace_integrals(state: PhasePoint, jmax: int = 4) -> np.ndarray:
@@ -169,21 +172,22 @@ def trace_integrals(state: PhasePoint, jmax: int = 4) -> np.ndarray:
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
     x, p = _arrays(state)
-    return _trace_powers(p, _inverse_differences(x), jmax)
+    return _trace_powers(p, _inverse_differences(x), math.sqrt(state.g2), jmax)
 
 
 def trace_p3_explicit(state: PhasePoint) -> float:
-    """tr P^3 via the explicit formula sum_i p_i^3 + 3 sum_{i != j} p_i/(x_i-x_j)^2.
+    """tr P^3 via the explicit formula
+    sum_i p_i^3 + 3 g^2 sum_{i != j} p_i/(x_i-x_j)^2.
 
-    Expanding tr P^3 also gives a purely imaginary three-index term, -i times
-    the sum over all-distinct (i, j, k) of 1/((x_i-x_j)(x_j-x_k)(x_k-x_i)).
+    Expanding tr P^3 also gives a purely imaginary three-index term, -i g^3
+    times the sum over all-distinct (i, j, k) of 1/((x_i-x_j)(x_j-x_k)(x_k-x_i)).
     It vanishes identically: the cyclic relabeling i -> j -> k leaves each
     summand fixed, while the swap of j and k flips its sign, so the summands
     cancel in pairs, as the reality of the trace requires.
     """
     x, p = _arrays(state)
     inv = _inverse_differences(x)
-    return float(np.sum(p ** 3) + 3.0 * (p @ (inv * inv).sum(axis=1)))
+    return float(np.sum(p ** 3) + 3.0 * state.g2 * (p @ (inv * inv).sum(axis=1)))
 
 
 def hamiltonian(state: PhasePoint) -> float:
@@ -201,11 +205,6 @@ class Trajectory:
     energies: np.ndarray
     invariants: np.ndarray  # shape (samples, jmax)
     max_drift: dict = field(default_factory=dict)
-
-    def summary(self) -> dict:
-        return {"maxDrift": self.max_drift,
-                "samples": int(len(self.times)),
-                "tFinal": float(self.times[-1])}
 
     def write_csv(self, path: str) -> None:
         n = self.xs.shape[1]
@@ -339,7 +338,7 @@ def _conserved(x: np.ndarray, p: np.ndarray, g2: float, omega: float,
     inv = _inverse_differences(x)
     out = np.empty(x.shape[:-1] + (jmax + 1,))
     out[..., 0] = _energy(x, p, inv, g2, omega)
-    out[..., 1:] = _trace_powers(p, inv, jmax)
+    out[..., 1:] = _trace_powers(p, inv, math.sqrt(g2), jmax)
     return out
 
 

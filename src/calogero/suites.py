@@ -12,16 +12,16 @@ Each suite is one per-case check (a monomial exponent, or a symmetry type
 and a section for restriction) that ``_run`` applies to every case.  Every
 suite takes ``(n, degree, pool=None)``: without a pool the cases run
 serially, with one from :func:`worker_pool` (the only place a process pool
-is built) they are mapped over its workers.  The record does not depend on
-the number of workers.
+is built), which maps a check over the cases in its workers.  The record
+does not depend on the number of workers.  Swaps come from the shared table
+``Permutation.transpositions``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-from concurrent.futures import Executor
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .dunkl import (
     antisymmetric_basis,
@@ -51,35 +51,31 @@ __all__ = [
 ]
 
 
-class WorkerPool(NamedTuple):
-    """A process pool and its worker count, which sets the chunk size."""
-
-    executor: Executor
-    workers: int
-
-
 @contextlib.contextmanager
-def worker_pool(workers: int) -> Iterator[WorkerPool | None]:
-    """One process pool of ``workers`` to share across the suites run in the
+def worker_pool(workers: int) -> Iterator[Callable | None]:
+    """``pool(check, n, cases)``, the results of ``check(n, case)`` in case
+    order from one process pool of ``workers`` shared by the suites run in the
     block, or None when ``workers`` is 1 and every suite runs serially."""
     if workers <= 1:
         yield None
         return
-    # imported here so that a serial run never loads multiprocessing
+    # imported here so that a serial run never loads concurrent.futures
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as executor:
-        yield WorkerPool(executor, workers)
+        def pool(check, n, cases):
+            return executor.map(check, itertools.repeat(n), cases,
+                                chunksize=max(1, len(cases) // (4 * workers)))
+        yield pool
 
 
 def _run(identity: str, check, cases: list, n: int, degree: int,
-         pool: WorkerPool | None) -> dict:
+         pool: Callable | None) -> dict:
     """One suite record: ``check(n, case) -> (count, failures)`` on every case,
     serially or in ``pool``, summed in case order."""
     if pool is None:
         parts = [check(n, case) for case in cases]
     else:
-        chunksize = max(1, len(cases) // (4 * pool.workers))
-        parts = list(pool.executor.map(check, itertools.repeat(n), cases, chunksize=chunksize))
+        parts = list(pool(check, n, cases))
     return {"identity": identity, "N": n, "degree": degree,
             "caseCount": sum(count for count, _ in parts),
             "failures": [f for _, failures in parts for f in failures]}
@@ -110,8 +106,9 @@ def _check_intertwining(n: int, exp: tuple[int, ...]) -> tuple[int, list[dict]]:
     first = [apply_dunkl(l, f) for l in range(n)]
     failures = []
     count = 0
+    swaps = Permutation.transpositions(n)
     for j, k in itertools.combinations(range(n), 2):
-        swap = Permutation.transposition(n, j, k)
+        swap = swaps[j][k]
         swapped_f = f.permute(swap)
         for l in range(n):
             count += 1
@@ -145,19 +142,17 @@ def _check_permutation_relations(n: int, exp: tuple[int, ...]) -> tuple[int, lis
                              "indices": list(indices),
                              "residual": (lhs - rhs).to_text()})
 
+    swaps = Permutation.transpositions(n)
     for i, k in pairs:
-        s = Permutation.transposition(n, i, k)
+        s = swaps[i][k]
         check("involution", (i, k), f.permute(s).permute(s), f)
     for (i, j), (k, l) in itertools.combinations(pairs, 2):
         if len({i, j, k, l}) == 4:
-            a = Permutation.transposition(n, i, j)
-            b = Permutation.transposition(n, k, l)
+            a, b = swaps[i][j], swaps[k][l]
             check("disjoint-commute", (i, j, k, l),
                   f.permute(b).permute(a), f.permute(a).permute(b))
     for i, k, l in itertools.permutations(range(n), 3):
-        s_ik = Permutation.transposition(n, i, k)
-        s_kl = Permutation.transposition(n, k, l)
-        s_il = Permutation.transposition(n, i, l)
+        s_ik, s_kl, s_il = swaps[i][k], swaps[k][l], swaps[i][l]
         first = f.permute(s_kl).permute(s_ik)     # P_ik P_kl f
         check("fusion-a", (i, k, l), first, f.permute(s_ik).permute(s_il))
         check("fusion-b", (i, k, l), first, f.permute(s_il).permute(s_kl))
@@ -178,7 +173,7 @@ def _check_restriction(n: int, case: tuple[str, RationalSection]) -> tuple[int, 
                 "projectionMinusCalogero": (res - target).to_text()}]
 
 
-def zero_curvature_suite(n: int, degree: int, pool: WorkerPool | None = None) -> dict:
+def zero_curvature_suite(n: int, degree: int, pool: Callable | None = None) -> dict:
     """[nabla_j, nabla_k] f == 0 for all pairs and monomials of degree <= degree,
     identically in the formal coupling; a failure also names the powers of c
     whose pieces of the residual do not vanish."""
@@ -186,26 +181,26 @@ def zero_curvature_suite(n: int, degree: int, pool: WorkerPool | None = None) ->
                 monomial_exponents(n, degree), n, degree, pool)
 
 
-def intertwining_suite(n: int, degree: int, pool: WorkerPool | None = None) -> dict:
+def intertwining_suite(n: int, degree: int, pool: Callable | None = None) -> dict:
     """P_jk nabla_l == nabla_{s(l)} P_jk on the spanning set (all j<k, all l)."""
     return _run("intertwining", _check_intertwining,
                 monomial_exponents(n, degree), n, degree, pool)
 
 
-def sum_squares_suite(n: int, degree: int, pool: WorkerPool | None = None) -> dict:
+def sum_squares_suite(n: int, degree: int, pool: Callable | None = None) -> dict:
     """sum nabla_i^2 equals its normal-ordered form on the spanning set."""
     return _run("sum-of-squares", _check_sum_squares,
                 monomial_exponents(n, degree), n, degree, pool)
 
 
 def permutation_relations_suite(n: int, degree: int,
-                                pool: WorkerPool | None = None) -> dict:
+                                pool: Callable | None = None) -> dict:
     """Involution, disjoint commutativity and fusion of coordinate swaps."""
     return _run("permutation-relations", _check_permutation_relations,
                 monomial_exponents(n, degree), n, degree, pool)
 
 
-def restriction_suite(n: int, degree: int, pool: WorkerPool | None = None) -> dict:
+def restriction_suite(n: int, degree: int, pool: Callable | None = None) -> dict:
     """On (anti)symmetric polynomials the rightmost-swap replacement matches
     the true operator and equals -2x the Calogero action with coupling
     c(c+1) (symmetric) or c(c-1) (antisymmetric)."""
@@ -226,7 +221,7 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, n: int, degree: int, pool: WorkerPool | None = None) -> dict:
+def run_suite(name: str, n: int, degree: int, pool: Callable | None = None) -> dict:
     """The record of suite ``name``; with ``pool`` (see :func:`worker_pool`)
     its cases run in that shared pool."""
     if name not in _SUITES:

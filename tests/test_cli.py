@@ -7,6 +7,7 @@ import pytest
 
 from calogero import cli, laxdyn, suites
 from calogero.cli import main
+from calogero.exactalg import Permutation
 
 LOOP3 = {"N": 3, "margin": 0.1,
          "waypoints": [[0.0, 1.0, 2.0], [0.3, 1.2, 2.5],
@@ -101,6 +102,18 @@ class TestVerifyCommand:
                                "--suite", "all", "--workers", "1")
         assert code == 0
         assert json.loads(out)["failureCount"] == 0
+
+    @pytest.mark.parametrize("suite", ["intertwine", "permrel"])
+    def test_warm_suites_build_no_transposition(self, capsys, monkeypatch, suite):
+        # every swap comes from the one cached table, not a constructor call per case
+        argv = ("verify", "--n", "3", "--deg", "2", "--suite", suite)
+        assert run_cli(capsys, *argv)[0] == 0
+        built = []
+        make = Permutation.transposition
+        monkeypatch.setattr(Permutation, "transposition",
+                            classmethod(lambda cls, *args: built.append(args) or make(*args)))
+        assert run_cli(capsys, *argv)[0] == 0
+        assert built == []
 
     @pytest.mark.parametrize("args", [
         ["--workers", "0"], ["--workers=-3"], ["--workers", "two"], ["--workers", "1.5"],
@@ -279,6 +292,17 @@ class TestSimulateCommand:
         assert report["withinTolerance"] is True
         assert report["maxDrift"]["I3"] <= 1e-8
         assert csv_file.exists()
+
+    @pytest.mark.parametrize("g2", ["0.5", "2", "4"])
+    def test_trace_invariants_conserved_at_any_coupling(self, capsys, g2):
+        # the Lax matrix carries g = sqrt(g2); with i/(x_j - x_k) off its
+        # diagonal the I_j drift by 1.14-3.59 at g2 = 4
+        code, out, _ = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1",
+                               "--t", "1", "--dt", "1e-3", "--g2", g2)
+        report = json.loads(out)
+        assert code == 0
+        assert report["traceInvariantsChecked"] is True
+        assert max(report["maxDrift"].values()) <= 1e-8
 
     def test_free_flight(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--x", "0,1", "--p", "0.5,1",

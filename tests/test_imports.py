@@ -1,6 +1,7 @@
 """Import contract: ``import calogero.cli`` loads every layer module but
-neither numpy nor the process pool; the exact commands never load numpy, and
-the numerical ones bind each module's ``np`` to numpy itself on first use.
+neither numpy nor ``concurrent.futures`` (the process pool); the exact
+commands load neither, and the numerical ones bind each module's ``np`` to
+numpy itself on first use.
 
 Each check runs in a fresh interpreter, since the test process has long
 imported numpy."""
@@ -36,7 +37,7 @@ def test_import_loads_every_layer_but_not_numpy_or_the_pool():
         "import calogero.cli\n"
         "print(json.dumps(sorted(sys.modules)))\n")
     assert "numpy" not in loaded
-    assert "concurrent.futures.process" not in loaded
+    assert "concurrent.futures" not in loaded
     # the benchmark's layer tracer reads these right after the import
     assert all(f"calogero.{name}" in loaded for name in LAYERS)
 
@@ -51,7 +52,7 @@ def test_exact_commands_leave_numpy_unloaded():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(argv)\n"
         "    seen[argv[0]] = [code, 'numpy' in sys.modules,\n"
-        "                     'concurrent.futures.process' in sys.modules]\n"
+        "                     'concurrent.futures' in sys.modules]\n"
         "print(json.dumps(seen))\n")
     assert seen == {"verify": [0, False, False], "symbols": [0, False, False]}
 

@@ -38,6 +38,18 @@ class TestBuildLax:
         values = trace_integrals(BENCH2, 3)
         assert np.allclose(values, [0.0, 4.0, 0.0])
 
+    @pytest.mark.parametrize("g2", [0.0, 0.5, 1.0, 2.0, 4.0])
+    def test_off_diagonal_carries_the_coupling(self, g2):
+        # Moser's Lax matrix: L[j, k] = i sqrt(g2)/(x_j - x_k) off the diagonal
+        state = PhasePoint((0.0, 1.0, 3.0), (1.0, 0.0, -1.0), g2=g2)
+        lax = build_lax(state)
+        for j in range(3):
+            assert lax[j, j] == state.p[j]
+            for k in range(3):
+                if j != k:
+                    expected = 1j * math.sqrt(g2) / (state.x[j] - state.x[k])
+                    assert lax[j, k] == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     def test_hermitian_at_random_states(self):
         rng = random.Random(1)
         for _ in range(20):
@@ -155,9 +167,7 @@ class TestIntegrate:
 
     def test_summary_shape(self):
         traj = integrate(BENCH3, 0.01, 1e-3, jmax=2)
-        summary = traj.summary()
-        assert set(summary) == {"maxDrift", "samples", "tFinal"}
-        assert set(summary["maxDrift"]) == {"H", "I1", "I2"}
+        assert set(traj.max_drift) == {"H", "I1", "I2"}
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -247,7 +257,7 @@ def _reference_measure(x, p, g2, omega, jmax):
     diff = x[:, None] - x
     np.fill_diagonal(diff, np.inf)
     inv = 1.0 / diff
-    lax = 1j * inv
+    lax = 1j * math.sqrt(g2) * inv
     np.fill_diagonal(lax, p)
     out = [p @ p / 2 + omega ** 2 * (x @ x) / 2 + g2 / 2 * np.sum(inv * inv)]
     power = np.eye(len(x))
