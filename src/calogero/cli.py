@@ -22,8 +22,9 @@ from fractions import Fraction
 from . import _Numpy, __version__
 from .laxdyn import MAX_STEPS, CollisionError, PhasePoint, integrate
 from .suites import SUITE_NAMES, run_suite, worker_pool
-from .symbolcalc import realization_report, symbol_of_permutation
+from .symbolcalc import realization_report, symbol_of_permutation, symbol_terms
 from .transport import (
+    MAX_N,
     ChamberPath,
     PathValidationError,
     TransportStepError,
@@ -88,7 +89,7 @@ def _non_negative_finite(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -96,6 +97,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}: {text!r}")
         return value
     return parse
 
@@ -243,16 +246,14 @@ def cmd_symbols(args) -> int:
     if not (0 <= args.j < args.n and 0 <= args.k < args.n) or args.j == args.k:
         raise ValueError("--j/--k must be distinct coordinates below --n")
     order = args.order if args.order is not None else args.deg
-    terms = symbol_of_permutation(args.n, args.j, args.k, order)
-    rep = realization_report(args.n, args.deg, args.j, args.k,
-                             symbol=terms if order == args.deg else None)
+    rep = realization_report(args.n, args.deg, args.j, args.k)
     report = {
         "schemaVersion": SCHEMA_VERSION,
         "command": "symbols",
         "config": {"n": args.n, "deg": args.deg, "j": args.j, "k": args.k,
                    "order": order},
         "realizations": rep,
-        "symbolTerms": [t.to_json() for t in terms],
+        "symbolTerms": symbol_terms(symbol_of_permutation(args.n, args.j, args.k, order)),
     }
     _emit(report, args.out)
     all_match = all(r["matchesSwap"] for r in rep["realizations"].values())
@@ -263,12 +264,14 @@ def cmd_symbols(args) -> int:
 
 
 def _verify_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=_int_at_least(2), required=True, help="particle count (>= 2)")
+    p.add_argument("--n", type=_int_at_least(2, MAX_N), required=True,
+                   help=f"particle count (2 to {MAX_N})")
     p.add_argument("--deg", type=_positive_int, default=6,
-                   help="spanning-set degree bound (>= 1)")
+                   help="spanning-set degree bound (>= 1; no upper bound)")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes for every suite (>= 1)")
+    # every worker is forked at once, so no more are started than there are CPUs
+    p.add_argument("--workers", type=_int_at_least(1, os.cpu_count() or 1), default=1,
+                   help="worker processes for every suite (1 to the CPU count)")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify)
 

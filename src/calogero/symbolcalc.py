@@ -21,13 +21,13 @@ polynomials once the truncation order reaches the total degree.  The sum is
 taken in integers as ``m!/n! gap^n D^n f`` (m the last nonzero order) and
 divided by ``m!`` once.
 
-The symbol of the swap is the list of its normal-ordered terms.  To apply it,
-:func:`group_symbol` groups the terms by momentum exponent over one common
-denominator, and :func:`quantize_apply` skips every group whose exponent
-exceeds the polynomial's top exponent in some coordinate, by comparing
-exponents alone, sums integer numerators times the remaining derivatives and
-divides by the denominator once.  A coefficient is an ``int`` wherever it is
-integral.
+The symbol of the swap is written straight from the binomial expansion of
+its series, grouped by momentum exponent over the one denominator ``order!``;
+:func:`symbol_terms` lists its terms for the report.  :func:`quantize_apply`
+skips every group whose exponent exceeds the polynomial's top exponent in
+some coordinate, by comparing exponents alone, sums integer numerators times
+the remaining derivatives and divides by the denominator once.  A
+coefficient is an ``int`` wherever it is integral.
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ __all__ = [
     "swap_word_registry",
     "sign_flip_series",
     "permutation_series",
-    "SymbolTerm",
-    "symbol_of_permutation",
     "GroupedSymbol",
-    "group_symbol",
+    "symbol_of_permutation",
+    "symbol_terms",
     "quantize_apply",
     "realization_report",
 ]
@@ -176,54 +175,6 @@ def permutation_series(j: int, k: int, f: MultiPoly, order: int) -> MultiPoly:
     return _taylor(f, gap, lambda g: g.partial(k) - g.partial(j), order)
 
 
-@dataclass(frozen=True)
-class SymbolTerm:
-    """One normal-ordered term: coeff * x^x_exp * (d)^p_exp, x on the left."""
-    x_exp: tuple[int, ...]
-    p_exp: tuple[int, ...]
-    coeff: int | Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "xExponents": list(self.x_exp),
-            "pExponents": list(self.p_exp),
-            "coefficient": str(self.coeff),
-        }
-
-
-def symbol_of_permutation(n_vars: int, j: int, k: int, order: int) -> list[SymbolTerm]:
-    """Normal-ordered symbol of the swap, truncated at ``order``.
-
-    Term n of the series contributes the expansion of
-    (x_j - x_k)^n / n! times (p_k - p_j)^n; quantization sends each momentum
-    monomial to the matching derivative product, x factors multiplying from
-    the left.  The coefficients are summed as integers over ``order!``.
-    ``j`` and ``k`` must be distinct coordinates below ``n_vars``
-    (``ValueError`` otherwise).
-    """
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    Permutation.transposition(n_vars, j, k)  # refuses the pair before any work
-    top = math.factorial(order)
-    terms: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for n in range(order + 1):
-        weight = top // math.factorial(n)
-        for a in range(n + 1):
-            # (x_j - x_k)^n -> C(n,a) x_j^a (-x_k)^(n-a)
-            xc = weight * math.comb(n, a) * (-1) ** (n - a)
-            xe = [0] * n_vars
-            xe[j] += a
-            xe[k] += n - a
-            for b in range(n + 1):
-                pc = math.comb(n, b) * (-1) ** (n - b)
-                pe = [0] * n_vars
-                pe[k] += b
-                pe[j] += n - b
-                key = (tuple(xe), tuple(pe))
-                terms[key] = terms.get(key, 0) + xc * pc
-    return [SymbolTerm(xe, pe, _over(v, top)) for (xe, pe), v in sorted(terms.items()) if v]
-
-
 class GroupedSymbol(NamedTuple):
     """A symbol grouped by momentum exponent over one common denominator.
 
@@ -234,13 +185,45 @@ class GroupedSymbol(NamedTuple):
     groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]]
 
 
-def group_symbol(terms: Sequence[SymbolTerm]) -> GroupedSymbol:
-    """The terms grouped by ``p_exp``, over the lcm of their denominators."""
-    den = math.lcm(*(t.coeff.denominator for t in terms))
+def symbol_of_permutation(n_vars: int, j: int, k: int, order: int) -> GroupedSymbol:
+    """Normal-ordered symbol of the swap, truncated at ``order``, over
+    ``order!``.
+
+    Term n of the series contributes the expansion of
+    (x_j - x_k)^n / n! times (p_k - p_j)^n; quantization sends each momentum
+    monomial to the matching derivative product, x factors multiplying from
+    the left.  Each pair of exponents comes from one ``(n, a, b)`` with
+    ``a = x_exp[j]`` and ``b = p_exp[k]``, and no coefficient vanishes, so
+    every term is written once.  ``j`` and ``k`` must be distinct
+    coordinates below ``n_vars`` (``ValueError`` otherwise).
+    """
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    Permutation.transposition(n_vars, j, k)  # refuses the pair before any work
+    den = math.factorial(order)
     groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for t in terms:
-        groups.setdefault(t.p_exp, []).append((t.x_exp + (0,), int(t.coeff * den)))
+    for n in range(order + 1):
+        weight = den // math.factorial(n)
+        for b in range(n + 1):
+            # (p_k - p_j)^n -> C(n,b) p_k^b (-p_j)^(n-b)
+            pe = [0] * n_vars
+            pe[k], pe[j] = b, n - b
+            row = groups[tuple(pe)] = []
+            for a in range(n + 1):
+                # (x_j - x_k)^n -> C(n,a) x_j^a (-x_k)^(n-a)
+                xe = [0] * (n_vars + 1)
+                xe[j], xe[k] = a, n - a
+                row.append((tuple(xe), (-1) ** (a + b) * weight * math.comb(n, a)
+                            * math.comb(n, b)))
     return GroupedSymbol(den, groups)
+
+
+def symbol_terms(symbol: GroupedSymbol) -> list[dict]:
+    """The JSON records of the symbol's terms, sorted by ``(x_exp, p_exp)``,
+    each coefficient reduced (an ``int`` where integral)."""
+    terms = sorted((x[:-1], p, num) for p, row in symbol.groups.items() for x, num in row)
+    return [{"xExponents": list(x), "pExponents": list(p),
+             "coefficient": str(_over(num, symbol.den))} for x, p, num in terms]
 
 
 def quantize_apply(symbol: GroupedSymbol, f: MultiPoly) -> MultiPoly:
@@ -280,27 +263,22 @@ def _derivative(derivs: dict[tuple[int, ...], MultiPoly], p_exp: tuple[int, ...]
     return g
 
 
-def realization_report(n_vars: int, max_degree: int, j: int = 0, k: int = 1, *,
-                       symbol: Sequence[SymbolTerm] | None = None) -> dict:
+def realization_report(n_vars: int, max_degree: int, j: int = 0, k: int = 1) -> dict:
     """Check every registered swap realization against the exact swap on all
     monomials of total degree <= max_degree; report which hold verbatim.
 
     The series and the symbol are truncated at ``max_degree`` for every
     monomial: the series stops where the derivative vanishes, and a symbol
     group whose momentum exponent exceeds a monomial's exponents is skipped
-    on it.  ``symbol`` is the swap symbol at that order when the caller has
-    built it already; otherwise it is built here.  Either way it is grouped
-    once."""
+    on it."""
     # first, so that j or k out of range is refused before any work
     swap = Permutation.transposition(n_vars, j, k)
     basis = [MultiPoly.monomial(n_vars, e) for e in monomial_exponents(n_vars, max_degree)]
-    if symbol is None:
-        symbol = symbol_of_permutation(n_vars, j, k, max(max_degree, 0))
-    grouped = group_symbol(symbol)
+    symbol = symbol_of_permutation(n_vars, j, k, max(max_degree, 0))
     realizations = {name: functools.partial(apply_shift_word, word)
                     for name, word in swap_word_registry(j, k).items()}
     realizations["normal-ordered-series"] = lambda f: permutation_series(j, k, f, max_degree)
-    realizations["quantized-symbol"] = lambda f: quantize_apply(grouped, f)
+    realizations["quantized-symbol"] = lambda f: quantize_apply(symbol, f)
     cases = [(mono, mono.permute(swap)) for mono in basis]
     results = {}
     for name, realize in realizations.items():

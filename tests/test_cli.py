@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -122,6 +123,37 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--n", "2", "--deg", "1", *args)
         assert code == 2
         assert out == "" and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("cpus, refused, accepted", [(2, "3", "2"), (None, "2", "1")])
+    def test_workers_above_the_cpu_count_are_refused(self, capsys, monkeypatch,
+                                                     cpus, refused, accepted):
+        # every worker is forked at once, so a count past the CPUs is refused
+        # at parse time; no process is started here
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--deg", "1",
+                                 "--workers", refused)
+        assert code == 2
+        assert out == "" and f"must be at most {cpus or 1}" in err
+        args = cli.build_parser().parse_args(["verify", "--n", "2", "--deg", "1",
+                                              "--workers", accepted])
+        assert args.workers == int(accepted)
+
+    def test_n_past_the_cap_is_refused_before_any_suite(self, capsys, monkeypatch):
+        calls = []
+        run_suite = cli.run_suite
+        monkeypatch.setattr(cli, "run_suite", lambda *args: calls.append(args) or run_suite(*args))
+        code, out, _ = run_cli(capsys, "verify", "--n", "5", "--deg", "1", "--suite", "permrel")
+        assert code == 0 and json.loads(out)["failureCount"] == 0
+        assert len(calls) == 1
+        code, out, err = run_cli(capsys, "verify", "--n", "6", "--deg", "1")
+        assert code == 2
+        assert out == "" and "must be at most 5" in err
+        assert len(calls) == 1
 
 
 class TestTransportCommand:
@@ -502,6 +534,20 @@ class TestSymbolsCommand:
         assert code == 0
         assert report["realizations"]["caseCount"] == 1
         assert len(report["symbolTerms"]) == 1
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--n=3", "--deg=4", "--order=2"],
+         "9f3f6223b8bdb409af727485967692d46cba49502af9ac896e0cb2876b6558c8"),
+        (["--n=4", "--deg=3", "--j=1", "--k=3", "--order=6"],
+         "49ea139d1e9c2f76f8c5b6ffca9455da82ec59c16f318c57e983b8218f63410f"),
+        (["--n=2", "--deg=0", "--order=5"],
+         "8ed3a24bb318c6ab8ac8c951b1d9c59b7a8fdeeaeda80ab898ee24a60150ea45"),
+    ])
+    def test_order_apart_from_degree_keeps_its_bytes(self, capsys, argv, digest):
+        # the benchmark pins cover only --order equal to --deg
+        code, out, _ = run_cli(capsys, "symbols", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def _refuse_to_run(monkeypatch):

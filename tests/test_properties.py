@@ -17,7 +17,6 @@ from calogero.laxdyn import (
     trace_p3_explicit,
 )
 from calogero.symbolcalc import (
-    group_symbol,
     permutation_series,
     quantize_apply,
     symbol_of_permutation,
@@ -87,7 +86,7 @@ def test_zero_polynomial_divides_to_zero():
 def test_quantized_symbol_equals_series(f, pair, order):
     # Fraction coefficients and coupling powers take the Fraction(v, den)
     # path; orders below the degree compare the truncated sums
-    symbol = group_symbol(symbol_of_permutation(N_VARS, *pair, order))
+    symbol = symbol_of_permutation(N_VARS, *pair, order)
     assert quantize_apply(symbol, f) == permutation_series(*pair, f, order)
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -9,13 +10,13 @@ from calogero.symbolcalc import (
     Scale,
     Shift,
     apply_shift_word,
-    group_symbol,
     permutation_series,
     quantize_apply,
     realization_report,
     sign_flip_series,
     swap_word_registry,
     symbol_of_permutation,
+    symbol_terms,
 )
 
 
@@ -120,14 +121,14 @@ class TestScaling:
 
 class TestSymbol:
     def test_order_zero_is_identity_term(self):
-        terms = symbol_of_permutation(2, 0, 1, 0)
-        assert len(terms) == 1
-        assert terms[0].x_exp == (0, 0) and terms[0].p_exp == (0, 0)
-        assert terms[0].coeff == 1
+        assert symbol_of_permutation(2, 0, 1, 0) == GroupedSymbol(1, {(0, 0): [((0, 0, 0), 1)]})
 
     def test_order_one_adds_difference_pair(self):
-        terms = {(t.x_exp, t.p_exp): t.coeff for t in symbol_of_permutation(2, 0, 1, 1)}
-        # (x0 - x1)(p1 - p0) expanded into four monomial pairs
+        symbol = symbol_of_permutation(2, 0, 1, 1)
+        terms = {(x[:-1], p): F(num, symbol.den)
+                 for p, row in symbol.groups.items() for x, num in row}
+        # the identity, then (x0 - x1)(p1 - p0) expanded into four monomial pairs
+        assert len(terms) == 5 and terms[((0, 0), (0, 0))] == 1
         assert terms[((1, 0), (0, 1))] == 1
         assert terms[((1, 0), (1, 0))] == -1
         assert terms[((0, 1), (0, 1))] == -1
@@ -137,19 +138,19 @@ class TestSymbol:
         for exps in monomial_exponents(2, 4):
             f = MultiPoly.monomial(2, exps)
             order = sum(exps)
-            symbol = group_symbol(symbol_of_permutation(2, 0, 1, order))
+            symbol = symbol_of_permutation(2, 0, 1, order)
             assert quantize_apply(symbol, f) == permutation_series(0, 1, f, order)
 
     def test_quantized_symbol_round_trip_against_swap(self):
         for exps in monomial_exponents(2, 4):
             f = MultiPoly.monomial(2, exps)
-            symbol = group_symbol(symbol_of_permutation(2, 0, 1, sum(exps)))
+            symbol = symbol_of_permutation(2, 0, 1, sum(exps))
             assert quantize_apply(symbol, f) == swap(f)
 
     def test_each_derivative_taken_once(self, monkeypatch):
         # order 6 at N=3 has 140 terms over 28 momentum exponents; a full
         # degree-6 polynomial keeps every derivative nonzero
-        symbol = group_symbol(symbol_of_permutation(3, 0, 2, 6))
+        symbol = symbol_of_permutation(3, 0, 2, 6)
         distinct = {p for p in symbol.groups if any(p)}
         s = sum((MultiPoly.variable(3, i) for i in range(3)), MultiPoly.zero(3))
         f = s ** 6 + mono(3, 3, 0, 3) * MultiPoly.coupling(3)
@@ -167,33 +168,43 @@ class TestSymbol:
     def test_integral_coefficients_are_ints(self):
         f = mono(2, 3, 1)
         series = permutation_series(0, 1, f, 4)
-        quantized = quantize_apply(group_symbol(symbol_of_permutation(2, 0, 1, 4)), f)
+        quantized = quantize_apply(symbol_of_permutation(2, 0, 1, 4), f)
         for g in (series, quantized):
             assert g == mono(2, 1, 3)
             assert [type(c) for c in g.terms.values()] == [int]
 
     def test_json_form(self):
-        term = symbol_of_permutation(2, 0, 1, 0)[0]
-        assert term.to_json() == {"xExponents": [0, 0], "pExponents": [0, 0],
-                                  "coefficient": "1"}
+        assert symbol_terms(symbol_of_permutation(2, 0, 1, 0)) == [
+            {"xExponents": [0, 0], "pExponents": [0, 0], "coefficient": "1"}]
+        # sorted by (x, p) exponents, each coefficient reduced
+        terms = symbol_terms(symbol_of_permutation(2, 0, 1, 2))
+        keys = [(t["xExponents"], t["pExponents"]) for t in terms]
+        assert keys == sorted(keys) and len(keys) == 1 + 4 + 9
+        assert terms[-1] == {"xExponents": [2, 0], "pExponents": [2, 0],
+                             "coefficient": "1/2"}
 
 
 class TestGroupedSymbol:
     def test_one_denominator_keeps_every_term(self):
-        terms = symbol_of_permutation(2, 0, 1, 4)
-        symbol = group_symbol(terms)
+        # against sum_n ((x0 - x1)(p1 - p0))^n / n! in four commuting variables
+        symbol = symbol_of_permutation(2, 0, 1, 4)
         assert symbol.den == 24
-        regrouped = {(x[:-1], p): F(num, symbol.den)
+        x0, x1, p0, p1 = (MultiPoly.variable(4, i) for i in range(4))
+        expected = MultiPoly.zero(4)
+        for n in range(5):
+            expected = expected + ((x0 - x1) * (p1 - p0)) ** n * F(1, math.factorial(n))
+        regrouped = {x[:-1] + p + (0,): F(num, symbol.den)
                      for p, row in symbol.groups.items() for x, num in row}
-        assert regrouped == {(t.x_exp, t.p_exp): t.coeff for t in terms}
-        assert all(type(num) is int and x[-1] == 0
+        assert regrouped == expected.terms
+        assert sum(map(len, symbol.groups.values())) == len(regrouped)
+        assert all(type(num) is int and num and x[-1] == 0
                    for row in symbol.groups.values() for x, num in row)
 
     def test_derivatives_taken_only_below_the_exponents(self, monkeypatch):
         # x0^3 x1 at order 4: of the symbol's 15 momentum exponents only the
         # 8 with p <= (3, 1) are differentiated; the rest are skipped by
         # comparing exponents, with no derivative taken
-        symbol = group_symbol(symbol_of_permutation(2, 0, 1, 4))
+        symbol = symbol_of_permutation(2, 0, 1, 4)
         assert len(symbol.groups) == 15
         taken = set()
         derivative = symbolcalc._derivative
@@ -217,7 +228,7 @@ class TestGroupedSymbol:
 
     def test_removing_a_live_group_breaks_the_round_trip(self):
         f = mono(2, 3, 1)
-        symbol = group_symbol(symbol_of_permutation(2, 0, 1, 4))
+        symbol = symbol_of_permutation(2, 0, 1, 4)
         live = {p for p in symbol.groups if p[0] <= 3 and p[1] <= 1}
         assert len(live) == 8
         for p in symbol.groups:
@@ -227,13 +238,13 @@ class TestGroupedSymbol:
 
     def test_fraction_coefficients_and_coupling_powers(self):
         f = MultiPoly(3, {(2, 1, 0, 1): F(1, 3), (0, 1, 2, 0): F(-5, 2), (1, 0, 0, 2): 4})
-        symbol = group_symbol(symbol_of_permutation(3, 0, 2, 3))
+        symbol = symbol_of_permutation(3, 0, 2, 3)
         got = quantize_apply(symbol, f)
         assert got == permutation_series(0, 2, f, 3) == swap(f, 0, 2)
         assert any(type(c) is F for c in got.terms.values())
 
     def test_zero_polynomial(self):
-        symbol = group_symbol(symbol_of_permutation(2, 0, 1, 3))
+        symbol = symbol_of_permutation(2, 0, 1, 3)
         assert quantize_apply(symbol, MultiPoly.zero(2)).is_zero()
         assert permutation_series(0, 1, MultiPoly.zero(2), 3).is_zero()
 
@@ -279,24 +290,6 @@ def test_realization_report_builds_the_symbol_once(monkeypatch):
     report = realization_report(3, 4, 0, 2)
     assert calls == [(3, 0, 2, 4)]
     assert report["realizations"]["quantized-symbol"]["matchesSwap"]
-
-
-@pytest.mark.parametrize("order, builds", [(None, [4]), (4, [4]), (2, [2, 4])])
-def test_symbols_command_builds_the_symbol_once_per_order(monkeypatch, capsys, order, builds):
-    # the report's symbol at --deg is reused as the printed one when --order
-    # is the same
-    orders = []
-
-    def counted(n, j, k, order):
-        orders.append(order)
-        return symbol_of_permutation(n, j, k, order)
-
-    monkeypatch.setattr(symbolcalc, "symbol_of_permutation", counted)
-    monkeypatch.setattr(cli, "symbol_of_permutation", counted)
-    extra = [] if order is None else [f"--order={order}"]
-    assert cli.main(["symbols", "--n=3", "--deg=4", *extra]) == 0
-    capsys.readouterr()
-    assert orders == builds
 
 
 def test_realization_report_refuses_a_swap_out_of_range():
