@@ -220,7 +220,7 @@ def cmd_simulate(args) -> int:
         trajectory.write_csv(args.csv)
     drift = trajectory.max_drift
     ok = drift["H"] <= args.energy_tol
-    trace_checked = state.omega == 0.0 and state.g2 > 0.0
+    trace_checked = state.omega == 0.0
     if trace_checked:
         ok = ok and all(drift[f"I{j+1}"] <= args.drift_tol for j in range(args.jmax))
     report = {

@@ -376,10 +376,8 @@ def integrate(state: PhasePoint, duration: float, dt: float,
             if first == 0:
                 c0 = conserved[0]
                 scale = np.maximum(np.abs(c0), 1.0)
-            # the drift starts at step 1
-            moved = conserved[1:] if first == 0 else conserved
-            drift = np.maximum(drift, np.max(np.abs(moved - c0) / scale, axis=0,
-                                              initial=0.0))
+            # row 0 of the first block is c0 itself, so its drift is exactly 0
+            drift = np.maximum(drift, np.max(np.abs(conserved - c0) / scale, axis=0))
             step = np.arange(first, first + len(bx))
             keep = (step % sample_stride == 0) | (step == steps)
             times.append(step[keep] * dt)

@@ -15,11 +15,18 @@ vectorization; transport along chamber paths is then computed numerically by
 an embedded Runge-Kutta 5(4) pair and, independently, by truncated
 time-ordered iterated integrals.
 
-The connection has one representation: its exact entries, from which
-construction derives index and coefficient arrays once.  Every off-diagonal
-position of the connection belongs to one pair (a, b), so along a velocity v
-its value is ``(coef @ v) / (x_a - x_b)`` and numeric evaluation is one put of
-those values (batched over many points at once for the iterated integrals).
+The connection is its momenta p and one coupling q_ab per pair a < b
+(``build_local_system`` gives every pair the same c).  Along a velocity v it is
+the Knizhnik-Zamolodchikov form on the regular representation of S_N,
+
+    sum_k v_k Omega_k(x) = i (v . D) + sum_{a<b} q_ab (v_b - v_a) / (x_a - x_b) L_ab,
+
+with ``D_k`` the diagonal ``p_{sigma^-1(k)}`` and ``L_ab`` the left
+multiplication ``sigma -> (a b) * sigma``.  Construction derives everything
+else from this rule, once: the exact entries, and the arrays with which
+numeric evaluation is one put of ``(coef @ v) / (x_a - x_b)`` into the
+positions of every ``L_ab`` (batched over many points at once for the
+iterated integrals).
 On a segment x = a + t v the numerators and the gaps' rates are fixed, so the
 ODE right-hand side takes them once and at each new t writes one division
 into a preset matrix.  Exact flatness scales each point's residuals to integers:
@@ -36,6 +43,7 @@ importing this module, as every ``calogero`` command does, does not load numpy.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -75,6 +83,19 @@ class TransportStepError(RuntimeError):
     """Adaptive step size underflowed, typically near a chamber wall."""
 
 
+# largest particle count: the connection has N! components per point
+MAX_N = 5
+
+
+def _float_sized(value: Fraction, what: str) -> Fraction:
+    """Refuse a value whose float overflows: the numeric arrays hold floats."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+    return value
+
+
 @dataclass(frozen=True)
 class _OffEntry:
     """One off-diagonal connection entry: coeff / (x_a - x_b), a < b."""
@@ -87,68 +108,83 @@ class _OffEntry:
 
 @dataclass(frozen=True)
 class ConnectionMatrix:
-    """Per-coordinate N! x N! connection of the vectorized eigenproblem.
+    """Per-coordinate N! x N! connection of the vectorized eigenproblem, in
+    Knizhnik-Zamolodchikov form.
 
-    ``diag[k][row]`` is the rational momentum carried by the imaginary
-    diagonal; ``off[k]`` lists the exact off-diagonal entries.  These exact
-    entries are the one representation: construction derives from them, once,
-    the arrays every evaluator reads.
+    Its data are the momenta ``p`` and one exact coupling per pair, ``q``,
+    the pairs a < b in ``itertools.combinations`` order.  Along a velocity v
 
-    * Numeric: the entries grouped by their flat ``row*d+col`` position,
-      each position with its pair ``(a, b)`` and one row of a
-      ``(positions, n)`` float coefficient matrix, plus the float diagonal of
-      shape ``(n, d)``.  ``velocity_matrix`` and ``along`` write
+        sum_k v_k Omega_k(x) = i (v . D) + sum_{a<b} q_ab (v_b - v_a)/(x_a - x_b) L_ab,
+
+    where ``diag[k][row] = p[s^-1(k)]`` for the permutation s of that row
+    (``perms`` is S_N in lexicographic order) and ``L_ab`` puts a 1 in row s,
+    column ``(a b) * s``: the images of s with the values a and b exchanged.
+    Construction refuses N outside 2..``MAX_N``, a ``q`` of the wrong length
+    and a value whose float overflows, and derives from this rule, once:
+
+    * ``off[k]``: the exact entries, ``q_ab / (x_a - x_b)`` in Omega_b and its
+      negative in Omega_a.
+    * Numeric: the flat ``row*d+col`` positions of every ``L_ab``, each with
+      its pair and one row of a ``(positions, n)`` float coefficient matrix
+      (``-q_ab`` at a, ``q_ab`` at b), plus the float diagonal of shape
+      ``(n, d)``.  ``velocity_matrix`` and ``along`` write
       ``(coef @ v) / (x_a - x_b)`` into those positions with one put.
     * Exact: the coefficients as integers over their common denominator, and
       the momenta as integers over theirs, so the flatness residuals at a
       rational point are sums of Python ints.
     """
 
-    n: int
     p: tuple[Fraction, ...]
-    perms: tuple[Permutation, ...]
-    diag: tuple[tuple[Fraction, ...], ...]
-    off: tuple[tuple[_OffEntry, ...], ...]
+    q: tuple[Fraction, ...]
 
     def __post_init__(self):
-        d = self.dim
-        coef_den = math.lcm(*(e.coeff.denominator for off_k in self.off for e in off_k))
-        diag_den = math.lcm(*(q.denominator for dk in self.diag for q in dk))
-        coef_num = tuple(tuple(_scaled_int(e.coeff, coef_den) for e in off_k)
-                         for off_k in self.off)
-        # numeric: the entries grouped by position, each position holding
-        # the entries of one pair (a, b); its value is (coef @ v) / (x_a - x_b).
-        # int / int rounds correctly, as float(Fraction) does
-        as_float = {q: q / coef_den for q in {q for nums in coef_num for q in nums}}
-        slot: dict[int, int] = {}  # flat position -> row of coef
-        pairs: list[tuple[int, int]] = []
-        coef: list[list[float]] = []
-        for k, (off_k, nums) in enumerate(zip(self.off, coef_num)):
-            for e, q in zip(off_k, nums):
-                g = slot.setdefault(e.row * d + e.col, len(pairs))
-                if g == len(pairs):
-                    if e.row == e.col:
-                        raise ValueError("an off-diagonal entry lies on the diagonal")
-                    pairs.append((e.a, e.b))
-                    coef.append([0.0] * self.n)
-                elif pairs[g] != (e.a, e.b):
-                    raise ValueError("an off-diagonal position must hold one pair")
-                coef[g][k] += as_float[q]
+        n = len(self.p)
+        if not 2 <= n <= MAX_N:
+            raise ValueError(f"N={n} is outside 2..{MAX_N}, the configured cap "
+                             f"(N! components)")
+        pairs = list(itertools.combinations(range(n), 2))
+        if len(self.q) != len(pairs):
+            raise ValueError(f"{len(self.q)} couplings for the {len(pairs)} pairs of N={n}")
+        p = tuple(_float_sized(Fraction(v), "a momentum") for v in self.p)
+        q = tuple(_float_sized(Fraction(v), "a coupling") for v in self.q)
+        perms = tuple(Permutation.all_elements(n))
+        index = {s.images: i for i, s in enumerate(perms)}
+        d = len(perms)
+        diag = tuple(tuple(p[s.images.index(k)] for s in perms) for k in range(n))
+        off: list[list[_OffEntry]] = [[] for _ in range(n)]
+        pos: list[int] = []
+        coef = np.zeros((len(pairs) * d, n))
+        for i, ((a, b), qab) in enumerate(zip(pairs, q)):
+            neg = -qab
+            swap = {a: b, b: a}
+            for row, s in enumerate(perms):
+                col = index[tuple(swap.get(v, v) for v in s.images)]  # (a b) * s
+                pos.append(row * d + col)
+                off[b].append(_OffEntry(row, col, qab, a, b))
+                off[a].append(_OffEntry(row, col, neg, a, b))
+            coef[i * d:(i + 1) * d, [a, b]] = float(neg), float(qab)
+        pa, pb = np.repeat(np.array(pairs, dtype=np.intp).T, d, axis=1)
+        coef_den = math.lcm(*(v.denominator for v in q))
+        diag_den = math.lcm(*(v.denominator for v in p))
         derived = {
-            "_pos": np.array(list(slot), dtype=np.intp),
-            "_pa": np.array([a for a, _ in pairs], dtype=np.intp),
-            "_pb": np.array([b for _, b in pairs], dtype=np.intp),
-            "_coef": np.array(coef),
-            "_diag": np.array([[float(q) for q in dk] for dk in self.diag],
-                              dtype=float).reshape(self.n, d),
+            "p": p, "q": q, "perms": perms, "diag": diag, "off": tuple(map(tuple, off)),
+            "_pos": np.array(pos, dtype=np.intp),
+            "_pa": pa,
+            "_pb": pb,
+            "_coef": coef,
+            "_diag": np.array([[float(v) for v in dk] for dk in diag]),
             "_coef_den": coef_den,
             "_diag_den": diag_den,
-            "_coef_num": coef_num,
-            "_diag_num": tuple(tuple(_scaled_int(q, diag_den) for q in dk)
-                               for dk in self.diag),
+            "_coef_num": tuple(tuple(_scaled_int(e.coeff, coef_den) for e in off_k)
+                               for off_k in off),
+            "_diag_num": tuple(tuple(_scaled_int(v, diag_den) for v in dk) for dk in diag),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+    @property
+    def n(self) -> int:
+        return len(self.p)
 
     @property
     def dim(self) -> int:
@@ -243,63 +279,18 @@ def _inverse_differences(point: Sequence[Fraction]) -> tuple[int, list[list[int]
     return lcm, inv
 
 
-# largest particle count: the connection has N! components per point
-MAX_N = 5
-
-
-def _float_sized(value: Fraction, what: str) -> Fraction:
-    """Refuse a value whose float overflows: the numeric arrays hold floats."""
-    try:
-        float(value)
-    except OverflowError:
-        raise ValueError(f"{what} is too large for a float") from None
-    return value
-
-
 def build_local_system(n: int, p: Sequence[Fraction | int],
                        c: Fraction | int) -> ConnectionMatrix:
-    """Assemble the vectorized connection for N particles.
+    """The vectorized connection for N particles, every pair coupled by c.
 
     The coupling c is the coefficient of the off-diagonal (permutation) part
     of the connection, as dictated by the operator whose eigenproblem is
     vectorized; the diagonal carries the momenta.
     """
-    if n < 2:
-        raise ValueError("need at least two particles")
-    if n > MAX_N:
-        raise ValueError(f"N={n} exceeds the configured cap {MAX_N} (N! components)")
-    p = tuple(_float_sized(Fraction(v), "a momentum") for v in p)
+    p = tuple(p)
     if len(p) != n:
         raise ValueError(f"{len(p)} momenta for N={n} particles")
-    c = _float_sized(Fraction(c), "the coupling")
-    neg = -c
-    perms = tuple(Permutation.all_elements(n))
-    index = {sig.images: i for i, sig in enumerate(perms)}
-    diag: list[tuple[Fraction, ...]] = []
-    off: list[tuple[_OffEntry, ...]] = []
-    for k in range(n):
-        dk = []
-        ok = []
-        for row, sig in enumerate(perms):
-            images = sig.images
-            m0 = images.index(k)  # sigma^-1(k)
-            dk.append(p[m0])
-            for m in range(n):
-                if m == m0:
-                    continue
-                # sigma * (m m0): the images of sigma with slots m, m0 swapped
-                swapped = list(images)
-                swapped[m], swapped[m0] = images[m0], images[m]
-                col = index[tuple(swapped)]
-                a = images[m]
-                if a < k:
-                    ok.append(_OffEntry(row, col, c, a, k))
-                else:
-                    ok.append(_OffEntry(row, col, neg, k, a))
-        diag.append(tuple(dk))
-        off.append(tuple(ok))
-    return ConnectionMatrix(n=n, p=p, perms=perms,
-                            diag=tuple(diag), off=tuple(off))
+    return ConnectionMatrix(p, (Fraction(c),) * (n * (n - 1) // 2))
 
 
 # -- exact flatness ----------------------------------------------------------
@@ -464,9 +455,10 @@ class ChamberPath:
             raise ValueError("waypoint dimension disagrees with N")
         try:
             waypoints = tuple(tuple(float(v) for v in w) for w in rows)
+            margin = float(margin)
         except OverflowError as exc:
             raise ValueError(f"malformed path data: {exc}") from exc
-        return cls(waypoints, float(margin))
+        return cls(waypoints, margin)
 
     @classmethod
     def load(cls, path: str) -> "ChamberPath":
@@ -599,7 +591,7 @@ def transport_ode(conn: ConnectionMatrix, path: ChamberPath,
         try:
             w, seg_stats = _integrate_dp45(conn.along(a, v), 0.0, 1.0, w, tol, max_step)
         except OverflowError as exc:
-            coupling = max(abs(e.coeff) for off_k in conn.off for e in off_k)
+            coupling = max(map(abs, conn.q))
             raise ValueError(
                 f"{exc} on segment {a.tolist()} -> {b.tolist()}: the coupling "
                 f"|c| = {float(coupling):.6g} or the momenta "

@@ -224,6 +224,13 @@ class TestTransportCommand:
         assert code == 2
         assert out == "" and "Traceback" not in err
 
+    def test_margin_too_large_for_a_float_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "margin.json"
+        path.write_text('{"N": 2, "margin": 1%s, "waypoints": [[0.0, 1.0]]}' % ("0" * 400))
+        code, out, err = run_cli(capsys, "transport", "--path", str(path), "--p", "1,2")
+        assert code == 2
+        assert out == "" and "too large" in err and "Traceback" not in err
+
     def test_momentum_dimension_mismatch(self, capsys, tmp_path):
         path = tmp_path / "seg.json"
         path.write_text(json.dumps({"N": 2, "margin": 0.1,
@@ -341,7 +348,9 @@ class TestSimulateCommand:
                                "--g2", "0", "--t", "1", "--dt", "1e-3")
         report = json.loads(out)
         assert code == 0
-        assert report["traceInvariantsChecked"] is False
+        # with no force the momenta never change, so every trace is exact
+        assert report["traceInvariantsChecked"] is True
+        assert report["maxDrift"] == {"H": 0.0, "I1": 0.0, "I2": 0.0, "I3": 0.0, "I4": 0.0}
 
     def test_positions_and_momenta_may_start_with_minus(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--x", "-1,0,1", "--p", "-0.5,0,0.5",

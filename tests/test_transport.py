@@ -1,16 +1,21 @@
 import cmath
 import dataclasses
+import inspect
+import itertools
 import random
 import tracemalloc
+import types
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from calogero import transport
 from calogero.exactalg import Permutation, RationalSection
 from calogero.transport import (
     DYSON_MAX_BYTES,
     ChamberPath,
+    ConnectionMatrix,
     PathValidationError,
     TransportStepError,
     _DP_A,
@@ -148,19 +153,59 @@ class TestBuildLocalSystem:
             ref = conn.velocity_matrix(a + t * v, v) @ y
             assert np.max(np.abs(rhs(t, y) - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("move", ["pair", "diagonal"])
-    def test_entries_that_one_put_cannot_hold_are_refused(self, move):
-        # each off-diagonal position holds the entries of one pair
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_velocity_matrix_is_the_kz_form(self, n):
+        # i diag(v @ D) + sum_{a<b} q_ab (v_b - v_a)/(x_a - x_b) L_ab, with
+        # L_ab (row s -> column (a b) * s) and D built here from S_N itself,
+        # for one coupling on every pair and for a different one on each
+        rng = np.random.default_rng(17 + n)
+        p = [F(i + 1, 3) - 1 for i in range(n)]
+        pairs = list(itertools.combinations(range(n), 2))
+        uniform = build_local_system(n, p, F(5, 4))
+        varied = dataclasses.replace(
+            uniform, q=tuple(F(2 * i - 3, i + 2) for i in range(len(pairs))))
+        perms = Permutation.all_elements(n)
+        images = [s.images for s in perms]
+        d = len(perms)
+        shifts = {}
+        for a, b in pairs:
+            swap = Permutation.transposition(n, a, b)
+            shifts[a, b] = np.zeros((d, d))
+            for r, s in enumerate(perms):
+                shifts[a, b][r, images.index((swap * s).images)] = 1.0
+        diag = np.array([[float(p[s.inverse()(k)]) for s in perms] for k in range(n)])
+        for conn in (uniform, varied):
+            x = np.cumsum(rng.uniform(0.2, 1.5, size=n))
+            v = rng.normal(size=n)
+            ref = np.diag(1j * (v @ diag)) + sum(
+                float(q) * (v[b] - v[a]) / (x[a] - x[b]) * shifts[a, b]
+                for (a, b), q in zip(pairs, conn.q))
+            m = conn.velocity_matrix(x, v)
+            assert np.max(np.abs(m - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+
+    def test_replaced_momenta_rederive_the_diagonal(self):
         conn = build_local_system(3, P3, F(1))
-        off = [list(o) for o in conn.off]
-        e = off[1][0]
-        if move == "pair":
-            a, b = next(ab for ab in ((0, 1), (0, 2), (1, 2)) if ab != (e.a, e.b))
-            off[1][0] = dataclasses.replace(e, a=a, b=b)
-        else:
-            off[1][0] = dataclasses.replace(e, col=e.row)
-        with pytest.raises(ValueError):
-            dataclasses.replace(conn, off=tuple(tuple(o) for o in off))
+        moved = dataclasses.replace(conn, p=(F(1), F(1), F(2)))
+        fresh = build_local_system(3, (F(1), F(1), F(2)), F(1))
+        assert moved == fresh and moved.diag == fresh.diag
+        x, v = np.array([0.0, 1.0, 2.5]), np.array([0.3, -1.0, 0.7])
+        assert np.array_equal(moved.velocity_matrix(x, v), fresh.velocity_matrix(x, v))
+        assert plane_wave_map(moved, (0.0, 1.0, 2.5), 1.0)["momentaGeneric"] is False
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_particle_count_outside_the_cap_is_refused_before_enumeration(self, n,
+                                                                          monkeypatch):
+        def no_enumeration(size):
+            raise AssertionError(f"S_{size} enumerated")
+
+        monkeypatch.setattr(Permutation, "all_elements", no_enumeration)
+        with pytest.raises(ValueError, match="cap"):
+            ConnectionMatrix(tuple(F(i) for i in range(n)), (F(1),) * (n * (n - 1) // 2))
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_one_coupling_per_pair_is_required(self, count):
+        with pytest.raises(ValueError, match="couplings for the 3 pairs"):
+            ConnectionMatrix(P3, (F(1),) * count)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
@@ -205,15 +250,9 @@ class TestFlatness:
             pts = [random_chamber_point(n, rng) for _ in range(4)]
             assert verify_flatness(conn, pts)["failures"] == []
 
-    def test_tampered_coefficient_reports_exact_residuals(self):
-        # one off-diagonal coefficient of Omega_1 moved from -1 or 1 to 7/5:
-        # the connection is no longer flat, and every residual the report
-        # names must equal the dense Fraction curvature
-        conn = build_local_system(3, P3, F(1))
-        off = [list(o) for o in conn.off]
-        off[1][0] = dataclasses.replace(off[1][0], coeff=F(7, 5))
-        bad = dataclasses.replace(conn, off=tuple(tuple(o) for o in off))
-        points = [(F(0), F(1), F(3)), (F(-1, 2), F(2, 3), F(9, 4))]
+    @staticmethod
+    def _expected_failures(conn, bad, points):
+        # every residual the report names must equal the dense Fraction curvature
         expected = []
         for point in points:
             for j, k in ((0, 1), (0, 2), (1, 2)):
@@ -222,10 +261,37 @@ class TestFlatness:
                 if real or imag:
                     expected.append({"point": [str(v) for v in point], "pair": [j, k],
                                      "real": real, "imag": imag})
-        report = verify_flatness(bad, points)
-        assert report["failures"] == expected
-        assert any(f["real"] for f in expected) and any(f["imag"] for f in expected)
+        return expected
+
+    def test_tampered_coefficient_reports_exact_residuals(self):
+        # the coupling of the pair (0, 1) moved from 1 to 7/5: the connection
+        # is no longer flat, in its real part only, since D_j + D_k commutes
+        # with the swap (j k) and no choice of couplings leaves an imaginary
+        # residual
+        conn = build_local_system(3, P3, F(1))
+        bad = dataclasses.replace(conn, q=(F(7, 5),) + conn.q[1:])
+        points = [(F(0), F(1), F(3)), (F(-1, 2), F(2, 3), F(9, 4))]
+        expected = self._expected_failures(conn, bad, points)
+        assert verify_flatness(bad, points)["failures"] == expected
+        assert expected and not any(f["imag"] for f in expected)
         assert verify_flatness(conn, points)["failures"] == []
+
+    def test_inverted_diagonal_reports_exact_residuals(self):
+        # a mutant whose diagonal reads p[s(k)] instead of p[s^-1(k)]: the
+        # off-diagonal part is intact, so every residual is imaginary
+        source = inspect.getsource(transport)
+        term = "p[s.images.index(k)]"
+        assert source.count(term) == 1
+        mutant = types.ModuleType("calogero.transport", transport.__doc__)
+        mutant.__package__ = "calogero"
+        exec(compile(source.replace(term, "p[s.images[k]]"), transport.__file__, "exec"),
+             mutant.__dict__)
+        conn = build_local_system(3, P3, F(1))
+        bad = mutant.build_local_system(3, P3, F(1))
+        points = [(F(0), F(1), F(3)), (F(-1, 2), F(2, 3), F(9, 4))]
+        expected = self._expected_failures(conn, bad, points)
+        assert verify_flatness(bad, points)["failures"] == expected
+        assert expected and not any(f["real"] for f in expected)
 
     def test_unordered_point_rejected(self):
         conn = build_local_system(2, [F(1), F(2)], 1)
@@ -724,28 +790,33 @@ class TestEquivariance:
 
     @pytest.mark.parametrize("side", ["p", "sp"])
     def test_one_tampered_entry_fails_exactly_there(self, side):
-        # one coefficient of Omega_1 moved to 7/5, on either side: the failure
-        # names that k and that position (relabelled by rho^-1 on the p side)
+        # the coupling of the pair (0, 1) moved to 7/5, on either side: the
+        # failures are exactly that pair's entries, -q in Omega_0 and q in
+        # Omega_1 at row s, column (0 1) * s, relabelled by rho^-1 on the
+        # p side
         sigma = Permutation((1, 2, 0))
         conn = build_local_system(3, P3, F(1))
         permuted = build_local_system(3, permute_momenta(P3, sigma), F(1))
         target = conn if side == "p" else permuted
-        off = [list(o) for o in target.off]
-        e = off[1][0]
-        off[1][0] = dataclasses.replace(e, coeff=F(7, 5))
-        bad = dataclasses.replace(target, off=tuple(tuple(o) for o in off))
+        bad = dataclasses.replace(target, q=(F(7, 5),) + target.q[1:])
+        swap = Permutation.transposition(3, 0, 1)
+        images = [s.images for s in conn.perms]
+        cells = [(r, images.index((swap * s).images)) for r, s in enumerate(conn.perms)]
         if side == "p":
             rho = _right_action(conn.perms, sigma)
-            row, col = rho.index(e.row), rho.index(e.col)
+            cells = [(rho.index(r), rho.index(c)) for r, c in cells]
             report = equivariance_check(bad, permuted, sigma)
-            expected, found = "7/5", str(e.coeff)
         else:
-            row, col = e.row, e.col
             report = equivariance_check(conn, bad, sigma)
-            expected, found = str(e.coeff), "7/5"
-        assert report["failures"] == [{"k": 1, "entry": f"{row},{col}",
-                                       "pair": [e.a, e.b],
-                                       "expected": expected, "found": found}]
+        expected = []
+        for k, sign in ((0, -1), (1, 1)):
+            built, tampered = str(sign * F(1)), str(sign * F(7, 5))
+            for row, col in sorted(cells):
+                expected.append({"k": k, "entry": f"{row},{col}", "pair": [0, 1],
+                                 "expected": tampered if side == "p" else built,
+                                 "found": built if side == "p" else tampered})
+        assert len(expected) == 12
+        assert report["failures"] == expected
 
     def test_mismatched_momenta_fail_on_the_diagonal(self):
         sigma = Permutation.transposition(3, 0, 1)
