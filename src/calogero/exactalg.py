@@ -3,7 +3,7 @@ the formal coupling, rational sections with pair-difference denominators, and
 the symmetric-group action on them.
 
 The coupling constant ``c`` is one more polynomial variable: a
-:class:`MultiPoly` in ``x0 .. x_{N-1}`` stores exponent tuples of length
+:class:`MultiPoly` in ``x0 .. x_{N-1}`` has exponent vectors of length
 ``N + 1`` whose last slot is the power of ``c``, so identities can be
 certified for all couplings at once.  A coefficient is a Python ``int`` and
 becomes a ``Fraction`` only when it needs a denominator; both compare, hash
@@ -14,6 +14,19 @@ derivatives, coordinate swaps, multiplication by ``1/(x_i - x_j)``).  Section
 arithmetic does not cancel common pair-difference factors; only
 :meth:`RationalSection.to_text` reduces, so serialised sections are canonical.
 
+Each monomial is stored as one ``int`` key that packs its exponent vector:
+slot ``s`` of an arity-N vector is the ``_SLOT_BITS``-bit field at bit
+``(N - s) * _SLOT_BITS``, so slot 0 is the most significant field and the
+coupling slot the least.  Integer order of keys is therefore the order of
+the exponent tuples, and the key of a product is the sum of its factors'
+keys.  No field may carry into the next: an exponent must lie in
+``0 .. EXPONENT_LIMIT - 1`` (half the field width) to be packed, and every
+operation that adds exponents (the product, ``**``, ``shift_var``,
+``substitute_shift`` and the symbol calculus built on them) refuses an
+operand with a slot at the limit by ``ValueError`` before its loop.  Only
+this module knows the layout, through ``_pack`` / ``_unpack``; other code
+reads exponent tuples through :meth:`MultiPoly.tuple_terms`.
+
 Coordinates are 0-indexed: ``x0 .. x_{N-1}``.
 """
 
@@ -22,12 +35,13 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
-from operator import add, itemgetter
-from typing import Collection, Iterator, Mapping, Sequence
+from operator import or_
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
+    "EXPONENT_LIMIT",
     "MultiPoly",
     "Permutation",
     "RationalSection",
@@ -74,8 +88,83 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
+# -- packed monomial keys ----------------------------------------------------
+
+_SLOT_BITS = 16
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+# exponents are refused from here on: half the field width, so the sum of two
+# admissible slots still fits its field
+EXPONENT_LIMIT = 1 << (_SLOT_BITS - 1)
+
+
+def _pack(exp: Sequence[int]) -> int:
+    """The key of an exponent vector, slot 0 in the most significant field;
+    ``ValueError`` for an entry that is not an ``int`` in
+    ``0 .. EXPONENT_LIMIT - 1``."""
+    key = 0
+    for e in exp:
+        if type(e) is not int:
+            raise ValueError(f"exponent {tuple(exp)} has an entry that is not an int")
+        if not 0 <= e < EXPONENT_LIMIT:
+            raise ValueError(f"exponent {tuple(exp)} has an entry outside "
+                             f"0..{EXPONENT_LIMIT - 1}")
+        key = key << _SLOT_BITS | e
+    return key
+
+
+def _unpack(key: int, arity: int) -> tuple[int, ...]:
+    """The exponent vector (length ``arity + 1``) packed in ``key``."""
+    return tuple(key >> s & _SLOT_MASK
+                 for s in range(arity * _SLOT_BITS, -1, -_SLOT_BITS))
+
+
+def _slot_shift(arity: int, slot: int) -> int:
+    """Bit offset of ``slot`` (``arity`` is the coupling slot)."""
+    if not 0 <= slot <= arity:
+        raise ValueError(f"slot {slot} is out of range for arity {arity}")
+    return (arity - slot) * _SLOT_BITS
+
+
+@lru_cache(maxsize=None)
+def _limit_bits(arity: int) -> int:
+    """The limit bit of every field: a key has a slot at or past
+    ``EXPONENT_LIMIT`` exactly when it shares a bit with this mask."""
+    return sum(EXPONENT_LIMIT << s for s in range(0, (arity + 1) * _SLOT_BITS, _SLOT_BITS))
+
+
+def _check_limit(arity: int, keys: Iterable[int]) -> None:
+    """Refuse keys about to have exponents added to them when one of their
+    slots has reached ``EXPONENT_LIMIT``: the sum could carry into the next
+    field.  Called once per operand, before the loop that adds."""
+    if reduce(or_, keys, 0) & _limit_bits(arity):
+        raise ValueError(f"an exponent has reached {EXPONENT_LIMIT}, the limit of "
+                         "the packed monomial keys")
+
+
+@lru_cache(maxsize=None)
+def _field_swaps(images: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """Field swaps ``(s_a, s_b, 2^s_b - 2^s_a)``, ``s_k`` the bit offset of
+    slot k, that applied in turn carry slot k of a key to slot
+    ``images[k]``: the cycle ``k0 -> k1 -> ... -> k_m`` of the permutation
+    is the swaps of k0 with k1, k2, ..., k_m."""
+    shift = [(len(images) - k) * _SLOT_BITS for k in range(len(images))]
+    swaps = []
+    done = set()
+    for k0 in range(len(images)):
+        if k0 in done:
+            continue
+        done.add(k0)
+        k = images[k0]
+        while k != k0:
+            swaps.append((shift[k0], shift[k], (1 << shift[k]) - (1 << shift[k0])))
+            done.add(k)
+            k = images[k]
+    return tuple(swaps)
+
+
 def _poly_from(arity: int, terms: dict) -> "MultiPoly":
-    """MultiPoly over a dict already free of zero coefficients (no copy)."""
+    """MultiPoly over a dict of packed keys already free of zero
+    coefficients (no copy)."""
     p = object.__new__(MultiPoly)
     p.arity = arity
     p.terms = terms
@@ -96,12 +185,13 @@ def _add_terms(out: dict, terms: Mapping, negate: bool) -> None:
 
 def _add_product(out: dict, terms: Mapping, factor: Collection) -> None:
     """``out += terms * factor`` in place, one pass over ``terms``; ``factor``
-    is a polynomial given as its (exponent delta, coefficient) pairs, such as
-    ``MultiPoly.terms.items()``, and is iterated once per term."""
+    is a polynomial given as its (key delta, coefficient) pairs, such as
+    ``MultiPoly.terms.items()``, and is iterated once per term.  The caller
+    has passed both operands through :func:`_check_limit`."""
     get = out.get
     for exp, coef in terms.items():
         for delta, weight in factor:
-            key = tuple(map(add, exp, delta))
+            key = exp + delta
             s = get(key, 0) + coef * weight
             if s:
                 out[key] = s if type(s) is int else _as_rat(s)
@@ -112,21 +202,27 @@ def _add_product(out: dict, terms: Mapping, factor: Collection) -> None:
 @lru_cache(maxsize=256)
 def _difference_product(arity: int, factor: tuple, negate: bool) -> tuple:
     """The terms of ``prod (x_i - x_j)^e`` over ``factor = ((i, j, e), ...)``,
-    negated when ``negate``, as (exponent delta, int weight) pairs; built once
-    per distinct factor."""
+    negated when ``negate``, as (key delta, int weight) pairs; built once
+    per distinct factor and checked against the exponent limit then."""
     p = MultiPoly.constant(arity, -1 if negate else 1)
     for i, j, e in factor:
         p = p * (MultiPoly.variable(arity, i) - MultiPoly.variable(arity, j)) ** e
+    _check_limit(arity, p.terms)
     return tuple(p.terms.items())
 
 
 class MultiPoly:
     """Sparse exact polynomial in x0..x_{N-1} and the coupling c.
 
-    ``terms`` maps exponent tuples of length ``arity + 1`` to nonzero exact
-    rationals: ``exp[k]`` is the power of x_k and the last slot, the coupling
-    slot, is the power of c.  Degrees, permutations and substitutions act on
-    the x slots only.
+    ``terms`` maps packed monomial keys to nonzero exact rationals.  A key
+    packs the exponent vector of length ``arity + 1`` (``exp[k]`` the power
+    of x_k, the last slot, the coupling slot, the power of c) into one
+    ``int``, one ``_SLOT_BITS``-bit field per slot with slot 0 the most
+    significant, so key order is exponent-tuple order and multiplying
+    monomials adds keys.  Every exponent stays below ``EXPONENT_LIMIT``
+    where it is packed or added to (``ValueError`` otherwise).  The
+    constructor takes exponent tuples; :meth:`tuple_terms` reads them back.
+    Degrees, permutations and substitutions act on the x slots only.
     """
 
     __slots__ = ("arity", "terms")
@@ -135,17 +231,16 @@ class MultiPoly:
         if arity < 1:
             raise ValueError("arity must be >= 1")
         self.arity = arity
-        clean: dict[tuple[int, ...], int | Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         if terms:
             for exp, coef in terms.items():
                 if len(exp) != arity + 1:
                     raise ValueError(f"exponent {exp} has wrong length for arity {arity} "
                                      "(one slot per coordinate plus the coupling slot)")
-                if min(exp) < 0:
-                    raise ValueError(f"exponent {exp} has a negative entry")
+                key = _pack(exp)
                 coef = _as_rat(coef)
                 if coef:
-                    clean[tuple(exp)] = coef
+                    clean[key] = coef
         self.terms = clean
 
     # -- constructors ----------------------------------------------------
@@ -184,24 +279,28 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def tuple_terms(self) -> dict[tuple[int, ...], int | Fraction]:
+        """``terms`` keyed by exponent tuples instead of packed keys."""
+        a = self.arity
+        return {_unpack(key, a): coef for key, coef in self.terms.items()}
+
     def total_degree(self) -> int:
         """Max total degree in x; -1 for the zero polynomial."""
-        return max((sum(e) - e[-1] for e in self.terms), default=-1)
+        return max((sum(e) - e[-1] for e in self.tuple_terms()), default=-1)
 
     def coupling_component(self, power: int) -> "MultiPoly":
         """The polynomial multiplying c**power (a coupling-free MultiPoly)."""
-        a = self.arity
-        return _poly_from(a, {e[:a] + (0,): v for e, v in self.terms.items() if e[a] == power})
+        return _poly_from(self.arity, {k - power: v for k, v in self.terms.items()
+                                       if k & _SLOT_MASK == power})
 
     def specialize_coupling(self, cval) -> "MultiPoly":
         """The polynomial at c = cval (coupling-free)."""
         cval = _as_rat(cval)
-        a = self.arity
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        for exp, coef in self.terms.items():
-            key = exp[:a] + (0,)
-            out[key] = out.get(key, 0) + coef * cval ** exp[a]
-        return MultiPoly(a, out)
+        out: dict[int, int | Fraction] = {}
+        for key, coef in self.terms.items():
+            power = key & _SLOT_MASK
+            out[key - power] = out.get(key - power, 0) + coef * cval ** power
+        return _poly_from(self.arity, {k: _as_rat(v) for k, v in out.items() if v})
 
     # -- ring operations -------------------------------------------------
 
@@ -229,7 +328,9 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out: dict[tuple[int, ...], int | Fraction] = {}
+        _check_limit(self.arity, self.terms)
+        _check_limit(self.arity, other.terms)
+        out: dict[int, int | Fraction] = {}
         _add_product(out, self.terms, other.terms.items())
         return _poly_from(self.arity, out)
 
@@ -247,9 +348,15 @@ class MultiPoly:
         return _poly_from(self.arity, out)
 
     def __pow__(self, n: int) -> "MultiPoly":
+        """Repeated squaring; refused up front when a slot of the power would
+        reach ``EXPONENT_LIMIT``."""
         if n < 0:
             raise ValueError("negative power")
-        result = MultiPoly.one(self.arity)
+        a = self.arity
+        if n and self.terms and max(max(_unpack(k, a)) for k in self.terms) * n >= EXPONENT_LIMIT:
+            raise ValueError(f"an exponent of the power would reach {EXPONENT_LIMIT}, "
+                             "the limit of the packed monomial keys")
+        result = MultiPoly.one(a)
         base = self
         while n:
             if n & 1:
@@ -269,12 +376,14 @@ class MultiPoly:
 
     def partial(self, k: int) -> "MultiPoly":
         """Exact partial derivative with respect to x_k."""
+        s = _slot_shift(self.arity, k)
+        one = 1 << s
         out = {}
-        for exp, coef in self.terms.items():
-            e = exp[k]
+        for key, coef in self.terms.items():
+            e = key >> s & _SLOT_MASK
             if e:
                 v = coef * e
-                out[exp[:k] + (e - 1,) + exp[k + 1:]] = v if type(v) is int else _as_rat(v)
+                out[key - one] = v if type(v) is int else _as_rat(v)
         return _poly_from(self.arity, out)
 
     def substitute_shift(self, k: int, j: int, alpha) -> "MultiPoly":
@@ -282,53 +391,57 @@ class MultiPoly:
         alpha = _as_rat(alpha)
         if j == k:
             raise ValueError("shift source and target must differ")
+        a = self.arity
+        sk = _slot_shift(a, k)
+        step = (1 << _slot_shift(a, j)) - (1 << sk)
         if not alpha:
-            return _poly_from(self.arity, dict(self.terms))
-        top = max((e[k] for e in self.terms), default=0)
-        alpha_pow = [alpha ** i for i in range(top + 1)]
-        # (x_k + alpha x_j)^e = sum_i C(e, i) alpha^i x_k^(e-i) x_j^i, per term
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        for exp, coef in self.terms.items():
-            e = exp[k]
-            key = list(exp)
+            return _poly_from(a, dict(self.terms))
+        _check_limit(a, self.terms)
+        # (x_k + alpha x_j)^e = sum_i C(e, i) alpha^i x_k^(e-i) x_j^i, per
+        # term; moving one power from slot k to slot j adds ``step`` to the key
+        out: dict[int, int | Fraction] = {}
+        get = out.get
+        for key, coef in self.terms.items():
+            e = key >> sk & _SLOT_MASK
             for i in range(e + 1):
-                key[k] = e - i
-                key[j] = exp[j] + i
-                t = tuple(key)
-                s = out.get(t, 0) + coef * comb(e, i) * alpha_pow[i]
+                s = get(key, 0) + coef * comb(e, i)
                 if s:
-                    out[t] = s if type(s) is int else _as_rat(s)
+                    out[key] = s if type(s) is int else _as_rat(s)
                 else:
-                    del out[t]
-        return _poly_from(self.arity, out)
+                    del out[key]
+                key += step
+                coef *= alpha
+        return _poly_from(a, out)
 
     def substitute_scale(self, k: int, q) -> "MultiPoly":
         """Substitute x_k -> q * x_k."""
         q = _as_rat(q)
+        s = _slot_shift(self.arity, k)
         out = {}
-        for exp, coef in self.terms.items():
-            c = coef * q ** exp[k]
+        for key, coef in self.terms.items():
+            c = coef * q ** (key >> s & _SLOT_MASK)
             if c:
-                out[exp] = c if type(c) is int else _as_rat(c)
+                out[key] = c if type(c) is int else _as_rat(c)
         return _poly_from(self.arity, out)
 
     def permute(self, sigma: "Permutation") -> "MultiPoly":
         """Action on functions: x_k is mapped to x_{sigma(k)}; c stays."""
         if sigma.size != self.arity:
             raise ValueError("permutation size does not match arity")
-        # slot sigma(k) of the new exponent is slot k of the old one
-        order = [self.arity] * (self.arity + 1)
-        for k, image in enumerate(sigma.images):
-            order[image] = k
-        slots = itemgetter(*order)
-        return _poly_from(self.arity, {slots(exp): coef for exp, coef in self.terms.items()})
+        swaps = _field_swaps(sigma.images)
+        terms = self.terms if swaps else dict(self.terms)
+        # swapping the fields f_a, f_b of key k gives k + (f_a - f_b) (2^s_b - 2^s_a)
+        for sa, sb, d in swaps:
+            terms = {k + ((k >> sa & _SLOT_MASK) - (k >> sb & _SLOT_MASK)) * d: c
+                     for k, c in terms.items()}
+        return _poly_from(self.arity, terms)
 
     def eval(self, point: Sequence[Fraction | int], cval=0) -> Fraction:
         if len(point) != self.arity:
             raise ValueError("point has wrong dimension")
         pt = [_as_rat(v) for v in point] + [_as_rat(cval)]
         total = Fraction(0)
-        for exp, coef in self.terms.items():
+        for exp, coef in self.tuple_terms().items():
             val = coef
             for x, e in zip(pt, exp):
                 if e:
@@ -341,10 +454,12 @@ class MultiPoly:
         or None when not divisible."""
         if self.is_zero():
             return self
+        s = _slot_shift(self.arity, i)
         # coefficients of x_i^m, exponent slot i zeroed
-        by_deg: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
-        for exp, coef in self.terms.items():
-            by_deg.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1:]] = coef
+        by_deg: dict[int, dict[int, int | Fraction]] = {}
+        for key, coef in self.terms.items():
+            m = key >> s & _SLOT_MASK
+            by_deg.setdefault(m, {})[key - (m << s)] = coef
         out = carry = MultiPoly.zero(self.arity)
         for m in range(max(by_deg), 0, -1):
             q = _poly_from(self.arity, by_deg.get(m, {})) + carry
@@ -356,10 +471,12 @@ class MultiPoly:
     def shift_var(self, j: int, power: int = 1) -> "MultiPoly":
         """Multiply by x_j**power; ``j == arity`` is the coupling slot, so
         ``shift_var(arity, k)`` multiplies by c**k."""
-        out = {}
-        for exp, coef in self.terms.items():
-            out[exp[:j] + (exp[j] + power,) + exp[j + 1:]] = coef
-        return _poly_from(self.arity, out)
+        a = self.arity
+        if not 0 <= power < EXPONENT_LIMIT:
+            raise ValueError(f"power {power} is outside 0..{EXPONENT_LIMIT - 1}")
+        delta = power << _slot_shift(a, j)
+        _check_limit(a, self.terms)
+        return _poly_from(a, {k + delta: c for k, c in self.terms.items()})
 
     # -- text form ---------------------------------------------------------
 
@@ -369,8 +486,9 @@ class MultiPoly:
         if not self.terms:
             return "0"
         groups: dict[tuple[int, ...], list[str]] = {}
-        for exp in sorted(self.terms):
-            coef, k = self.terms[exp], exp[-1]
+        for key in sorted(self.terms):     # key order is exponent-tuple order
+            coef, exp = self.terms[key], _unpack(key, self.arity)
+            k = exp[-1]
             groups.setdefault(exp[:-1], []).append(
                 str(coef) if k == 0 else f"{coef} c" if k == 1 else f"{coef} c^{k}")
         return " + ".join(f"({' + '.join(cs)}) x^({','.join(map(str, x))})"
@@ -600,10 +718,12 @@ class RationalSection:
         arity = self.arity
         if lack_a:
             out = {}
+            _check_limit(arity, self.num.terms)
             _add_product(out, self.num.terms, _difference_product(arity, tuple(lack_a), False))
         else:
             out = dict(self.num.terms)
         if lack_b:
+            _check_limit(arity, other.num.terms)
             _add_product(out, other.num.terms, _difference_product(arity, tuple(lack_b), negate))
         else:
             _add_terms(out, other.num.terms, negate)

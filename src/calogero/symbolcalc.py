@@ -36,10 +36,19 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, gt
+from operator import gt
 from typing import NamedTuple, Sequence, Union
 
-from .exactalg import MultiPoly, Permutation, _poly_from, monomial_exponents
+from .exactalg import (
+    EXPONENT_LIMIT,
+    MultiPoly,
+    Permutation,
+    _check_limit,
+    _pack,
+    _poly_from,
+    _unpack,
+    monomial_exponents,
+)
 
 __all__ = [
     "Shift",
@@ -126,16 +135,20 @@ def _taylor(f: MultiPoly, gap: MultiPoly, derive, order: int) -> MultiPoly:
             break
         derivs.append(deriv)
     top = math.factorial(max(len(derivs) - 1, 0))
-    acc: dict[tuple[int, ...], int | Fraction] = {}
+    # every D^n f has slots no higher than f's, and each power of the gap is
+    # checked as it is added to them
+    _check_limit(f.arity, f.terms)
+    acc: dict[int, int | Fraction] = {}
     power = MultiPoly.one(f.arity)
     for n, deriv in enumerate(derivs):
         if n:
             power = power * gap
+            _check_limit(f.arity, power.terms)
         weight = top // math.factorial(n)
         for ea, ca in power.terms.items():
             ca *= weight
             for eb, cb in deriv.terms.items():
-                key = tuple(map(add, ea, eb))
+                key = ea + eb
                 acc[key] = acc.get(key, 0) + ca * cb
     return _poly_from(f.arity, {e: _over(v, top) for e, v in acc.items() if v})
 
@@ -159,7 +172,8 @@ def sign_flip_series(coeffs: Sequence[Fraction | int], order: int) -> tuple[Frac
     """
     f = MultiPoly(1, {(m, 0): Fraction(v) for m, v in enumerate(coeffs)})
     out = _taylor(f, MultiPoly.monomial(1, (1,), -2), lambda g: g.partial(0), order)
-    return tuple(Fraction(out.terms.get((m, 0), 0)) for m in range(out.total_degree() + 1))
+    terms = out.tuple_terms()
+    return tuple(Fraction(terms.get((m, 0), 0)) for m in range(out.total_degree() + 1))
 
 
 def permutation_series(j: int, k: int, f: MultiPoly, order: int) -> MultiPoly:
@@ -178,11 +192,12 @@ def permutation_series(j: int, k: int, f: MultiPoly, order: int) -> MultiPoly:
 class GroupedSymbol(NamedTuple):
     """A symbol grouped by momentum exponent over one common denominator.
 
-    ``groups[p_exp]`` lists ``(x_exp + (0,), numerator)`` pairs, one per term
-    ``numerator / den * x^x_exp d^p_exp``; the trailing 0 is the coupling
-    slot, so the exponent adds straight onto a :class:`MultiPoly` key."""
+    ``groups[p_exp]`` lists ``(key, numerator)`` pairs, one per term
+    ``numerator / den * x^x_exp d^p_exp``; ``key`` is the packed
+    :class:`MultiPoly` key of ``x_exp`` with a zero coupling slot, so it adds
+    straight onto the key of a polynomial's term."""
     den: int
-    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]]
+    groups: dict[tuple[int, ...], list[tuple[int, int]]]
 
 
 def symbol_of_permutation(n_vars: int, j: int, k: int, order: int) -> GroupedSymbol:
@@ -195,13 +210,16 @@ def symbol_of_permutation(n_vars: int, j: int, k: int, order: int) -> GroupedSym
     the left.  Each pair of exponents comes from one ``(n, a, b)`` with
     ``a = x_exp[j]`` and ``b = p_exp[k]``, and no coefficient vanishes, so
     every term is written once.  ``j`` and ``k`` must be distinct
-    coordinates below ``n_vars`` (``ValueError`` otherwise).
+    coordinates below ``n_vars``, and the order below ``EXPONENT_LIMIT``,
+    the largest x exponent a key can hold (``ValueError`` otherwise).
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
+    if order >= EXPONENT_LIMIT:
+        raise ValueError(f"truncation order {order} reaches the exponent limit {EXPONENT_LIMIT}")
     Permutation.transposition(n_vars, j, k)  # refuses the pair before any work
     den = math.factorial(order)
-    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for n in range(order + 1):
         weight = den // math.factorial(n)
         for b in range(n + 1):
@@ -213,7 +231,7 @@ def symbol_of_permutation(n_vars: int, j: int, k: int, order: int) -> GroupedSym
                 # (x_j - x_k)^n -> C(n,a) x_j^a (-x_k)^(n-a)
                 xe = [0] * (n_vars + 1)
                 xe[j], xe[k] = a, n - a
-                row.append((tuple(xe), (-1) ** (a + b) * weight * math.comb(n, a)
+                row.append((_pack(xe), (-1) ** (a + b) * weight * math.comb(n, a)
                             * math.comb(n, b)))
     return GroupedSymbol(den, groups)
 
@@ -221,7 +239,8 @@ def symbol_of_permutation(n_vars: int, j: int, k: int, order: int) -> GroupedSym
 def symbol_terms(symbol: GroupedSymbol) -> list[dict]:
     """The JSON records of the symbol's terms, sorted by ``(x_exp, p_exp)``,
     each coefficient reduced (an ``int`` where integral)."""
-    terms = sorted((x[:-1], p, num) for p, row in symbol.groups.items() for x, num in row)
+    terms = sorted((_unpack(x, len(p))[:-1], p, num)
+                   for p, row in symbol.groups.items() for x, num in row)
     return [{"xExponents": list(x), "pExponents": list(p),
              "coefficient": str(_over(num, symbol.den))} for x, p, num in terms]
 
@@ -235,17 +254,20 @@ def quantize_apply(symbol: GroupedSymbol, f: MultiPoly) -> MultiPoly:
     other distinct derivative d^p f is taken once per call, from the one a
     single order lower; the integer numerators times d^p f are summed into
     one exponent -> coefficient dict, and each sum is divided by ``den``
-    once."""
-    tops = [max(col) for col in zip(*f.terms)]
+    once.  Every derivative has slots no higher than f's, so f is checked
+    against the exponent limit once, up front; the symbol's keys are packed
+    below the limit by :func:`symbol_of_permutation`."""
+    _check_limit(f.arity, f.terms)
+    tops = [max(col) for col in zip(*(_unpack(key, f.arity) for key in f.terms))]
     derivs = {(0,) * f.arity: f}
-    acc: dict[tuple[int, ...], int | Fraction] = {}
+    acc: dict[int, int | Fraction] = {}
     for p_exp, row in symbol.groups.items():
         if any(map(gt, p_exp, tops)):
             continue
         g = _derivative(derivs, p_exp).terms.items()
         for shift, num in row:
             for exp, v in g:
-                key = tuple(map(add, exp, shift))
+                key = exp + shift
                 acc[key] = acc.get(key, 0) + num * v
     den = symbol.den
     return _poly_from(f.arity, {e: _over(v, den) for e, v in acc.items() if v})

@@ -8,7 +8,7 @@ import pytest
 
 from calogero import cli, laxdyn, suites
 from calogero.cli import main
-from calogero.exactalg import Permutation
+from calogero.exactalg import EXPONENT_LIMIT, Permutation
 
 LOOP3 = {"N": 3, "margin": 0.1,
          "waypoints": [[0.0, 1.0, 2.0], [0.3, 1.2, 2.5],
@@ -536,6 +536,14 @@ class TestSymbolsCommand:
         code, out, err = run_cli(capsys, "symbols", "--n", "2", *args)
         assert code == 2
         assert out == "" and "Traceback" not in err
+
+    def test_order_at_the_exponent_limit_is_usage_error(self, capsys):
+        # the symbol's x exponents reach the order, and a packed key holds
+        # exponents below EXPONENT_LIMIT only
+        code, out, err = run_cli(capsys, "symbols", "--n", "2", "--deg", "1",
+                                 "--order", str(EXPONENT_LIMIT))
+        assert code == 2
+        assert out == "" and "limit" in err and "Traceback" not in err
 
     def test_zero_degree_and_order_are_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "symbols", "--n", "2", "--deg", "0", "--order", "0")

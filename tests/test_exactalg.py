@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from calogero.exactalg import (
+    EXPONENT_LIMIT,
     MultiPoly,
     Permutation,
     PoleError,
@@ -12,6 +13,7 @@ from calogero.exactalg import (
     monomial_exponents,
     parse_section,
 )
+from calogero.symbolcalc import symbol_of_permutation
 from conftest import coupling_poly
 
 def var(n, i):
@@ -34,7 +36,7 @@ def random_section(rng, n, max_degree=4, max_den=2):
 class TestCouplingSlot:
     def test_zero_coefficients_are_stripped(self):
         p = coupling_poly(2, 1, 2, 0, 0)
-        assert p.terms == {(0, 0, 0): 1, (0, 0, 1): 2}
+        assert p.tuple_terms() == {(0, 0, 0): 1, (0, 0, 1): 2}
         assert coupling_poly(2, 0, 0).is_zero()
         assert MultiPoly.constant(2, 0).is_zero()
 
@@ -145,7 +147,8 @@ class TestMultiPoly:
         p = MultiPoly.monomial(2, (3, 0), F(4, 2)).partial(0)
         assert all(type(v) is int for v in p.terms.values())
         half = coupling_poly(2, F(1, 2), F(4, 2))
-        assert type(half.terms[(0, 0, 0)]) is F and type(half.terms[(0, 0, 1)]) is int
+        half_terms = half.tuple_terms()
+        assert type(half_terms[(0, 0, 0)]) is F and type(half_terms[(0, 0, 1)]) is int
 
         def integral_as_int(p):
             return all(type(v) is int or v.denominator != 1 for v in p.terms.values())
@@ -165,8 +168,93 @@ class TestMultiPoly:
                   + RationalSection.inverse_difference(2, 0, 1, 2))
         results.append(raised.num)
         assert all(integral_as_int(p) for p in results)
-        assert results[0].terms == {(1, 1, 0): 1}
-        assert raised.num.terms[(1, 1, 0)] == -1
+        assert results[0].tuple_terms() == {(1, 1, 0): 1}
+        assert raised.num.tuple_terms()[(1, 1, 0)] == -1
+
+
+LIMIT = EXPONENT_LIMIT
+
+
+class TestPackingLimit:
+    """Keys pack one field per slot; an exponent at the limit is refused
+    wherever it would be packed or added to, so no field ever carries."""
+
+    def test_one_below_the_limit_round_trips(self):
+        for exp in ((LIMIT - 1, 0, 0), (0, LIMIT - 1, 0), (0, 0, LIMIT - 1),
+                    (LIMIT - 1, LIMIT - 1, LIMIT - 1)):
+            p = MultiPoly(2, {exp: 3})
+            assert p.tuple_terms() == {exp: 3}
+            assert parse_section(p.to_text()) == RationalSection(p)
+        assert MultiPoly(2, {(LIMIT - 1, 1, 0): 1}).to_text() == f"(1) x^({LIMIT - 1},1)"
+
+    def test_sums_of_admissible_slots_do_not_carry(self):
+        # the largest exponents an operation may add: every slot of both
+        # operands one below the limit
+        top = MultiPoly(2, {(LIMIT - 1, LIMIT - 1, LIMIT - 1): 1})
+        doubled = (2 * LIMIT - 2,) * 3
+        assert (top * top).tuple_terms() == {doubled: 1}
+        for j in (0, 1, 2):
+            shifted = [LIMIT - 1] * 3
+            shifted[j] = 2 * LIMIT - 2
+            assert top.shift_var(j, LIMIT - 1).tuple_terms() == {tuple(shifted): 1}
+        moved = MultiPoly(2, {(1, LIMIT - 1, 0): 1}).substitute_shift(0, 1, 1)
+        assert moved.tuple_terms() == {(1, LIMIT - 1, 0): 1, (0, LIMIT, 0): 1}
+
+    @pytest.mark.parametrize("exp", [(LIMIT, 0, 0), (0, LIMIT, 0), (0, 0, LIMIT),
+                                     (0, 2 * LIMIT, 0), (1.0, 0, 0), (True, 0, 0),
+                                     (0, 0, F(1))])
+    def test_constructor_refuses(self, exp):
+        with pytest.raises(ValueError):
+            MultiPoly(2, {exp: 1})
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_product_refuses_an_operand_at_the_limit(self, slot):
+        below = [0, 0, 0]
+        below[slot] = LIMIT - 1
+        one = [0, 0, 0]
+        one[slot] = 1
+        at = MultiPoly(2, {tuple(below): 1}) * MultiPoly(2, {tuple(one): 1})
+        assert at.tuple_terms() == {tuple(LIMIT * e for e in one): 1}
+        for left, right in ((at, at), (at, MultiPoly(2, {tuple(one): 1})),
+                            (MultiPoly.one(2), at), (var(2, 1) + at, var(2, 0))):
+            with pytest.raises(ValueError, match="limit"):
+                left * right
+
+    def test_power_refuses_the_limit(self):
+        assert (var(2, 0) ** (LIMIT - 1)).tuple_terms() == {(LIMIT - 1, 0, 0): 1}
+        for n in (LIMIT, LIMIT + 1, 2 * LIMIT):
+            with pytest.raises(ValueError, match="limit"):
+                MultiPoly.variable(2, 0) ** n
+        with pytest.raises(ValueError, match="limit"):
+            (var(2, 0) * var(2, 1) ** 3) ** (LIMIT // 3 + 1)
+
+    def test_shift_var_refuses(self):
+        at = MultiPoly(2, {(LIMIT - 1, 0, 0): 1}).shift_var(0)
+        assert at.tuple_terms() == {(LIMIT, 0, 0): 1}
+        for j in (0, 1, 2):
+            with pytest.raises(ValueError, match="limit"):
+                at.shift_var(j)
+        for power in (LIMIT, -1):
+            with pytest.raises(ValueError):
+                MultiPoly.one(2).shift_var(0, power)
+        with pytest.raises(ValueError, match="out of range"):
+            MultiPoly.one(2).shift_var(3)
+
+    def test_substitute_shift_refuses(self):
+        at = MultiPoly(2, {(LIMIT - 1, 2, 0): 1}).shift_var(0)
+        with pytest.raises(ValueError, match="limit"):
+            at.substitute_shift(1, 0, 1)
+        with pytest.raises(ValueError, match="limit"):
+            at.substitute_shift(0, 1, F(1, 2))
+
+    def test_section_sum_refuses(self):
+        at = RationalSection(MultiPoly(2, {(LIMIT - 1, 0, 0): 1}).shift_var(0))
+        with pytest.raises(ValueError, match="limit"):
+            at + RationalSection.inverse_difference(2, 0, 1)
+
+    def test_symbol_order_at_the_limit_is_refused(self):
+        with pytest.raises(ValueError, match="limit"):
+            symbol_of_permutation(2, 0, 1, LIMIT)
 
 
 class TestPermutation:

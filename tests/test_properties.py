@@ -3,12 +3,20 @@ quantized swap symbol and the Lax-matrix identities."""
 
 import math
 from fractions import Fraction as F
+from operator import add
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from calogero.exactalg import MultiPoly, Permutation, RationalSection
+from calogero.exactalg import (
+    EXPONENT_LIMIT,
+    MultiPoly,
+    Permutation,
+    RationalSection,
+    _pack,
+    _unpack,
+)
 from calogero.laxdyn import (
     PhasePoint,
     build_lax,
@@ -144,6 +152,126 @@ def test_derivative_is_linear_and_leibniz(f, k):
 def test_derivative_conjugates_under_permutation(f, sigma, k):
     # moving the derivative through the argument permutation relabels it
     assert f.permute(sigma).partial(sigma(k)) == f.partial(k).permute(sigma)
+
+
+# -- packed keys against a tuple-keyed reference ------------------------------
+
+# exponents small, or just below the limit, where a carry would show first
+slot_values = st.one_of(st.integers(min_value=0, max_value=5),
+                        st.integers(min_value=EXPONENT_LIMIT - 4,
+                                    max_value=EXPONENT_LIMIT - 1))
+
+
+def exponent_vectors(arity, values=slot_values):
+    """Exponent tuples of one polynomial of ``arity``: one slot per
+    coordinate plus the coupling slot."""
+    return st.tuples(*(values,) * (arity + 1))
+
+
+@st.composite
+def vector_pairs(draw):
+    arity = draw(st.integers(min_value=1, max_value=6))
+    return arity, draw(exponent_vectors(arity)), draw(exponent_vectors(arity))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_pairs())
+def test_packed_keys_round_trip_order_and_add(case):
+    arity, a, b = case
+    ka, kb = _pack(a), _pack(b)
+    assert _unpack(ka, arity) == a and _unpack(kb, arity) == b
+    assert (ka < kb) == (a < b) and (ka == kb) == (a == b)
+    assert _unpack(ka + kb, arity) == tuple(map(add, a, b))
+
+
+@st.composite
+def poly_pairs(draw, min_arity=1):
+    """Two polynomials of one random arity up to 4, each as its tuple-keyed
+    reference dict."""
+    arity = draw(st.integers(min_value=min_arity, max_value=4))
+    terms = st.dictionaries(exponent_vectors(arity), rationals.filter(bool), max_size=5)
+    return arity, draw(terms), draw(terms)
+
+
+def ref_clean(terms):
+    return {e: v for e, v in terms.items() if v}
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + va * vb
+    return ref_clean(out)
+
+
+def ref_permute(terms, images):
+    # slot images[k] of the result is slot k of the input; c stays last
+    out = {}
+    for e, v in terms.items():
+        new = list(e)
+        for k, image in enumerate(images):
+            new[image] = e[k]
+        out[tuple(new)] = v
+    return out
+
+
+def ref_partial(terms, k):
+    out = {}
+    for e, v in terms.items():
+        if e[k]:
+            out[e[:k] + (e[k] - 1,) + e[k + 1:]] = v * e[k]
+    return out
+
+
+def ref_shift_var(terms, j, power):
+    return {e[:j] + (e[j] + power,) + e[j + 1:]: v for e, v in terms.items()}
+
+
+def ref_substitute_shift(terms, k, j, alpha):
+    out = {}
+    for e, v in terms.items():
+        for i in range(e[k] + 1):
+            new = list(e)
+            new[k], new[j] = e[k] - i, e[j] + i
+            new = tuple(new)
+            out[new] = out.get(new, 0) + v * math.comb(e[k], i) * alpha ** i
+    return ref_clean(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs(), st.data())
+def test_packed_operations_match_the_tuple_reference(case, data):
+    arity, a, b = case
+    pa, pb = MultiPoly(arity, a), MultiPoly(arity, b)
+    assert pa.tuple_terms() == a
+    assert (pa * pb).tuple_terms() == ref_mul(a, b)
+    sigma = data.draw(st.sampled_from(Permutation.all_elements(arity)))
+    assert pa.permute(sigma).tuple_terms() == ref_permute(a, sigma.images)
+    if arity > 1:
+        i, k = data.draw(st.lists(st.integers(0, arity - 1), min_size=2, max_size=2,
+                                  unique=True))
+        swap = Permutation.transposition(arity, i, k)
+        assert pa.permute(swap).tuple_terms() == ref_permute(a, swap.images)
+    k = data.draw(st.integers(min_value=0, max_value=arity - 1))
+    assert pa.partial(k).tuple_terms() == ref_partial(a, k)
+    j = data.draw(st.integers(min_value=0, max_value=arity))       # c included
+    power = data.draw(slot_values)
+    assert pa.shift_var(j, power).tuple_terms() == ref_shift_var(a, j, power)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs(min_arity=2), st.data(), rationals)
+def test_substitute_shift_matches_the_tuple_reference(case, data, alpha):
+    arity, a, _ = case
+    k, j = data.draw(st.lists(st.integers(0, arity - 1), min_size=2, max_size=2,
+                              unique=True))
+    # slot k is expanded binomially, so it stays small; slot j may sit just
+    # below the limit
+    a = {e[:k] + (e[k] % 5,) + e[k + 1:]: v for e, v in a.items()}
+    got = MultiPoly(arity, a).substitute_shift(k, j, alpha)
+    assert got.tuple_terms() == ref_substitute_shift(a, k, j, alpha)
 
 
 @st.composite

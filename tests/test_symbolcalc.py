@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from calogero import cli, symbolcalc
-from calogero.exactalg import MultiPoly, Permutation, monomial_exponents
+from calogero.exactalg import MultiPoly, Permutation, _pack, _unpack, monomial_exponents
 from calogero.symbolcalc import (
     GroupedSymbol,
     Scale,
@@ -121,11 +121,12 @@ class TestScaling:
 
 class TestSymbol:
     def test_order_zero_is_identity_term(self):
-        assert symbol_of_permutation(2, 0, 1, 0) == GroupedSymbol(1, {(0, 0): [((0, 0, 0), 1)]})
+        identity = GroupedSymbol(1, {(0, 0): [(_pack((0, 0, 0)), 1)]})
+        assert symbol_of_permutation(2, 0, 1, 0) == identity
 
     def test_order_one_adds_difference_pair(self):
         symbol = symbol_of_permutation(2, 0, 1, 1)
-        terms = {(x[:-1], p): F(num, symbol.den)
+        terms = {(_unpack(x, 2)[:-1], p): F(num, symbol.den)
                  for p, row in symbol.groups.items() for x, num in row}
         # the identity, then (x0 - x1)(p1 - p0) expanded into four monomial pairs
         assert len(terms) == 5 and terms[((0, 0), (0, 0))] == 1
@@ -193,11 +194,11 @@ class TestGroupedSymbol:
         expected = MultiPoly.zero(4)
         for n in range(5):
             expected = expected + ((x0 - x1) * (p1 - p0)) ** n * F(1, math.factorial(n))
-        regrouped = {x[:-1] + p + (0,): F(num, symbol.den)
+        regrouped = {_unpack(x, 2)[:-1] + p + (0,): F(num, symbol.den)
                      for p, row in symbol.groups.items() for x, num in row}
-        assert regrouped == expected.terms
+        assert regrouped == expected.tuple_terms()
         assert sum(map(len, symbol.groups.values())) == len(regrouped)
-        assert all(type(num) is int and num and x[-1] == 0
+        assert all(type(num) is int and num and _unpack(x, 2)[-1] == 0
                    for row in symbol.groups.values() for x, num in row)
 
     def test_derivatives_taken_only_below_the_exponents(self, monkeypatch):

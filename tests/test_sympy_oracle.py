@@ -51,7 +51,7 @@ def _from_text(section, xs):
     parsed = parse_section(section.to_text(), arity=len(xs))
     num = sum((sympy.Rational(v.numerator, v.denominator) * C ** exp[-1]
                * math.prod(x ** e for x, e in zip(xs, exp))
-               for exp, v in parsed.num.terms.items()), sympy.Integer(0))
+               for exp, v in parsed.num.tuple_terms().items()), sympy.Integer(0))
     den = math.prod((xs[i] - xs[j]) ** d for (i, j), d in parsed.den.items())
     return num / den
 
