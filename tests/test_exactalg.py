@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from calogero.exactalg import (
-    EXPONENT_LIMIT,
+    EXPONENT_LIMIT as LIMIT,
     MultiPoly,
     Permutation,
     PoleError,
@@ -170,9 +170,6 @@ class TestMultiPoly:
         assert all(integral_as_int(p) for p in results)
         assert results[0].tuple_terms() == {(1, 1, 0): 1}
         assert raised.num.tuple_terms()[(1, 1, 0)] == -1
-
-
-LIMIT = EXPONENT_LIMIT
 
 
 class TestPackingLimit:
