@@ -25,6 +25,7 @@ from .suites import SUITE_NAMES, run_suite, worker_pool
 from .symbolcalc import realization_report, symbol_of_permutation, symbol_terms
 from .transport import (
     MAX_N,
+    MIN_TOL,
     ChamberPath,
     PathValidationError,
     TransportStepError,
@@ -79,6 +80,13 @@ def _positive_finite(text: str) -> float:
     value = _finite(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < MIN_TOL:
+        raise argparse.ArgumentTypeError(f"must be at least {MIN_TOL!r}: {text!r}")
     return value
 
 
@@ -281,8 +289,9 @@ def _transport_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=_rational_vector, required=True,
                    help="momenta, comma-separated rationals")
     p.add_argument("--c", type=_rational, default=Fraction(1), help="coupling")
-    p.add_argument("--tol", type=_positive_finite, default=1e-10,
-                   help="local error tolerance (finite, > 0)")
+    p.add_argument("--tol", type=_tolerance, default=1e-10,
+                   help=f"local error tolerance (finite, at least {MIN_TOL!r}, ten float64 "
+                        f"epsilons: an error estimate cannot resolve less)")
     p.add_argument("--compare-dyson", nargs=2, type=_positive_int, metavar=("ORDER", "STEPS"),
                    default=None,
                    help="also run the iterated-integral series (integers >= 1) and report "

@@ -22,20 +22,20 @@ the Knizhnik-Zamolodchikov form on the regular representation of S_N,
     sum_k v_k Omega_k(x) = i (v . D) + sum_{a<b} q_ab (v_b - v_a) / (x_a - x_b) L_ab,
 
 with ``D_k`` the diagonal ``p_{sigma^-1(k)}`` and ``L_ab`` the left
-multiplication ``sigma -> (a b) * sigma``.  Construction derives everything
-else from this rule, once: the exact entries, and the arrays with which
-numeric evaluation is one put of ``(coef @ v) / (x_a - x_b)`` into the
-positions of every ``L_ab`` (batched over many points at once for the
-iterated integrals).
-On a segment x = a + t v the numerators and the gaps' rates are fixed, so the
-ODE right-hand side takes them once and at each new t writes one division
-into a preset matrix.  Exact flatness scales each point's residuals to integers:
-with L the lcm of the numerators of the pair differences, every
-``L / (x_a - x_b)`` is an integer, so the curvature is a sum of Python ints and
-only a nonzero total becomes a ``Fraction``.  Momentum equivariance needs no
-point: it is an identity of the exact entries under one derived relabelling
-of the components.  The iterated integrals hold three complex d x d matrices
-per grid node and refuse grids above ``DYSON_MAX_BYTES``.
+multiplication ``sigma -> (a b) * sigma``, whose column in each row is a table
+built once per N.  Numeric evaluation is one put of ``(coef @ v) / (x_a - x_b)``
+into the positions of every ``L_ab``; on a segment x = a + t v the numerators
+and the gaps' rates are fixed, so the Dormand-Prince driver for the linear
+system y' = A(t) y gets the seven stage matrices of a step from one put into
+a preset stack.  Exact flatness scales each point's residuals to integers:
+with L the lcm of the numerators of the pair differences, each pair's
+``q_ab L / (x_a - x_b)`` is an integer over the couplings' common denominator,
+taken once per point, and the curvature is a sum of Python ints walked
+through the column tables; only a nonzero total becomes a ``Fraction``.
+Momentum equivariance needs no point: it is an identity of the exact entries
+under one derived relabelling of the components.  The iterated integrals hold
+three complex d x d matrices per grid node and refuse grids above
+``DYSON_MAX_BYTES``.
 
 ``np`` is the package's numpy stand-in until the first numerical call, so
 importing this module, as every ``calogero`` command does, does not load numpy.
@@ -43,6 +43,7 @@ importing this module, as every ``calogero`` command does, does not load numpy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -63,6 +64,7 @@ __all__ = [
     "TransportStepError",
     "DYSON_MAX_BYTES",
     "MAX_N",
+    "MIN_TOL",
     "build_local_system",
     "verify_flatness",
     "transport_ode",
@@ -106,6 +108,24 @@ class _OffEntry:
     b: int
 
 
+@functools.cache
+def _regular_tables(n: int):
+    """S_N in lexicographic order, the pairs a < b in ``itertools.combinations``
+    order, each pair's column of ``(a b) * s`` in every row s, and read-only
+    index arrays: the flat ``row*d+col`` positions and the pair of each."""
+    perms = tuple(Permutation.all_elements(n))
+    index = {s.images: i for i, s in enumerate(perms)}
+    pairs = tuple(itertools.combinations(range(n), 2))
+    cols = tuple(tuple(index[tuple(b if v == a else a if v == b else v for v in s.images)]
+                       for s in perms) for a, b in pairs)
+    d = len(perms)
+    pos = (np.array(cols, dtype=np.intp) + np.arange(0, d * d, d)).ravel()
+    pa, pb = np.repeat(np.array(pairs, dtype=np.intp).T, d, axis=1)
+    for arr in (pos, pa, pb):
+        arr.flags.writeable = False
+    return perms, pairs, cols, pos, pa, pb
+
+
 @dataclass(frozen=True)
 class ConnectionMatrix:
     """Per-coordinate N! x N! connection of the vectorized eigenproblem, in
@@ -117,21 +137,14 @@ class ConnectionMatrix:
         sum_k v_k Omega_k(x) = i (v . D) + sum_{a<b} q_ab (v_b - v_a)/(x_a - x_b) L_ab,
 
     where ``diag[k][row] = p[s^-1(k)]`` for the permutation s of that row
-    (``perms`` is S_N in lexicographic order) and ``L_ab`` puts a 1 in row s,
-    column ``(a b) * s``: the images of s with the values a and b exchanged.
-    Construction refuses N outside 2..``MAX_N``, a ``q`` of the wrong length
-    and a value whose float overflows, and derives from this rule, once:
-
-    * ``off[k]``: the exact entries, ``q_ab / (x_a - x_b)`` in Omega_b and its
-      negative in Omega_a.
-    * Numeric: the flat ``row*d+col`` positions of every ``L_ab``, each with
-      its pair and one row of a ``(positions, n)`` float coefficient matrix
-      (``-q_ab`` at a, ``q_ab`` at b), plus the float diagonal of shape
-      ``(n, d)``.  ``velocity_matrix`` and ``along`` write
-      ``(coef @ v) / (x_a - x_b)`` into those positions with one put.
-    * Exact: the coefficients as integers over their common denominator, and
-      the momenta as integers over theirs, so the flatness residuals at a
-      rational point are sums of Python ints.
+    (``perms``: S_N in lexicographic order) and ``L_ab`` puts a 1 in row s,
+    column ``(a b) * s``.  Construction refuses N outside 2..``MAX_N``, a
+    ``q`` of the wrong length and a value whose float overflows, reads S_N and
+    the columns from ``_regular_tables``, and derives the float diagonal and a
+    ``(positions, n)`` coefficient matrix (``-q_ab`` at a, ``q_ab`` at b) for
+    the puts of ``velocity_matrix`` and ``stages``.  The exact entries
+    ``off[k]`` (``q_ab / (x_a - x_b)`` in Omega_b, its negative in Omega_a)
+    and the integer forms ``_scaled`` are derived on first use.
     """
 
     p: tuple[Fraction, ...]
@@ -142,42 +155,20 @@ class ConnectionMatrix:
         if not 2 <= n <= MAX_N:
             raise ValueError(f"N={n} is outside 2..{MAX_N}, the configured cap "
                              f"(N! components)")
-        pairs = list(itertools.combinations(range(n), 2))
-        if len(self.q) != len(pairs):
-            raise ValueError(f"{len(self.q)} couplings for the {len(pairs)} pairs of N={n}")
+        if len(self.q) != n * (n - 1) // 2:
+            raise ValueError(f"{len(self.q)} couplings for the {n * (n - 1) // 2} pairs of N={n}")
         p = tuple(_float_sized(Fraction(v), "a momentum") for v in self.p)
         q = tuple(_float_sized(Fraction(v), "a coupling") for v in self.q)
-        perms = tuple(Permutation.all_elements(n))
-        index = {s.images: i for i, s in enumerate(perms)}
-        d = len(perms)
+        perms, pairs, cols, pos, pa, pb = _regular_tables(n)
         diag = tuple(tuple(p[s.images.index(k)] for s in perms) for k in range(n))
-        off: list[list[_OffEntry]] = [[] for _ in range(n)]
-        pos: list[int] = []
-        coef = np.zeros((len(pairs) * d, n))
+        coef = np.zeros((len(pairs), n))
         for i, ((a, b), qab) in enumerate(zip(pairs, q)):
-            neg = -qab
-            swap = {a: b, b: a}
-            for row, s in enumerate(perms):
-                col = index[tuple(swap.get(v, v) for v in s.images)]  # (a b) * s
-                pos.append(row * d + col)
-                off[b].append(_OffEntry(row, col, qab, a, b))
-                off[a].append(_OffEntry(row, col, neg, a, b))
-            coef[i * d:(i + 1) * d, [a, b]] = float(neg), float(qab)
-        pa, pb = np.repeat(np.array(pairs, dtype=np.intp).T, d, axis=1)
-        coef_den = math.lcm(*(v.denominator for v in q))
-        diag_den = math.lcm(*(v.denominator for v in p))
+            coef[i, [a, b]] = float(-qab), float(qab)
         derived = {
-            "p": p, "q": q, "perms": perms, "diag": diag, "off": tuple(map(tuple, off)),
-            "_pos": np.array(pos, dtype=np.intp),
-            "_pa": pa,
-            "_pb": pb,
-            "_coef": coef,
+            "p": p, "q": q, "perms": perms, "diag": diag, "_pairs": pairs, "_cols": cols,
+            "_pos": pos, "_pa": pa, "_pb": pb,
+            "_coef": np.repeat(coef, len(perms), axis=0),
             "_diag": np.array([[float(v) for v in dk] for dk in diag]),
-            "_coef_den": coef_den,
-            "_diag_den": diag_den,
-            "_coef_num": tuple(tuple(_scaled_int(e.coeff, coef_den) for e in off_k)
-                               for off_k in off),
-            "_diag_num": tuple(tuple(_scaled_int(v, diag_den) for v in dk) for dk in diag),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -189,6 +180,24 @@ class ConnectionMatrix:
     @property
     def dim(self) -> int:
         return len(self.perms)
+
+    @functools.cached_property
+    def off(self) -> tuple[tuple[_OffEntry, ...], ...]:
+        off: list[list[_OffEntry]] = [[] for _ in range(self.n)]
+        for (a, b), qab, cols in zip(self._pairs, self.q, self._cols):
+            off[b] += (_OffEntry(row, col, qab, a, b) for row, col in enumerate(cols))
+            off[a] += (_OffEntry(row, col, -qab, a, b) for row, col in enumerate(cols))
+        return tuple(map(tuple, off))
+
+    @functools.cached_property
+    def _scaled(self) -> tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
+        """``(coef_den, coef_num, diag_den, diag_num)``: ``q`` as integers over
+        their common denominator and ``diag`` as integers over ``p``'s."""
+        coef_den = math.lcm(*(v.denominator for v in self.q))
+        diag_den = math.lcm(*(v.denominator for v in self.p))
+        return (coef_den, tuple(v.numerator * (coef_den // v.denominator) for v in self.q),
+                diag_den, tuple(tuple(v.numerator * (diag_den // v.denominator) for v in dk)
+                                for dk in self.diag))
 
     # -- float evaluation (transport) -------------------------------------
 
@@ -208,56 +217,31 @@ class ConnectionMatrix:
         out[:, idx, idx] = 1j * (v @ self._diag)
         return out if x.ndim > 1 else out[0]
 
-    def along(self, a: np.ndarray, v: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
-        """``rhs(t, y) = velocity_matrix(a + t*v, v) @ y`` on the segment
-        x(t) = a + t*v.
-
-        The numerators ``coef @ v``, the pair gaps at ``a`` and their rates
-        are taken once, and the diagonal ``i (v . D)`` is set once in a
-        (d, d) buffer.  A call writes the off-diagonal entries into that
-        buffer only when ``t`` differs from the previous call's (the last two
-        Dormand-Prince stages share t + h)."""
-        a = np.asarray(a, dtype=float)
-        v = np.asarray(v, dtype=float)
-        d = self.dim
+    def stages(self, a: np.ndarray, v: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``put(ts)``: ``velocity_matrix(a + t*v, v)`` at the seven stage
+        times ``ts`` of a step, as one (7, d, d) stack that the next call
+        overwrites.  The numerators ``coef @ v``, the gaps at ``a``, their
+        rates and the diagonal ``i (v . D)`` are set once; a call writes the
+        real off-diagonal entries at all seven times with one put."""
+        a, v, d = np.asarray(a, dtype=float), np.asarray(v, dtype=float), self.dim
         num = self._coef @ v
         g0 = a[self._pa] - a[self._pb]
         dg = v[self._pa] - v[self._pb]
+        stack = np.zeros((len(_DP_C), d, d), dtype=complex)
+        stack.reshape(len(_DP_C), d * d)[:, ::d + 1] = 1j * (v @ self._diag)
+        off = stack.real.reshape(len(_DP_C), d * d)  # a view, as is the reshape above
         pos = self._pos
-        buf = np.zeros((d, d), dtype=complex)
-        idx = np.arange(d)
-        buf[idx, idx] = 1j * (v @ self._diag)
-        off = buf.real.reshape(-1)  # a view: the off-diagonal entries are real
-        last_t = None
 
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            nonlocal last_t
-            if t != last_t:
-                off[pos] = num / (g0 + t * dg)
-                last_t = t
-            return buf @ y
+        def put(ts: np.ndarray) -> np.ndarray:
+            off[:, pos] = num / (g0 + ts[:, None] * dg)
+            return stack
 
-        return rhs
+        return put
 
     def _phase_matrix(self, dx: np.ndarray) -> np.ndarray:
         """exp(i sum_k dx_k D_k): transport of the diagonal (c=0) part over
         the displacement ``dx``."""
         return np.diag(np.exp(1j * (np.asarray(dx, dtype=float) @ self._diag)))
-
-    # -- exact evaluation (flatness) -------------------------------------
-
-    def _scaled_rows(self, k: int, inv: list[list[int]]) -> list[list[tuple[int, int]]]:
-        """Entries of Omega_k grouped by row as ``(col, value * coef_den * L)``,
-        all Python ints, given ``inv[a][b] = L / (x_a - x_b)``."""
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
-        for e, q in zip(self.off[k], self._coef_num[k]):
-            rows[e.row].append((e.col, q * inv[e.a][e.b]))
-        return rows
-
-
-def _scaled_int(q: Fraction | int, den: int) -> int:
-    """The integer q * den, for den a multiple of q's denominator."""
-    return q.numerator * (den // q.denominator)
 
 
 def _inverse_differences(point: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
@@ -296,39 +280,41 @@ def build_local_system(n: int, p: Sequence[Fraction | int],
 # -- exact flatness ----------------------------------------------------------
 
 
-def _curvature(conn: ConnectionMatrix, rows, inv: list[list[int]], j: int, k: int):
-    """Scaled curvature of the pair j < k as two dicts keyed by ``row*d+col``.
-
-    With R the off-diagonal and D the diagonal (momentum) parts, the real
-    part is d_j R_k - d_k R_j + [R_j, R_k], scaled by (coef_den * L)^2, and
-    the imaginary part [D_j, R_k] - [D_k, R_j], scaled by diag_den *
-    coef_den * L.  Keys appear in the order the terms are accumulated.
-    """
-    d = conn.dim
+def _curvature(d: int, walk, diag_num, den: int, j: int, k: int):
+    """Scaled curvature of the pair j < k as two dicts keyed by ``row*d+col``,
+    in the order the terms are accumulated; ``walk[k]`` lists Omega_k's pairs
+    as ``(columns of L_ab, scaled entry, a, b, L / (x_a - x_b))``.  With R the
+    off-diagonal and D the diagonal parts, the real part is d_j R_k - d_k R_j
+    + [R_j, R_k], scaled by (coef_den * L)^2, and the imaginary part
+    [D_j, R_k] - [D_k, R_j], scaled by diag_den * coef_den * L."""
+    # L_cd L_ab is the left multiplication by one permutation, known by its
+    # column in row 0: the products of [R_j, R_k] are summed per permutation,
+    # in the order they first appear, and a nonzero sum is walked down the rows
+    sums: dict[int, list] = {}
+    for first, second, sign in ((walk[j], walk[k], 1), (walk[k], walk[j], -1)):
+        for cols_a, va, *_ in first:
+            for cols_b, vb, *_ in second:
+                group = sums.setdefault(cols_b[cols_a[0]], [cols_a, cols_b, 0])
+                group[2] += sign * va * vb
     real: dict[int, int] = {}
-    rows_j, rows_k = rows[j], rows[k]
     for r in range(d):
-        base = r * d
-        for t, va in rows_j[r]:
-            for col, vb in rows_k[t]:
-                real[base + col] = real.get(base + col, 0) + va * vb
-        for t, vb in rows_k[r]:
-            for col, va in rows_j[t]:
-                real[base + col] = real.get(base + col, 0) - vb * va
+        for cols_a, cols_b, total in sums.values():
+            if total:
+                real[r * d + cols_b[cols_a[r]]] = total
     imag: dict[int, int] = {}
-    den = conn._coef_den
     for sign, kk, i in ((1, k, j), (-1, j, k)):
-        dn = conn._diag_num[i]
-        for e, q in zip(conn.off[kk], conn._coef_num[kk]):
-            key = e.row * d + e.col
-            v = q * inv[e.a][e.b]
+        dn = diag_num[i]
+        for cols, v, a, b, w in walk[kk]:
             # d_i (q / (x_a - x_b)) = -q (delta_ia - delta_ib) / (x_a - x_b)^2
-            delta = (i == e.a) - (i == e.b)
-            if delta:
-                real[key] = real.get(key, 0) - sign * delta * den * v * inv[e.a][e.b]
-            dv = dn[e.row] - dn[e.col]
-            if dv:
-                imag[key] = imag.get(key, 0) + sign * dv * v
+            delta = (i == a) - (i == b)
+            dr = sign * delta * den * v * w
+            for row, col in enumerate(cols):
+                key = row * d + col
+                if delta:
+                    real[key] = real.get(key, 0) - dr
+                dv = dn[row] - dn[col]
+                if dv:
+                    imag[key] = imag.get(key, 0) + sign * dv * v
     return real, imag
 
 
@@ -336,21 +322,27 @@ def verify_flatness(conn: ConnectionMatrix, points: Sequence[Sequence[Fraction]]
     """Exact curvature d_j Omega_k - d_k Omega_j + [Omega_j, Omega_k] at each
     point; returns a report with any nonzero residual entries.
 
-    At each point the residuals are integer sums (see ``_curvature``); only a
-    nonzero total becomes a ``Fraction`` for the report text.
+    Each pair's scaled value ``q_ab L / (x_a - x_b)`` is taken once per
+    point and the residuals are integer sums over the column tables (see
+    ``_curvature``); only a nonzero total becomes a ``Fraction``.
     """
     failures = []
     checked = 0
-    d = conn.dim
+    n, d = conn.n, conn.dim
+    coef_den, coef_num, diag_den, diag_num = conn._scaled
     for point in points:
         lcm, inv = _inverse_differences([Fraction(v) for v in point])
-        rows = [conn._scaled_rows(k, inv) for k in range(conn.n)]
-        real_scale = (conn._coef_den * lcm) ** 2
-        imag_scale = conn._diag_den * conn._coef_den * lcm
-        for j in range(conn.n):
-            for k in range(j + 1, conn.n):
+        walk: list[list] = [[] for _ in range(n)]
+        for (a, b), num, cols in zip(conn._pairs, coef_num, conn._cols):
+            w = inv[a][b]
+            walk[b].append((cols, num * w, a, b, w))
+            walk[a].append((cols, -num * w, a, b, w))
+        real_scale = (coef_den * lcm) ** 2
+        imag_scale = diag_den * coef_den * lcm
+        for j in range(n):
+            for k in range(j + 1, n):
                 checked += 1
-                real, imag = _curvature(conn, rows, inv, j, k)
+                real, imag = _curvature(d, walk, diag_num, coef_den, j, k)
                 nonzero_real = {key: v for key, v in real.items() if v}
                 nonzero_imag = {key: v for key, v in imag.items() if v}
                 if nonzero_real or nonzero_imag:
@@ -362,7 +354,7 @@ def verify_flatness(conn: ConnectionMatrix, points: Sequence[Sequence[Fraction]]
                         "imag": {"%d,%d" % divmod(key, d): str(Fraction(v, imag_scale))
                                  for key, v in nonzero_imag.items()},
                     })
-    return {"identity": "flatness", "N": conn.n, "pointCount": len(points),
+    return {"identity": "flatness", "N": n, "pointCount": len(points),
             "caseCount": checked, "failures": failures}
 
 
@@ -505,31 +497,33 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 
 _MIN_STEP = 1e-14
 
+# smallest local error tolerance: an error estimate is the difference of two
+# rounded solutions, so one far below epsilon asks what no step size can give
+MIN_TOL = 10 * math.ulp(1.0)
 
-def _integrate_dp45(fun: Callable[[float, np.ndarray], np.ndarray],
+
+def _integrate_dp45(stages: Callable[[np.ndarray], np.ndarray],
                     t0: float, t1: float, y0: np.ndarray, tol: float,
                     max_step: Callable[[float], float]) -> tuple[np.ndarray, dict]:
-    """One-directional embedded Dormand-Prince integration of y' = fun(t, y).
+    """One-directional embedded Dormand-Prince integration of the linear
+    system y' = A(t) y, where ``stages(ts)`` returns the stack of the seven
+    matrices A(ts[s]) at the stage times ``ts = t + c h`` of a step.
 
-    The stages live in one stacked array; each stage input and both
-    solutions are a single contraction of the tableau row with that stack.
-    When the step size underflows, raises ``OverflowError`` if the last error
-    estimate was not finite (the solution overflowed) and
-    :class:`TransportStepError` otherwise.
-    """
-    t, y = t0, y0
-    h = min(t1 - t0, max_step(t0))
-    steps = 0
-    rejected = 0
-    max_err = 0.0
-    err = 0.0
+    Each stage input and both solutions are one contraction of a complex
+    tableau row with the stack of stage derivatives.  An underflowing step
+    size raises ``OverflowError`` if the last error estimate was not finite
+    (the solution overflowed), else :class:`TransportStepError`."""
+    t, y, h = t0, y0, t1 - t0
+    steps = rejected = 0
+    max_err = err = 0.0
     shape = np.shape(y0)
-    k = np.empty((7, np.size(y0)), dtype=complex)  # stage s, flattened
-    dp_a, dp_b4 = np.array(_DP_A), np.array(_DP_B4)
+    k = np.empty((7,) + shape, dtype=complex)  # stage s
+    flat = k.reshape(7, -1)
+    nodes = np.array(_DP_C)
+    dp_a, dp_b4 = np.array(_DP_A, dtype=complex), np.array(_DP_B4, dtype=complex)
     # an overflowing solution shows as a non-finite error estimate, which
     # rejects every step until the step size underflows
     with np.errstate(over="ignore", invalid="ignore"):
-        k[0] = fun(t, y).ravel()
         while t < t1:
             h = min(h, t1 - t, max_step(t))
             if h < _MIN_STEP:
@@ -537,16 +531,18 @@ def _integrate_dp45(fun: Callable[[float, np.ndarray], np.ndarray],
                     raise OverflowError(f"the transported frame overflowed at t={t:.6g}")
                 raise TransportStepError(
                     f"step size underflow at t={t:.6g} (chamber margin too tight)")
+            a_s = stages(t + nodes * h)
+            if steps == rejected == 0:  # later steps reuse the last stage
+                np.matmul(a_s[0], y, out=k[0])
             for s in range(1, 7):
-                ys = y + h * (dp_a[s, :s] @ k[:s]).reshape(shape)
-                k[s] = fun(t + _DP_C[s] * h, ys).ravel()
-            y5 = ys
-            y4 = y + h * (dp_b4 @ k).reshape(shape)
-            scale = tol * (1.0 + np.max(np.abs(y)))
-            err = np.max(np.abs(y5 - y4)) / scale
+                ys = y + h * (dp_a[s, :s] @ flat[:s]).reshape(shape)
+                np.matmul(a_s[s], ys, out=k[s])
+            y4 = y + h * (dp_b4 @ flat).reshape(shape)
+            scale = tol * (1.0 + np.abs(y).max())
+            err = np.abs(ys - y4).max() / scale
             if err <= 1.0:
                 t += h
-                y = y5
+                y = ys
                 k[0] = k[6]
                 steps += 1
                 max_err = max(max_err, float(err * scale))
@@ -556,9 +552,17 @@ def _integrate_dp45(fun: Callable[[float, np.ndarray], np.ndarray],
     return y, {"steps": steps, "rejected": rejected, "maxLocalError": max_err}
 
 
-def _wall_margin(x: np.ndarray) -> float:
-    """Euclidean distance from x to the nearest chamber wall x_i = x_{i+1}."""
-    return float(np.min(np.diff(x))) / math.sqrt(2.0)
+def _step_cap(a: np.ndarray, v: np.ndarray, speed: float) -> Callable[[float], float]:
+    """t -> half the distance from a + t*v to the nearest chamber wall, over the
+    speed, and at least ``10 * _MIN_STEP``: ``min(diff(a + t*v)) / sqrt(2) /
+    (2 speed)`` on Python floats, in the same operations and order."""
+    av, root2, twice = list(zip(a.tolist(), v.tolist())), math.sqrt(2.0), 2.0 * speed
+
+    def cap(t: float) -> float:
+        x = [ai + t * vi for ai, vi in av]
+        return max(min([x1 - x0 for x0, x1 in zip(x, x[1:])]) / root2 / twice, _MIN_STEP * 10)
+
+    return cap
 
 
 def transport_ode(conn: ConnectionMatrix, path: ChamberPath,
@@ -566,15 +570,15 @@ def transport_ode(conn: ConnectionMatrix, path: ChamberPath,
     """Solve dW/dt = (sum_k xdot_k Omega_k(x(t))) W along the path, W(0) = 1.
 
     The adaptive step is capped so a single step never moves farther than half
-    the distance to the nearest chamber wall.  A frame that overflows (a
-    coupling or momenta too large for float transport) raises ``ValueError``
-    naming the segment; a step size that underflows with a finite error
-    estimate raises :class:`TransportStepError`.
+    the distance to the nearest chamber wall.  A tolerance below ``MIN_TOL``,
+    or a frame that overflows (a coupling or momenta too large for float
+    transport, the segment named), raises ``ValueError``; a step size that
+    underflows with a finite error estimate raises :class:`TransportStepError`.
     """
     if path.n != conn.n:
         raise PathValidationError("path dimension does not match the system")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance {tol} must be finite and positive")
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise ValueError(f"tolerance {tol} must be finite and at least MIN_TOL = {MIN_TOL!r}")
     d = conn.dim
     w = np.eye(d, dtype=complex)
     stats = {"steps": 0, "rejected": 0, "maxLocalError": 0.0}
@@ -583,13 +587,9 @@ def transport_ode(conn: ConnectionMatrix, path: ChamberPath,
         speed = float(np.linalg.norm(v))
         if speed == 0.0:
             continue
-
-        def max_step(t: float, a=a, v=v, speed=speed) -> float:
-            x = a + t * v
-            return max(_wall_margin(x) / (2.0 * speed), _MIN_STEP * 10)
-
         try:
-            w, seg_stats = _integrate_dp45(conn.along(a, v), 0.0, 1.0, w, tol, max_step)
+            w, seg_stats = _integrate_dp45(conn.stages(a, v), 0.0, 1.0, w, tol,
+                                           _step_cap(a, v, speed))
         except OverflowError as exc:
             coupling = max(map(abs, conn.q))
             raise ValueError(

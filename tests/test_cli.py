@@ -9,6 +9,7 @@ import pytest
 from calogero import cli, laxdyn, suites
 from calogero.cli import main
 from calogero.exactalg import EXPONENT_LIMIT, Permutation
+from calogero.transport import MIN_TOL
 
 LOOP3 = {"N": 3, "margin": 0.1,
          "waypoints": [[0.0, 1.0, 2.0], [0.3, 1.2, 2.5],
@@ -168,6 +169,16 @@ class TestTransportCommand:
         assert report["N"] == 3 and report["c"] == "1"
         assert len(report["matrix"]) == 6 and len(report["matrix"][0][0]) == 2
 
+    def test_tolerance_floor_completes_the_loop(self, capsys, tmp_path):
+        # ten float64 epsilons is the smallest tolerance --tol takes
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(LOOP3))
+        code, out, _ = run_cli(capsys, "transport", "--path", str(path), "--p=1,0,-1",
+                               "--tol", repr(MIN_TOL))
+        report = json.loads(out)
+        assert code == 0 and report["stepStats"]["tol"] == MIN_TOL
+        assert report["holonomyDeviation"] < 1e-14
+
     def test_dyson_comparison_field(self, capsys, tmp_path):
         path = tmp_path / "seg.json"
         path.write_text(json.dumps({"N": 3, "margin": 0.1,
@@ -263,6 +274,7 @@ class TestTransportCommand:
         ["--tol", "nan"], ["--tol", "0"], ["--tol", "inf"], ["--tol", "-1e-10"],
         ["--compare-dyson", "abc", "400"], ["--compare-dyson", "0", "400"],
         ["--compare-dyson", "8", "-5"], ["--compare-dyson", "8", "1.5"],
+        ["--tol", repr(math.nextafter(MIN_TOL, 0.0))], ["--tol", "1e-300"],
     ])
     def test_bad_tolerance_or_series_size_is_usage_error(self, capsys, tmp_path, args):
         path = tmp_path / "loop.json"

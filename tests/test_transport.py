@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import inspect
 import itertools
+import math
 import random
 import tracemalloc
 import types
@@ -14,6 +15,7 @@ from calogero import transport
 from calogero.exactalg import Permutation, RationalSection
 from calogero.transport import (
     DYSON_MAX_BYTES,
+    MIN_TOL,
     ChamberPath,
     ConnectionMatrix,
     PathValidationError,
@@ -22,6 +24,8 @@ from calogero.transport import (
     _DP_B4,
     _DP_C,
     _integrate_dp45,
+    _regular_tables,
+    _step_cap,
     build_local_system,
     equivariance_check,
     free_transport,
@@ -75,7 +79,8 @@ def _dense_curvature(conn, point, j, k):
     real, imag = {}, {}
     for r in range(d):
         for c in range(d):
-            comm = sum(rj[r][t] * rk[t][c] - rk[r][t] * rj[t][c] for t in range(d))
+            comm = sum(rj[r][t] * rk[t][c] - rk[r][t] * rj[t][c] for t in range(d)
+                       if rj[r][t] or rk[r][t])
             re = dj_rk[r][c] - dk_rj[r][c] + comm
             im = (dj[r] - dj[c]) * rk[r][c] - (dk[r] - dk[c]) * rj[r][c]
             if re:
@@ -127,31 +132,41 @@ class TestBuildLocalSystem:
                                        _entry_loop_velocity(conn, x, unit), rtol=0, atol=1e-14)
 
     def test_segment_form_matches_velocity_matrix(self):
+        # every call rewrites all seven stage matrices of the stack
         rng = np.random.default_rng(5)
         for n in (2, 3, 4, 5):
             conn = build_local_system(n, [F(i + 1, 3) - 1 for i in range(n)], F(5, 4))
             a = np.cumsum(rng.uniform(0.2, 1.5, size=n))
             v = np.cumsum(rng.uniform(0.2, 1.5, size=n)) - a
-            y = rng.normal(size=(conn.dim, conn.dim)) + 1j * rng.normal(size=(conn.dim, conn.dim))
-            rhs = conn.along(a, v)
-            for t in (0.0, 0.37, 1.0):
-                ref = conn.velocity_matrix(a + t * v, v) @ y
-                # the gaps are a_a - a_b + t (v_a - v_b) here and
-                # x_a - x_b there, so they may round differently
-                assert np.max(np.abs(rhs(t, y) - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+            put = conn.stages(a, v)
+            for t, h in ((0.0, 0.1), (0.37, 0.25), (0.9, 0.1)):
+                ts = t + np.array(_DP_C) * h
+                stack = put(ts)
+                assert stack.shape == (7, conn.dim, conn.dim)
+                for s, ts_s in enumerate(ts):
+                    ref = conn.velocity_matrix(a + ts_s * v, v)
+                    # the gaps are a_a - a_b + t (v_a - v_b) here and
+                    # x_a - x_b there, so they may round differently
+                    assert (np.max(np.abs(stack[s] - ref))
+                            <= 8 * np.finfo(float).eps * np.max(np.abs(ref)))
 
-    def test_segment_form_refreshes_the_matrix_not_the_product(self):
-        # the matrix is rewritten whenever t changes and reused while it does
-        # not; the product is taken afresh at every call
-        rng = np.random.default_rng(11)
-        conn = build_local_system(3, P3, F(1))
-        a, b = (np.asarray(w) for w in LOOP3[:2])
-        v = b - a
-        rhs = conn.along(a, v)
-        ys = [rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for _ in range(4)]
-        for t, y in ((0.25, ys[0]), (0.6, ys[1]), (0.25, ys[2]), (0.25, ys[3])):
-            ref = conn.velocity_matrix(a + t * v, v) @ y
-            assert np.max(np.abs(rhs(t, y) - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+    def test_regular_tables_are_built_once_per_n(self):
+        _regular_tables.cache_clear()
+        conn = build_local_system(4, [F(1), F(2), F(3), F(4)], F(1))
+        build_local_system(4, [F(0)] * 4, F(-2, 3))
+        assert _regular_tables.cache_info()[:2] == (1, 1)  # hits, misses
+        x, v = np.array([0.0, 1.0, 2.5, 2.75]), np.array([0.3, -1.0, 0.7, 0.2])
+        conn.off, conn._scaled  # derived on first use, and not carried over
+        for change, part in (({"p": (F(4), F(3), F(-2), F(1, 2))}, "diag"),
+                             ({"q": tuple(F(i - 2, 3) for i in range(6))}, "off")):
+            moved = dataclasses.replace(conn, **change)
+            fresh = ConnectionMatrix(**{"p": conn.p, "q": conn.q, **change})
+            assert (moved.diag, moved.off, moved._scaled) == (fresh.diag, fresh.off, fresh._scaled)
+            assert getattr(moved, part) != getattr(conn, part)
+            assert moved._scaled != conn._scaled
+            assert np.array_equal(moved.velocity_matrix(x, v), fresh.velocity_matrix(x, v))
+            assert not np.array_equal(moved.velocity_matrix(x, v), conn.velocity_matrix(x, v))
+        assert _regular_tables.cache_info()[:2] == (5, 1)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_velocity_matrix_is_the_kz_form(self, n):
@@ -255,7 +270,7 @@ class TestFlatness:
         # every residual the report names must equal the dense Fraction curvature
         expected = []
         for point in points:
-            for j, k in ((0, 1), (0, 2), (1, 2)):
+            for j, k in itertools.combinations(range(conn.n), 2):
                 assert _dense_curvature(conn, point, j, k) == ({}, {})
                 real, imag = _dense_curvature(bad, point, j, k)
                 if real or imag:
@@ -274,6 +289,21 @@ class TestFlatness:
         expected = self._expected_failures(conn, bad, points)
         assert verify_flatness(bad, points)["failures"] == expected
         assert expected and not any(f["imag"] for f in expected)
+        assert verify_flatness(conn, points)["failures"] == []
+
+    def test_tampered_coefficient_at_four_particles(self):
+        # the coupling of the pair (1, 3) moved from 1 to -3/7, checked at two
+        # random points against the dense curvature of every pair j < k
+        conn = build_local_system(4, (F(1, 2), F(-1, 3), F(1, 4), F(2)), F(1))
+        pairs = list(itertools.combinations(range(4), 2))
+        q = list(conn.q)
+        q[pairs.index((1, 3))] = F(-3, 7)
+        bad = dataclasses.replace(conn, q=tuple(q))
+        rng = random.Random(41)
+        points = [random_chamber_point(4, rng) for _ in range(2)]
+        expected = self._expected_failures(conn, bad, points)
+        assert verify_flatness(bad, points)["failures"] == expected
+        assert expected and {tuple(f["pair"]) for f in expected} <= set(pairs)
         assert verify_flatness(conn, points)["failures"] == []
 
     def test_inverted_diagonal_reports_exact_residuals(self):
@@ -552,8 +582,31 @@ class TestTransportOde:
         # y' = -1e20 y is unstable for every step above the floor, yet each
         # error estimate stays finite: the step size underflows
         y0 = np.ones((2, 2), dtype=complex)
+        stack = np.broadcast_to(-1e20 * np.eye(2, dtype=complex), (7, 2, 2))
         with pytest.raises(TransportStepError, match="underflow"):
-            _integrate_dp45(lambda t, y: -1e20 * y, 0.0, 1.0, y0, 1e-10, lambda t: 1.0)
+            _integrate_dp45(lambda ts: stack, 0.0, 1.0, y0, 1e-10, lambda t: 1.0)
+
+    def test_step_cap_is_the_wall_distance_in_closed_form(self):
+        # the reference is the numpy form: distance to the nearest wall
+        # x_i = x_{i+1}, over twice the speed, floored at ten minimum steps
+        def wall_margin(x):
+            return float(np.min(np.diff(x))) / math.sqrt(2.0)
+
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 4, 5):
+            for _ in range(40):
+                a = np.cumsum(rng.uniform(0.05, 2.0, size=n)) + rng.normal()
+                v = np.cumsum(rng.uniform(0.05, 2.0, size=n)) + rng.normal() - a
+                speed = float(np.linalg.norm(v))
+                cap = _step_cap(a, v, speed)
+                for t in (0.0, 1.0, *rng.uniform(0.0, 1.0, size=4)):
+                    ref = max(wall_margin(a + t * v) / (2 * speed), transport._MIN_STEP * 10)
+                    assert cap(t) == ref and cap(float(t)) == ref
+
+    def test_tolerance_below_the_floor_is_refused(self, benchmark_path):
+        conn = build_local_system(3, BENCHMARK_P, BENCHMARK_C)
+        with pytest.raises(ValueError, match="MIN_TOL"):
+            transport_ode(conn, benchmark_path, tol=math.nextafter(MIN_TOL, 0.0))
 
     def test_overflowing_frame_blames_the_coupling(self, recwarn):
         # the CLI tests cover couplings 1e6 and 1e10, which take seconds
