@@ -303,7 +303,8 @@ class TestFlatness:
         points = [random_chamber_point(4, rng) for _ in range(2)]
         expected = self._expected_failures(conn, bad, points)
         assert verify_flatness(bad, points)["failures"] == expected
-        assert expected and {tuple(f["pair"]) for f in expected} <= set(pairs)
+        # only the curvature of a pair touching 1 or 3 involves that coupling
+        assert expected and all({1, 3} & set(f["pair"]) for f in expected)
         assert verify_flatness(conn, points)["failures"] == []
 
     def test_inverted_diagonal_reports_exact_residuals(self):
