@@ -54,8 +54,7 @@ def apply_dunkl(k: int, f: RationalSection) -> RationalSection:
     for i in range(n):
         if i == k:
             continue
-        swapped = f.permute(swaps[i])
-        result = result - swapped.mul_inverse_difference(i, k).mul_coupling()
+        result = result.add_over_difference(f.permute(swaps[i]), i, k, coupling=1, negate=True)
     return result
 
 
@@ -101,8 +100,8 @@ def _normal_ordered(f: RationalSection, exchanged) -> RationalSection:
     over ordered pairs; ``exchanged(i, j)`` stands for P_ij f."""
     out = laplacian(f)
     for i, j in itertools.permutations(range(f.arity), 2):
-        out = out - exchanged(i, j).mul_inverse_difference(i, j, 2).mul_coupling()
-        out = out - f.mul_inverse_difference(i, j, 2).mul_coupling(2)
+        out = out.add_over_difference(exchanged(i, j), i, j, 2, coupling=1, negate=True)
+        out = out.add_over_difference(f, i, j, 2, coupling=2, negate=True)
     return out
 
 
@@ -124,7 +123,7 @@ def pair_potential(f: RationalSection) -> RationalSection:
     """sum_{i<j} (x_i - x_j)^-2 * f."""
     out = RationalSection.zero(f.arity)
     for i, j in itertools.combinations(range(f.arity), 2):
-        out = out + f.mul_inverse_difference(i, j, 2)
+        out = out.add_over_difference(f, i, j, 2)
     return out
 
 

@@ -199,16 +199,19 @@ def _add_product(out: dict, terms: Mapping, factor: Collection) -> None:
                 del out[key]
 
 
-@lru_cache(maxsize=256)
-def _difference_product(arity: int, factor: tuple, negate: bool) -> tuple:
-    """The terms of ``prod (x_i - x_j)^e`` over ``factor = ((i, j, e), ...)``,
-    negated when ``negate``, as (key delta, int weight) pairs; built once
-    per distinct factor and checked against the exponent limit then."""
+@lru_cache(maxsize=1024)
+def _difference_product(arity: int, factor: tuple, negate: bool, coupling: int) -> tuple:
+    """The terms of ``c^coupling prod (x_i - x_j)^e`` over
+    ``factor = ((i, j, e), ...)``, negated when ``negate``, as (key delta,
+    int weight) pairs; built once per distinct factor and checked against
+    the exponent limit then (``coupling`` is below it, checked by the
+    caller)."""
     p = MultiPoly.constant(arity, -1 if negate else 1)
     for i, j, e in factor:
         p = p * (MultiPoly.variable(arity, i) - MultiPoly.variable(arity, j)) ** e
     _check_limit(arity, p.terms)
-    return tuple(p.terms.items())
+    # the coupling slot is the least significant field, at bit offset 0
+    return tuple((delta + coupling, weight) for delta, weight in p.terms.items())
 
 
 class MultiPoly:
@@ -602,6 +605,16 @@ def _pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def _quotient_pair(arity: int, i: int, j: int, power: int) -> tuple[int, int] | None:
+    """The pair of the factor ``1/(x_i - x_j)^power``, None for power 0;
+    ``ValueError`` for a negative power or an index out of range."""
+    if power < 0:
+        raise ValueError("denominator exponents must be >= 0")
+    if not (0 <= i < arity and 0 <= j < arity):
+        raise ValueError(f"pair ({i}, {j}) is out of range for arity {arity}")
+    return _pair(i, j) if power else None
+
+
 def _section_from(num: MultiPoly, den: dict[tuple[int, int], int]) -> "RationalSection":
     """RationalSection over a denominator dict already keyed by pairs i < j
     with positive exponents (no copy)."""
@@ -696,44 +709,71 @@ class RationalSection:
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
 
-    def _merge(self, other: "RationalSection", negate: bool) -> "RationalSection":
-        """self + other, or self - other when ``negate``, over the least
-        common denominator: each numerator is multiplied by the pair
-        differences its denominator lacks and added into one dict."""
-        self._check(other)
-        if other.is_zero():
+    def _accumulate(self, other: "RationalSection", pair: tuple[int, int] | None,
+                    power: int, coupling: int, negate: bool) -> "RationalSection":
+        """``self + c^coupling other / pair^power`` (``pair`` i < j, or None),
+        or ``self - ...`` when ``negate``, over the least common denominator:
+        each numerator is multiplied by the pair differences its denominator
+        lacks and added into one dict, in one pass over its terms, with the
+        sign and the power of c folded into ``other``'s factor.  ``+`` and
+        ``-`` are the case of no pair and no power of c."""
+        num, onum = self.num, other.num
+        arity = num.arity
+        if onum.arity != arity:
+            raise ValueError("arity mismatch")
+        if not onum.terms:
             return self
-        if self.is_zero():
-            return -other if negate else other
-        a, b = self.den, other.den
+        b = other.den
+        if pair:
+            b = dict(b)
+            b[pair] = b.get(pair, 0) + power
+        terms = num.terms
+        if terms:
+            a = self.den
+        elif pair or coupling or negate:
+            a = {}
+        else:
+            return other
         # the least common denominator, and the factor each side lacks of it
-        target = dict(a)
-        lack_a = []
-        for pair, d in b.items():
-            e = a.get(pair, 0)
-            if d > e:
-                target[pair] = d
-                lack_a.append(pair + (d - e,))
-        lack_b = [pair + (d - b.get(pair, 0),) for pair, d in a.items() if d > b.get(pair, 0)]
-        arity = self.arity
-        if lack_a:
+        if a == b:
+            target, lack_a, lack_b = a, (), ()
+        else:
+            target = dict(a)
+            lack_a = []
+            for p, d in b.items():
+                e = a.get(p, 0)
+                if d > e:
+                    target[p] = d
+                    lack_a.append(p + (d - e,))
+            lack_b = tuple(p + (d - b.get(p, 0),) for p, d in a.items() if d > b.get(p, 0))
+        if lack_a and terms:
             out = {}
-            _check_limit(arity, self.num.terms)
-            _add_product(out, self.num.terms, _difference_product(arity, tuple(lack_a), False))
+            _check_limit(arity, terms)
+            _add_product(out, terms, _difference_product(arity, tuple(lack_a), False, 0))
         else:
-            out = dict(self.num.terms)
-        if lack_b:
-            _check_limit(arity, other.num.terms)
-            _add_product(out, other.num.terms, _difference_product(arity, tuple(lack_b), negate))
+            out = dict(terms)
+        if lack_b or coupling:
+            _check_limit(arity, onum.terms)
+            _add_product(out, onum.terms, _difference_product(arity, lack_b, negate, coupling))
         else:
-            _add_terms(out, other.num.terms, negate)
+            _add_terms(out, onum.terms, negate)
         return _section_from(_poly_from(arity, out), target)
 
+    def add_over_difference(self, other: "RationalSection", i: int, j: int, power: int = 1,
+                            coupling: int = 0, negate: bool = False) -> "RationalSection":
+        """``self + c^coupling other / (x_i - x_j)^power``, or ``self - ...``
+        when ``negate``: the value of ``self + other.mul_inverse_difference(i,
+        j, power).mul_coupling(coupling)`` without the two intermediates."""
+        if not 0 <= coupling < EXPONENT_LIMIT:
+            raise ValueError(f"power {coupling} is outside 0..{EXPONENT_LIMIT - 1}")
+        return self._accumulate(other, _quotient_pair(self.arity, i, j, power), power,
+                                coupling, negate != (i > j and power % 2 == 1))
+
     def __add__(self, other: "RationalSection") -> "RationalSection":
-        return self._merge(other, False)
+        return self._accumulate(other, None, 0, 0, False)
 
     def __sub__(self, other: "RationalSection") -> "RationalSection":
-        return self._merge(other, True)
+        return self._accumulate(other, None, 0, 0, True)
 
     def __neg__(self) -> "RationalSection":
         return _section_from(-self.num, self.den)
@@ -759,14 +799,9 @@ class RationalSection:
 
     def mul_inverse_difference(self, i: int, j: int, power: int = 1) -> "RationalSection":
         """Multiply by 1/(x_i - x_j)^power."""
-        if power < 0:
-            raise ValueError("denominator exponents must be >= 0")
-        n = self.arity
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"pair ({i}, {j}) is out of range for arity {n}")
-        if power == 0:
+        pair = _quotient_pair(self.arity, i, j, power)
+        if pair is None:
             return self
-        pair = _pair(i, j)
         den = dict(self.den)
         den[pair] = den.get(pair, 0) + power
         num = -self.num if i > j and power % 2 else self.num
@@ -790,11 +825,14 @@ class RationalSection:
         den: dict[tuple[int, int], int] = {}
         flip = 0
         images = sigma.images
+        # a permutation maps distinct pairs to distinct pairs
         for (i, j), d in self.den.items():
             a, b = images[i], images[j]
             if a > b:
                 flip += d
-            den[_pair(a, b)] = den.get(_pair(a, b), 0) + d
+                den[(b, a)] = d
+            else:
+                den[(a, b)] = d
         if flip % 2:
             num = -num
         return _section_from(num, den)

@@ -8,8 +8,9 @@ Linearity of all operators makes a residual that vanishes on every monomial
 of total degree <= D vanish on the whole degree-D polynomial space, so these
 finite runs are complete certificates up to the tested degree.
 
-Each suite is one per-case check (a monomial exponent, or a symmetry type
-and a section for restriction) that ``_run`` applies to every case.  Every
+Each suite is one per-case check (a monomial exponent; an S_N orbit of
+exponents for intertwining; a symmetry type and a section for restriction)
+that ``_run`` applies to every case.  Every
 suite takes ``(n, degree, pool=None)``: without a pool the cases run
 serially, with one from :func:`worker_pool` (the only place a process pool
 is built), which maps a check over the cases in its workers.  The record
@@ -101,21 +102,29 @@ def _check_zero_curvature(n: int, exp: tuple[int, ...]) -> tuple[int, list[dict]
     return count, failures
 
 
-def _check_intertwining(n: int, exp: tuple[int, ...]) -> tuple[int, list[dict]]:
-    f = RationalSection.monomial(n, exp)
-    first = [apply_dunkl(l, f) for l in range(n)]
+def _check_intertwining(n: int, orbit: tuple[tuple[int, ...], ...]) -> tuple[int, list[dict]]:
+    """The swap relations on every monomial of one S_N orbit of exponents,
+    in ``orbit`` order.  A swap maps x^e to the monomial of the swapped
+    exponent, in the same orbit, so the n first applications of each member
+    are computed once and serve both sides of every residual."""
+    first = {e: [apply_dunkl(l, RationalSection.monomial(n, e)) for l in range(n)]
+             for e in orbit}
     failures = []
     count = 0
     swaps = Permutation.transpositions(n)
-    for j, k in itertools.combinations(range(n), 2):
-        swap = swaps[j][k]
-        swapped_f = f.permute(swap)
-        for l in range(n):
-            count += 1
-            residual = first[l].permute(swap) - apply_dunkl(swap(l), swapped_f)
-            if not residual.is_zero():
-                failures.append({"monomial": list(exp), "pair": [j, k],
-                                 "component": l, "residual": residual.to_text()})
+    for exp in orbit:
+        mine = first[exp]
+        for j, k in itertools.combinations(range(n), 2):
+            swap = swaps[j][k]
+            swapped = list(exp)
+            swapped[j], swapped[k] = exp[k], exp[j]
+            theirs = first[tuple(swapped)]
+            for l in range(n):
+                count += 1
+                residual = mine[l].permute(swap) - theirs[swap(l)]
+                if not residual.is_zero():
+                    failures.append({"monomial": list(exp), "pair": [j, k],
+                                     "component": l, "residual": residual.to_text()})
     return count, failures
 
 
@@ -182,9 +191,17 @@ def zero_curvature_suite(n: int, degree: int, pool: Callable | None = None) -> d
 
 
 def intertwining_suite(n: int, degree: int, pool: Callable | None = None) -> dict:
-    """P_jk nabla_l == nabla_{s(l)} P_jk on the spanning set (all j<k, all l)."""
-    return _run("intertwining", _check_intertwining,
-                monomial_exponents(n, degree), n, degree, pool)
+    """P_jk nabla_l == nabla_{s(l)} P_jk on the spanning set (all j<k, all l);
+    a case of the run is one S_N orbit of exponents, and the failures are
+    put back in monomial order, (degree, exponent)."""
+    orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for e in monomial_exponents(n, degree):
+        orbits.setdefault(tuple(sorted(e)), []).append(e)
+    record = _run("intertwining", _check_intertwining,
+                  [tuple(orbit) for orbit in orbits.values()], n, degree, pool)
+    # stable: a monomial's failures stay in (pair, component) order
+    record["failures"].sort(key=lambda f: (sum(f["monomial"]), f["monomial"]))
+    return record
 
 
 def sum_squares_suite(n: int, degree: int, pool: Callable | None = None) -> dict:

@@ -7,7 +7,7 @@ from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from calogero.exactalg import (
     EXPONENT_LIMIT,
@@ -152,6 +152,40 @@ def test_derivative_is_linear_and_leibniz(f, k):
 def test_derivative_conjugates_under_permutation(f, sigma, k):
     # moving the derivative through the argument permutation relabels it
     assert f.permute(sigma).partial(sigma(k)) == f.partial(k).permute(sigma)
+
+
+# the zero section, a section without a denominator, or a general one
+section_operands = st.one_of(st.just(RationalSection.zero(N_VARS)),
+                             polys.map(RationalSection), sections)
+
+ordered_pairs = st.sampled_from([(i, j) for i in range(N_VARS)
+                                 for j in range(N_VARS) if i != j])
+
+
+@settings(max_examples=200, deadline=None)
+@example(RationalSection.zero(N_VARS), RationalSection.one(N_VARS), (2, 0), 1, 1, True, False)
+@example(RationalSection.one(N_VARS), RationalSection.zero(N_VARS), (0, 1), 2, 2, True, True)
+@example(RationalSection.inverse_difference(N_VARS, 0, 1),
+         RationalSection.monomial(N_VARS, (1, 0, 2)), (1, 0), 3, 2, False, True)
+@given(section_operands, section_operands, ordered_pairs, st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2), st.booleans(), st.booleans())
+def test_add_over_difference_equals_the_unfused_composition(f, g, pair, power, coupling,
+                                                            negate, shared):
+    # one pass of the kernel against the intermediates it replaces; with
+    # ``shared`` the pair is already in g's denominator
+    i, j = pair
+    if shared:
+        den = dict(g.den)
+        key = (min(pair), max(pair))
+        den[key] = den.get(key, 0) + 1
+        g = RationalSection(g.num, den)
+    fused = f.add_over_difference(g, i, j, power, coupling, negate)
+    term = g.mul_inverse_difference(i, j, power).mul_coupling(coupling)
+    unfused = f - term if negate else f + term
+    assert fused == unfused
+    assert fused.to_text() == unfused.to_text()
+    # the same section as built, not only the same value
+    assert (fused.num, fused.den) == (unfused.num, unfused.den)
 
 
 # -- packed keys against a tuple-keyed reference ------------------------------

@@ -711,6 +711,88 @@ class TestScipyOracle:
             assert np.max(np.abs(ours - w)) <= 1e-8
 
 
+class TestDunklKernelOracle:
+    """Transport at N=2 against a closed-form solution: the Dunkl kernel.
+
+    The package's operator is ``nabla_k = d_k + c sum_{i != k} P_ik/(x_k - x_i)``.
+    With ``T_k(kappa) = d_k + kappa sum_{i != k} (1 - P_ik)/(x_k - x_i)``, the
+    rational Dunkl operator, ``nabla_k(c) = T_k(-c) + c sum_{i != k} 1/(x_k - x_i)``,
+    and since ``d_k |x_0 - x_1|^-c = -c |x_0 - x_1|^-c / (x_k - x_i)`` while the
+    swap leaves ``|x_0 - x_1|`` alone,
+    ``nabla_k(c) (|x_0 - x_1|^-c g) = |x_0 - x_1|^-c T_k(-c) g``.  So
+    ``psi = |x_0 - x_1|^-c E_kappa(x, i p)``, kappa = -c, solves
+    ``nabla_k psi = i p_k psi`` when ``T_k E = y_k E`` (the Dunkl kernel).
+
+    Kernel at N=2: put ``E = exp((x_0 + x_1)(y_0 + y_1)/2) F(u)`` with
+    ``u = x_0 - x_1`` and ``lambda = (y_0 - y_1)/2``.  On functions of u,
+    ``T_0`` is the rank-one operator ``d/du + kappa (1 - s)/u`` (s: u -> -u),
+    and ``T_0 E = y_0 E`` becomes ``F' + kappa (F(u) - F(-u))/u = lambda F``;
+    ``T_1 E = y_1 E`` is the same equation, since d_1 = -d/du and
+    ``x_1 - x_0 = -u``.  Split ``F = A + B``, A even and B odd:
+    ``A' = lambda B`` and ``B' + 2 kappa B/u = lambda A``, so
+    ``A'' + (2 kappa/u) A' = lambda^2 A``.  With ``A = sum a_m u^2m`` and
+    A(0) = 1 this gives ``a_m = a_{m-1} (lambda^2/4) / (m (m + kappa - 1/2))``:
+    ``A = 0F1(; kappa + 1/2; lambda^2 u^2/4)``, and ``B = A'/lambda =
+    lambda u/(2 kappa + 1) 0F1(; kappa + 3/2; lambda^2 u^2/4)``.  In Bessel
+    form ``F = j_{kappa-1/2}(i lambda u) + lambda u/(2 kappa + 1)
+    j_{kappa+1/2}(i lambda u)`` with ``j_a(z) = 0F1(; a + 1; -z^2/4)``.
+
+    The recursion divides by ``m + kappa - 1/2``, which vanishes at m = 1
+    for kappa = -1/2: c = 1/2 is a singular coupling of this kernel
+    (``2 kappa + 1 = 0``), so it is left out, although the transport itself
+    is regular there.
+
+    The local system transports ``Psi_sigma(x) = psi(x_sigma)`` in
+    ``conn.perms`` order, so ``Psi(b) = W Psi(a)`` for the frame W along any
+    chamber path.  Each accepted step keeps the local error of W below
+    ``tol (1 + max|W|)`` entrywise; the bound sums that over the steps and
+    the d rows of ``W Psi(a)``.  Swapping the momenta or building the
+    connection from -c must fail by orders of magnitude more.
+    """
+
+    WAYPOINTS = ((-0.6, 0.2), (-0.4, 1.0), (-0.1, 1.9))
+    TOL = 1e-12
+
+    @staticmethod
+    def _psi(x, p, c):
+        hyp0f1 = pytest.importorskip("scipy.special").hyp0f1
+        kappa = -float(c)
+        u = x[0] - x[1]
+        lam = 1j * float(p[0] - p[1]) / 2       # y = i p
+        z = ((lam * u) ** 2 / 4).real
+        rel = hyp0f1(kappa + 0.5, z) + lam * u / (2 * kappa + 1) * hyp0f1(kappa + 1.5, z)
+        return abs(u) ** -float(c) * cmath.exp(1j * (x[0] + x[1]) * float(p[0] + p[1]) / 2) * rel
+
+    def _residual(self, conn, p, c):
+        """``max |Psi(b) - W Psi(a)|`` for the kernel vector of (p, c) and
+        the frame of ``conn``, and the bound for a correct connection."""
+        path = ChamberPath(self.WAYPOINTS, margin=0.05)
+        a, b = self.WAYPOINTS[0], self.WAYPOINTS[-1]
+        psi_a, psi_b = (np.array([self._psi([x[s(0)], x[s(1)]], p, c) for s in conn.perms])
+                        for x in (a, b))
+        result = transport_ode(conn, path, tol=self.TOL)
+        w = result.matrix
+        bound = (result.step_stats["steps"] * self.TOL * (1 + np.abs(w).max())
+                 * conn.dim * np.abs(psi_a).max())
+        return np.abs(psi_b - w @ psi_a).max(), bound
+
+    @pytest.mark.parametrize("c", [F(2, 7), F(1, 3), F(-1, 5), F(1)])
+    @pytest.mark.parametrize("p", [(F(1, 2), F(-1, 3)), (F(3, 2), F(1, 4))])
+    def test_transport_carries_the_kernel_vector(self, p, c):
+        residual, bound = self._residual(build_local_system(2, p, c), p, c)
+        assert residual <= bound
+        # measured 2e-13 to 2.2e-12 against bounds of 1.6e-10 to 1.1e-9
+        assert bound < 1e-8
+
+    @pytest.mark.parametrize("c", [F(2, 7), F(1, 3), F(-1, 5), F(1)])
+    @pytest.mark.parametrize("p", [(F(1, 2), F(-1, 3)), (F(3, 2), F(1, 4))])
+    def test_swapped_momenta_or_opposite_coupling_fail(self, p, c):
+        for conn in (build_local_system(2, p[::-1], c), build_local_system(2, p, -c)):
+            residual, bound = self._residual(conn, p, c)
+            # measured 0.31 or more
+            assert residual > 0.1 > 1e6 * bound
+
+
 class TestPlaneWaveMap:
     def test_free_case_strips_to_identity(self):
         conn = build_local_system(3, P3, 0)
