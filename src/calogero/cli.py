@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import _Numpy, __version__
+from .exactalg import EXPONENT_LIMIT
 from .laxdyn import MAX_STEPS, CollisionError, PhasePoint, integrate
 from .suites import SUITE_NAMES, run_suite, worker_pool
 from .symbolcalc import realization_report, symbol_of_permutation, symbol_terms
@@ -43,6 +44,13 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CHAMBER = 3
 EXIT_COLLISION = 4
+
+# symbols work bounds, refused at parse time: the slowest run they admit,
+# --n 8 --deg 8 --order 48, takes 2.6 s and writes 13 MB (2-vCPU x86_64 VM,
+# Python 3.11); --n 2 --deg 60 took 22 s and --order 100 wrote 90 MB
+_SYMBOLS_MAX_N = 8
+_SYMBOLS_MAX_DEG = 8
+_SYMBOLS_MAX_ORDER = 48
 
 
 def _rational(text: str) -> Fraction:
@@ -113,6 +121,16 @@ def _int_at_least(low: int, high: int | None = None):
 
 _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
+
+
+def _symbol_order(text: str) -> int:
+    """``symbols --order``: 0 to ``_SYMBOLS_MAX_ORDER``; an order a packed key
+    cannot hold is refused in the words of the symbol calculus."""
+    value = _non_negative_int(text)
+    if value >= EXPONENT_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"truncation order {value} reaches the exponent limit {EXPONENT_LIMIT}")
+    return _int_at_least(0, _SYMBOLS_MAX_ORDER)(text)
 
 
 def _check_writable(path: str) -> None:
@@ -324,13 +342,14 @@ def _simulate_options(p: argparse.ArgumentParser) -> None:
 
 
 def _symbols_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=_int_at_least(2), default=2, help="particle count (>= 2)")
-    p.add_argument("--deg", type=_non_negative_int, default=6,
-                   help="monomial degree bound (>= 0)")
+    p.add_argument("--n", type=_int_at_least(2, _SYMBOLS_MAX_N), default=2,
+                   help=f"particle count (2 to {_SYMBOLS_MAX_N})")
+    p.add_argument("--deg", type=_int_at_least(0, _SYMBOLS_MAX_DEG), default=6,
+                   help=f"monomial degree bound (0 to {_SYMBOLS_MAX_DEG})")
     p.add_argument("--j", type=int, default=0)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--order", type=_non_negative_int, default=None,
-                   help="symbol truncation order (>= 0; default: --deg)")
+    p.add_argument("--order", type=_symbol_order, default=None,
+                   help=f"symbol truncation order (0 to {_SYMBOLS_MAX_ORDER}; default: --deg)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_symbols)
 

@@ -14,6 +14,14 @@ derivatives, coordinate swaps, multiplication by ``1/(x_i - x_j)``).  Section
 arithmetic does not cancel common pair-difference factors; only
 :meth:`RationalSection.to_text` reduces, so serialised sections are canonical.
 
+Every sum runs through one term loop, ``_add_product``: a polynomial sum is
+its product by the one-term factor ``+-1``.  Every section sum runs through
+one kernel, ``RationalSection._accumulate`` (``self + w c^k other /
+(x_i - x_j)^d`` over the least common denominator): ``+``, ``-``,
+``add_over_difference`` and each quotient-rule term of ``partial`` are its
+cases.  ``_quotient_pair`` alone validates a pair power and decides the
+orientation of a pair given as i > j.
+
 Each monomial is stored as one ``int`` key that packs its exponent vector:
 slot ``s`` of an arity-N vector is the ``_SLOT_BITS``-bit field at bit
 ``(N - s) * _SLOT_BITS``, so slot 0 is the most significant field and the
@@ -171,23 +179,14 @@ def _poly_from(arity: int, terms: dict) -> "MultiPoly":
     return p
 
 
-def _add_terms(out: dict, terms: Mapping, negate: bool) -> None:
-    """``out += terms``, or ``out -= terms`` when ``negate``, in place;
-    zero sums are dropped."""
-    get = out.get
-    for exp, coef in terms.items():
-        s = get(exp, 0) - coef if negate else get(exp, 0) + coef
-        if s:
-            out[exp] = s if type(s) is int else _as_rat(s)
-        else:
-            del out[exp]
-
-
 def _add_product(out: dict, terms: Mapping, factor: Collection) -> None:
     """``out += terms * factor`` in place, one pass over ``terms``; ``factor``
     is a polynomial given as its (key delta, coefficient) pairs, such as
-    ``MultiPoly.terms.items()``, and is iterated once per term.  The caller
-    has passed both operands through :func:`_check_limit`."""
+    ``MultiPoly.terms.items()``, and is iterated once per term; zero sums
+    are dropped.  This is the one loop that adds terms into a dict: a sum is
+    the product by the one-term factor ``((0, +-1),)``, which adds no
+    exponents; for any other factor the caller has passed both operands
+    through :func:`_check_limit`."""
     get = out.get
     for exp, coef in terms.items():
         for delta, weight in factor:
@@ -200,13 +199,12 @@ def _add_product(out: dict, terms: Mapping, factor: Collection) -> None:
 
 
 @lru_cache(maxsize=1024)
-def _difference_product(arity: int, factor: tuple, negate: bool, coupling: int) -> tuple:
-    """The terms of ``c^coupling prod (x_i - x_j)^e`` over
-    ``factor = ((i, j, e), ...)``, negated when ``negate``, as (key delta,
-    int weight) pairs; built once per distinct factor and checked against
-    the exponent limit then (``coupling`` is below it, checked by the
-    caller)."""
-    p = MultiPoly.constant(arity, -1 if negate else 1)
+def _difference_product(arity: int, factor: tuple, weight: int, coupling: int) -> tuple:
+    """The terms of ``weight c^coupling prod (x_i - x_j)^e`` over
+    ``factor = ((i, j, e), ...)``, as (key delta, int weight) pairs; built
+    once per distinct factor and checked against the exponent limit then
+    (``coupling`` is below it, checked by the caller)."""
+    p = MultiPoly.constant(arity, weight)
     for i, j, e in factor:
         p = p * (MultiPoly.variable(arity, i) - MultiPoly.variable(arity, j)) ** e
     _check_limit(arity, p.terms)
@@ -315,7 +313,7 @@ class MultiPoly:
         """self + other, or self - other when ``negate``."""
         self._check(other)
         out = dict(self.terms)
-        _add_terms(out, other.terms, negate)
+        _add_product(out, other.terms, ((0, -1 if negate else 1),))
         return _poly_from(self.arity, out)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
@@ -599,20 +597,22 @@ class Permutation:
         return f"Permutation{self.images}"
 
 
-def _pair(i: int, j: int) -> tuple[int, int]:
-    if i == j:
-        raise ValueError("pair indices must differ")
-    return (i, j) if i < j else (j, i)
-
-
-def _quotient_pair(arity: int, i: int, j: int, power: int) -> tuple[int, int] | None:
-    """The pair of the factor ``1/(x_i - x_j)^power``, None for power 0;
-    ``ValueError`` for a negative power or an index out of range."""
+def _quotient_pair(arity: int, i: int, j: int,
+                   power: int) -> tuple[tuple[int, int] | None, int]:
+    """The stored pair ``(min, max)`` of the factor ``1/(x_i - x_j)^power``
+    (None for power 0) and the sign the numerator takes for it: -1 when the
+    pair is given as i > j with an odd power, since ``(x_j - x_i)^power`` is
+    stored.  ``ValueError`` for a negative power, an index out of range, or
+    i == j with a nonzero power."""
     if power < 0:
         raise ValueError("denominator exponents must be >= 0")
     if not (0 <= i < arity and 0 <= j < arity):
         raise ValueError(f"pair ({i}, {j}) is out of range for arity {arity}")
-    return _pair(i, j) if power else None
+    if not power:
+        return None, 1
+    if i == j:
+        raise ValueError("pair indices must differ")
+    return ((i, j), 1) if i < j else ((j, i), -1 if power % 2 else 1)
 
 
 def _section_from(num: MultiPoly, den: dict[tuple[int, int], int]) -> "RationalSection":
@@ -643,13 +643,10 @@ class RationalSection:
         clean: dict[tuple[int, int], int] = {}
         if den:
             for (i, j), d in den.items():
-                if d < 0:
-                    raise ValueError("denominator exponents must be >= 0")
-                if not (0 <= i < num.arity and 0 <= j < num.arity):
-                    raise ValueError(f"pair ({i}, {j}) is out of range for arity {num.arity}")
-                if d:
-                    clean[_pair(i, j)] = clean.get(_pair(i, j), 0) + d
-                if i > j and d % 2:
+                pair, sign = _quotient_pair(num.arity, i, j, d)
+                if pair:
+                    clean[pair] = clean.get(pair, 0) + d
+                if sign < 0:
                     num = -num
         self.num = num
         self.den = clean
@@ -710,13 +707,14 @@ class RationalSection:
             raise ValueError("arity mismatch")
 
     def _accumulate(self, other: "RationalSection", pair: tuple[int, int] | None,
-                    power: int, coupling: int, negate: bool) -> "RationalSection":
-        """``self + c^coupling other / pair^power`` (``pair`` i < j, or None),
-        or ``self - ...`` when ``negate``, over the least common denominator:
-        each numerator is multiplied by the pair differences its denominator
-        lacks and added into one dict, in one pass over its terms, with the
-        sign and the power of c folded into ``other``'s factor.  ``+`` and
-        ``-`` are the case of no pair and no power of c."""
+                    power: int, coupling: int, weight: int) -> "RationalSection":
+        """``self + weight c^coupling other / pair^power`` (``pair`` i < j, or
+        None) over the least common denominator: each numerator is multiplied
+        by the pair differences its denominator lacks and added into one
+        dict, in one pass over its terms, with the integer weight and the
+        power of c folded into ``other``'s factor.  ``+`` and ``-`` are the
+        case of no pair, no power of c and weight +-1; :meth:`partial` adds
+        one term per pair touching its coordinate."""
         num, onum = self.num, other.num
         arity = num.arity
         if onum.arity != arity:
@@ -730,7 +728,7 @@ class RationalSection:
         terms = num.terms
         if terms:
             a = self.den
-        elif pair or coupling or negate:
+        elif pair or coupling or weight != 1:
             a = {}
         else:
             return other
@@ -749,14 +747,14 @@ class RationalSection:
         if lack_a and terms:
             out = {}
             _check_limit(arity, terms)
-            _add_product(out, terms, _difference_product(arity, tuple(lack_a), False, 0))
+            _add_product(out, terms, _difference_product(arity, tuple(lack_a), 1, 0))
         else:
             out = dict(terms)
         if lack_b or coupling:
             _check_limit(arity, onum.terms)
-            _add_product(out, onum.terms, _difference_product(arity, lack_b, negate, coupling))
+            _add_product(out, onum.terms, _difference_product(arity, lack_b, weight, coupling))
         else:
-            _add_terms(out, onum.terms, negate)
+            _add_product(out, onum.terms, ((0, weight),))
         return _section_from(_poly_from(arity, out), target)
 
     def add_over_difference(self, other: "RationalSection", i: int, j: int, power: int = 1,
@@ -766,14 +764,14 @@ class RationalSection:
         j, power).mul_coupling(coupling)`` without the two intermediates."""
         if not 0 <= coupling < EXPONENT_LIMIT:
             raise ValueError(f"power {coupling} is outside 0..{EXPONENT_LIMIT - 1}")
-        return self._accumulate(other, _quotient_pair(self.arity, i, j, power), power,
-                                coupling, negate != (i > j and power % 2 == 1))
+        pair, sign = _quotient_pair(self.arity, i, j, power)
+        return self._accumulate(other, pair, power, coupling, -sign if negate else sign)
 
     def __add__(self, other: "RationalSection") -> "RationalSection":
-        return self._accumulate(other, None, 0, 0, False)
+        return self._accumulate(other, None, 0, 0, 1)
 
     def __sub__(self, other: "RationalSection") -> "RationalSection":
-        return self._accumulate(other, None, 0, 0, True)
+        return self._accumulate(other, None, 0, 0, -1)
 
     def __neg__(self) -> "RationalSection":
         return _section_from(-self.num, self.den)
@@ -799,24 +797,21 @@ class RationalSection:
 
     def mul_inverse_difference(self, i: int, j: int, power: int = 1) -> "RationalSection":
         """Multiply by 1/(x_i - x_j)^power."""
-        pair = _quotient_pair(self.arity, i, j, power)
+        pair, sign = _quotient_pair(self.arity, i, j, power)
         if pair is None:
             return self
         den = dict(self.den)
         den[pair] = den.get(pair, 0) + power
-        num = -self.num if i > j and power % 2 else self.num
-        return _section_from(num, den)
+        return _section_from(self.num if sign > 0 else -self.num, den)
 
     def partial(self, k: int) -> "RationalSection":
-        """Quotient-rule derivative; exact."""
+        """Quotient-rule derivative; exact: ``d_k num / den`` plus, for each
+        pair (i, j) holding k, ``-+d num / den`` with that pair's power raised
+        by one (``-`` for k == i), through the accumulate kernel."""
         result = _section_from(self.num.partial(k), self.den)
-        for (i, j), d in self.den.items():
-            if k != i and k != j:
-                continue
-            sign = 1 if k == i else -1
-            den = dict(self.den)
-            den[(i, j)] = d + 1
-            result = result + _section_from(self.num.scale(-d * sign), den)
+        for pair, d in self.den.items():
+            if k in pair:
+                result = result._accumulate(self, pair, 1, 0, -d if k == pair[0] else d)
         return result
 
     def permute(self, sigma: Permutation) -> "RationalSection":

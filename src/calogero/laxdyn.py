@@ -349,8 +349,11 @@ def integrate(state: PhasePoint, duration: float, dt: float,
     Energy and invariant drifts are tracked at every step; the stored arrays
     are downsampled by ``sample_stride``, and the final step is always kept.
     A state that leaves the open chamber, or blows up to inf or NaN, raises
-    :class:`CollisionError`.  ``duration / dt`` above ``MAX_STEPS``, or one
-    that rounds to zero steps, raises ``ValueError`` before anything runs.
+    :class:`CollisionError`.  ``duration / dt`` above ``MAX_STEPS``, one
+    that rounds to zero steps, or a start state whose H or some tr P^j
+    (j <= jmax) is not a finite float raises ``ValueError`` before anything
+    runs; a start state whose force is not finite either is the collision of
+    the first step.
     """
     if not (0 < duration < math.inf and 0 < dt < math.inf):
         raise ValueError("duration and dt must be finite and positive")
@@ -371,6 +374,15 @@ def integrate(state: PhasePoint, duration: float, dt: float,
     # overflow near a collision leaves inf or NaN in x, which the ordering
     # test reports as a collision
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # a finite state can still overflow H or a trace power, whose drift
+        # would be inf or NaN; where the force overflows too, the first step
+        # reports the collision instead
+        start = _conserved(*_arrays(state), g2, omega, jmax).tolist()
+        bad = [j for j, v in enumerate(start) if not math.isfinite(v)]
+        if bad and all(map(math.isfinite, _force(list(state.x), g2, omega))):
+            j = bad[0]
+            raise ValueError(f"{f'tr P^{j}' if j else 'H'} of the initial state is "
+                             f"{start[j]}, not a finite float")
         for first, bx, bp in _step_blocks(state, steps, dt):
             conserved = _conserved(bx, bp, g2, omega, jmax)
             if first == 0:

@@ -400,6 +400,33 @@ class TestSimulateCommand:
         assert code == 2
         assert out == "" and "finite" in err
 
+    @pytest.mark.parametrize("args, quantity", [
+        (["--x=0,1e90,3e90", "--p=1e90,0,-1e90"], "tr P^4"),
+        (["--x=0,1,3", "--p=3,0,-3", "--jmax=700"], "tr P^592"),
+    ])
+    def test_start_state_with_overflowing_invariant_is_usage_error(
+            self, capsys, monkeypatch, args, quantity):
+        # finite positions and momenta whose H or trace power is inf: its
+        # drift would print as NaN in the report
+        def stepped(*a, **k):
+            raise AssertionError("the state was stepped before it was refused")
+
+        monkeypatch.setattr(laxdyn, "_step_blocks", stepped)
+        code, out, err = run_cli(capsys, "simulate", *args, "--t=1e-2", "--dt=1e-3")
+        assert code == 2
+        assert out == "" and f"{quantity} of the initial state is inf" in err
+
+    def test_accepted_report_is_strict_json(self, capsys):
+        # the largest trace power that stays finite at this start state
+        code, out, _ = run_cli(capsys, "simulate", "--x=0,1,3", "--p=3,0,-3",
+                               "--t=1e-2", "--dt=1e-3", "--jmax=591")
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(out, parse_constant=refuse)
+        assert code in (0, 1) and len(report["maxDrift"]) == 592
+
     @pytest.mark.parametrize("args", [
         ["--dt", "0"], ["--dt", "nan"], ["--dt=-1e-3"], ["--t", "inf"], ["--t", "0"],
         ["--jmax", "0"], ["--sample-stride", "0"], ["--sample-stride=-5"],
@@ -556,6 +583,20 @@ class TestSymbolsCommand:
                                  "--order", str(EXPONENT_LIMIT))
         assert code == 2
         assert out == "" and "limit" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("option, bound, base", [
+        ("--n", cli._SYMBOLS_MAX_N, ["--deg=1"]),
+        ("--deg", cli._SYMBOLS_MAX_DEG, ["--n=2"]),
+        ("--order", cli._SYMBOLS_MAX_ORDER, ["--n=2", "--deg=0"]),
+    ])
+    def test_work_bounds(self, capsys, monkeypatch, option, bound, base):
+        code, out, _ = run_cli(capsys, "symbols", *base, f"{option}={bound}")
+        assert code == 0 and json.loads(out)["config"][option[2:]] == bound
+        calls = []
+        monkeypatch.setattr(cli, "realization_report", lambda *a: calls.append(a))
+        code, out, err = run_cli(capsys, "symbols", *base, f"{option}={bound + 1}")
+        assert code == 2 and calls == []
+        assert out == "" and f"must be at most {bound}" in err
 
     def test_zero_degree_and_order_are_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "symbols", "--n", "2", "--deg", "0", "--order", "0")

@@ -15,6 +15,7 @@ from calogero.exactalg import (
     Permutation,
     RationalSection,
     _pack,
+    _section_from,
     _unpack,
 )
 from calogero.laxdyn import (
@@ -186,6 +187,42 @@ def test_add_over_difference_equals_the_unfused_composition(f, g, pair, power, c
     assert fused.to_text() == unfused.to_text()
     # the same section as built, not only the same value
     assert (fused.num, fused.den) == (unfused.num, unfused.den)
+
+
+def quotient_rule_reference(f, k):
+    """``d_k`` of ``f`` as a sum of sections: the derivative of the numerator
+    over the same denominator, plus, for each pair holding k, the numerator
+    scaled by ``-d`` (``+d`` when k is the pair's second index) over the
+    denominator with that pair's power raised by one."""
+    result = _section_from(f.num.partial(k), f.den)
+    for (i, j), d in f.den.items():
+        if k in (i, j):
+            den = dict(f.den)
+            den[(i, j)] = d + 1
+            result = result + _section_from(f.num.scale(-d if k == i else d), den)
+    return result
+
+
+# several pairs, each given either way round, with powers 1-3
+quotient_sections = st.tuples(
+    polys,
+    st.dictionaries(ordered_pairs, st.integers(min_value=1, max_value=3), max_size=3),
+).map(lambda t: RationalSection(*t))
+
+
+@settings(max_examples=200, deadline=None)
+@example(RationalSection.zero(N_VARS), 0)
+@example(RationalSection(MultiPoly.zero(N_VARS), {(1, 0): 2}), 1)
+@example(RationalSection(MultiPoly.monomial(N_VARS, (2, 1, 0)) + MultiPoly.coupling(N_VARS),
+                         {(1, 0): 3, (0, 2): 1, (2, 1): 2}), 0)
+@given(st.one_of(section_operands, quotient_sections), st.integers(min_value=0, max_value=2))
+def test_partial_equals_the_quotient_rule_sum(f, k):
+    got, want = f.partial(k), quotient_rule_reference(f, k)
+    assert got == want
+    assert got.to_text() == want.to_text()
+    # the unreduced form, in dict order: later sums walk it in this order
+    assert list(got.num.terms.items()) == list(want.num.terms.items())
+    assert list(got.den.items()) == list(want.den.items())
 
 
 # -- packed keys against a tuple-keyed reference ------------------------------
