@@ -41,14 +41,12 @@ importing this module, as every ``calogero`` command does, does not load numpy.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from . import _Numpy
+from . import _Numpy, _Record
 
 np = _Numpy(globals())
 
@@ -83,31 +81,36 @@ class CollisionError(RuntimeError):
         super().__init__(f"particle collision (ordering violated) at t={time:.6g}")
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(_Record):
     """Positions (strictly increasing), momenta, coupling g^2 and frequency,
-    all finite, and a finite omega^2."""
+    all finite, with a finite omega^2 and harmonic force omega^2 x_i."""
 
-    x: tuple[float, ...]
-    p: tuple[float, ...]
-    g2: float = 1.0
-    omega: float = 0.0
+    _fields = ("x", "p", "g2", "omega")
 
-    def __post_init__(self):
-        if len(self.x) != len(self.p):
+    def __init__(self, x: tuple[float, ...], p: tuple[float, ...], g2: float = 1.0,
+                 omega: float = 0.0):
+        if len(x) != len(p):
             raise ValueError("position and momentum dimensions differ")
-        if len(self.x) < 2:
+        if len(x) < 2:
             raise ValueError("need at least two particles")
-        if not all(math.isfinite(v) for v in (*self.x, *self.p, self.g2, self.omega)):
+        if not all(math.isfinite(v) for v in (*x, *p, g2, omega)):
             raise ValueError("positions, momenta, g2 and omega must be finite")
-        if any(b <= a for a, b in zip(self.x, self.x[1:])):
+        if any(b <= a for a, b in zip(x, x[1:])):
             raise ValueError("positions must be strictly increasing")
-        if self.g2 < 0 or self.omega < 0:
+        if g2 < 0 or omega < 0:
             raise ValueError("g2 and omega must be nonnegative")
         # the force and H take omega ** 2, which raises OverflowError where
         # the square is not finite
-        if not math.isfinite(self.omega * self.omega):
-            raise ValueError(f"omega**2 must be finite: omega={self.omega!r}")
+        w = omega * omega
+        if not math.isfinite(w):
+            raise ValueError(f"omega**2 must be finite: omega={omega!r}")
+        # an inf harmonic force would make the first step's positions
+        # non-finite, which the stepper reports as a collision
+        for v in x:
+            if not math.isfinite(w * v):
+                raise ValueError(f"the harmonic force omega**2 * x must be finite: "
+                                 f"omega={omega!r}, x={v!r}")
+        self.__dict__.update(x=x, p=p, g2=g2, omega=omega)
 
     @property
     def n(self) -> int:
@@ -195,8 +198,7 @@ def hamiltonian(state: PhasePoint) -> float:
     return float(_energy(x, p, _inverse_differences(x), state.g2, state.omega))
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled trajectory with per-invariant drift bookkeeping."""
 
     times: np.ndarray
@@ -204,9 +206,11 @@ class Trajectory:
     ps: np.ndarray
     energies: np.ndarray
     invariants: np.ndarray  # shape (samples, jmax)
-    max_drift: dict = field(default_factory=dict)
+    max_drift: dict
 
     def write_csv(self, path: str) -> None:
+        import csv  # only ``simulate --csv`` writes one
+
         n = self.xs.shape[1]
         jmax = self.invariants.shape[1]
         header = (["t"] + [f"x{i}" for i in range(n)] + [f"p{i}" for i in range(n)]

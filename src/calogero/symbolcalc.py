@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import gt
 from typing import NamedTuple, Sequence, Union
@@ -66,8 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Shift:
+class Shift(NamedTuple):
     """exp(amount * x_source * d_target): x_target <- x_target + amount*x_source."""
     target: int
     source: int
@@ -77,8 +75,7 @@ class Shift:
         return f.substitute_shift(self.target, self.source, self.amount)
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(NamedTuple):
     """q^{x_target d_target}: x_target <- q * x_target; q = -1 is the sign flip."""
     target: int
     q: Fraction

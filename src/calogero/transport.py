@@ -47,11 +47,10 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from . import _Numpy
+from . import _Numpy, _Record
 from .exactalg import Permutation
 
 np = _Numpy(globals())
@@ -98,8 +97,7 @@ def _float_sized(value: Fraction, what: str) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class _OffEntry:
+class _OffEntry(NamedTuple):
     """One off-diagonal connection entry: coeff / (x_a - x_b), a < b."""
     row: int
     col: int
@@ -126,8 +124,7 @@ def _regular_tables(n: int):
     return perms, pairs, cols, pos, pa, pb
 
 
-@dataclass(frozen=True)
-class ConnectionMatrix:
+class ConnectionMatrix(_Record):
     """Per-coordinate N! x N! connection of the vectorized eigenproblem, in
     Knizhnik-Zamolodchikov form.
 
@@ -138,7 +135,8 @@ class ConnectionMatrix:
 
     where ``diag[k][row] = p[s^-1(k)]`` for the permutation s of that row
     (``perms``: S_N in lexicographic order) and ``L_ab`` puts a 1 in row s,
-    column ``(a b) * s``.  Construction refuses N outside 2..``MAX_N``, a
+    column ``(a b) * s``.  The constructor ``ConnectionMatrix(p, q)`` is the
+    one way to build a connection.  It refuses N outside 2..``MAX_N``, a
     ``q`` of the wrong length and a value whose float overflows, reads S_N and
     the columns from ``_regular_tables``, and derives the float diagonal and a
     ``(positions, n)`` coefficient matrix (``-q_ab`` at a, ``q_ab`` at b) for
@@ -147,31 +145,26 @@ class ConnectionMatrix:
     and the integer forms ``_scaled`` are derived on first use.
     """
 
-    p: tuple[Fraction, ...]
-    q: tuple[Fraction, ...]
+    _fields = ("p", "q")
 
-    def __post_init__(self):
-        n = len(self.p)
+    def __init__(self, p: Sequence[Fraction], q: Sequence[Fraction]):
+        n = len(p)
         if not 2 <= n <= MAX_N:
             raise ValueError(f"N={n} is outside 2..{MAX_N}, the configured cap "
                              f"(N! components)")
-        if len(self.q) != n * (n - 1) // 2:
-            raise ValueError(f"{len(self.q)} couplings for the {n * (n - 1) // 2} pairs of N={n}")
-        p = tuple(_float_sized(Fraction(v), "a momentum") for v in self.p)
-        q = tuple(_float_sized(Fraction(v), "a coupling") for v in self.q)
+        if len(q) != n * (n - 1) // 2:
+            raise ValueError(f"{len(q)} couplings for the {n * (n - 1) // 2} pairs of N={n}")
+        p = tuple(_float_sized(Fraction(v), "a momentum") for v in p)
+        q = tuple(_float_sized(Fraction(v), "a coupling") for v in q)
         perms, pairs, cols, pos, pa, pb = _regular_tables(n)
         diag = tuple(tuple(p[s.images.index(k)] for s in perms) for k in range(n))
         coef = np.zeros((len(pairs), n))
         for i, ((a, b), qab) in enumerate(zip(pairs, q)):
             coef[i, [a, b]] = float(-qab), float(qab)
-        derived = {
-            "p": p, "q": q, "perms": perms, "diag": diag, "_pairs": pairs, "_cols": cols,
-            "_pos": pos, "_pa": pa, "_pb": pb,
-            "_coef": np.repeat(coef, len(perms), axis=0),
-            "_diag": np.array([[float(v) for v in dk] for dk in diag]),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        self.__dict__.update(
+            p=p, q=q, perms=perms, diag=diag, _pairs=pairs, _cols=cols,
+            _pos=pos, _pa=pa, _pb=pb, _coef=np.repeat(coef, len(perms), axis=0),
+            _diag=np.array([[float(v) for v in dk] for dk in diag]))
 
     @property
     def n(self) -> int:
@@ -369,39 +362,38 @@ def _is_json_number(value) -> bool:
     return type(value) in (int, float)
 
 
-@dataclass(frozen=True)
-class ChamberPath:
+class ChamberPath(_Record):
     """Piecewise-linear path strictly inside the chamber x_0 < ... < x_{N-1}."""
 
-    waypoints: tuple[tuple[float, ...], ...]
-    margin: float = 1e-6
+    _fields = ("waypoints", "margin")
 
-    def __post_init__(self):
+    def __init__(self, waypoints: tuple[tuple[float, ...], ...], margin: float = 1e-6):
         # malformed input raises a plain ValueError, and only a real margin
         # or ordering violation a PathValidationError.  Non-finite values are
         # malformed: every comparison with NaN is false, so the chamber
         # checks below would pass them
-        if not math.isfinite(self.margin):
-            raise ValueError(f"margin {self.margin} is not finite")
-        if self.margin <= 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
-        if len(self.waypoints) < 1:
+        if not math.isfinite(margin):
+            raise ValueError(f"margin {margin} is not finite")
+        if margin <= 0:
+            raise ValueError(f"margin must be positive, got {margin}")
+        if len(waypoints) < 1:
             raise ValueError("path needs at least one waypoint")
-        n = len(self.waypoints[0])
+        n = len(waypoints[0])
         if n < 2:
             raise ValueError(f"path needs at least two coordinates, got {n}")
-        for w in self.waypoints:
+        for w in waypoints:
             if len(w) != n:
                 raise ValueError("inconsistent waypoint dimensions")
             if not all(math.isfinite(v) for v in w):
                 raise ValueError(f"waypoint {w} is not finite")
-        for w in self.waypoints:
+        for w in waypoints:
             gaps = [w[i + 1] - w[i] for i in range(n - 1)]
-            if min(gaps) < self.margin:
+            if min(gaps) < margin:
                 raise PathValidationError(
-                    f"waypoint {w} violates the chamber margin {self.margin}")
+                    f"waypoint {w} violates the chamber margin {margin}")
         # linear interpolation of two margin-respecting points stays inside:
         # each gap is linear in t, so its minimum sits at an endpoint
+        self.__dict__.update(waypoints=waypoints, margin=margin)
 
     @property
     def n(self) -> int:
@@ -469,11 +461,10 @@ class ChamberPath:
             fh.write("\n")
 
 
-@dataclass
-class TransportResult:
+class TransportResult(NamedTuple):
     matrix: np.ndarray
     method: str
-    step_stats: dict = field(default_factory=dict)
+    step_stats: dict
 
 
 # -- embedded Runge-Kutta 5(4), Dormand-Prince coefficients -------------------

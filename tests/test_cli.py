@@ -393,6 +393,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("args", [
         ["--g2=nan"], ["--g2=inf"], ["--omega=nan", "--g2=0"], ["--omega=inf"],
         ["--x=nan,1,3"], ["--x=0,1,inf"], ["--p=1,-inf,-1"],
+        # omega**2 * x overflows: the harmonic force, not a collision
+        ["--x=0,1,1e200", "--p=0,0,0", "--omega=1e100", "--g2=0", "--t=1e-3"],
     ])
     def test_non_finite_state_is_usage_error(self, capsys, args):
         code, out, err = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1",

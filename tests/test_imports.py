@@ -1,6 +1,7 @@
 """Import contract: ``import calogero.cli`` loads every layer module but
-neither numpy nor ``concurrent.futures`` (the process pool); the exact
-commands load neither, and the numerical ones bind each module's ``np`` to
+neither numpy nor ``concurrent.futures`` (the process pool), and none of
+``dataclasses``, ``inspect`` and ``csv``; the exact commands load neither
+numpy nor the pool, and the numerical ones bind each module's ``np`` to
 numpy itself on first use.
 
 Each check runs in a fresh interpreter, since the test process has long
@@ -38,6 +39,9 @@ def test_import_loads_every_layer_but_not_numpy_or_the_pool():
         "print(json.dumps(sorted(sys.modules)))\n")
     assert "numpy" not in loaded
     assert "concurrent.futures" not in loaded
+    # records are NamedTuples or small classes; only ``simulate --csv``
+    # imports csv
+    assert [name for name in ("dataclasses", "inspect", "csv") if name in loaded] == []
     # the benchmark's layer tracer reads these right after the import
     assert all(f"calogero.{name}" in loaded for name in LAYERS)
 

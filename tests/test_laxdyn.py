@@ -70,6 +70,16 @@ class TestBuildLax:
             with pytest.raises(ValueError, match="omega"):
                 PhasePoint((0.0, 1.0), (0.0, 0.0), omega=omega)
 
+    def test_infinite_harmonic_force_rejected(self):
+        # omega**2 = 1e200 is finite, but omega**2 * x is not at x = 1e200:
+        # the first force would be inf, which the stepper reports as a
+        # collision
+        state = PhasePoint((0.0, 1.0, 1e100), (0.0, 0.0, 0.0), g2=0.0, omega=1e100)
+        assert math.isfinite(state.omega ** 2 * state.x[-1])
+        for x in ((0.0, 1.0, 1e200), (-1e200, 0.0, 1.0)):
+            with pytest.raises(ValueError, match=r"harmonic force .* must be finite"):
+                PhasePoint(x, (0.0, 0.0, 0.0), g2=0.0, omega=1e100)
+
 
 class TestTraceIntegrals:
     def test_first_integral_is_total_momentum(self):

@@ -78,6 +78,9 @@ def test_count_tracer_sees_every_lax_step(capsys):
     assert layertrace._FUNCTION_METRICS["laxdyn.steps"] == ("laxdyn._rk4_step", "calls")
     assert calls["laxdyn._rk4_step"] == 10
     assert calls["laxdyn.integrate"] == 1
+    # laxdyn.PhasePoint.calls counts the constructor, the one place a state
+    # is validated
+    assert calls["laxdyn.PhasePoint.__init__"] == 1
 
 
 def test_count_tracer_sees_transport(capsys, tmp_path):
