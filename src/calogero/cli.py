@@ -4,8 +4,10 @@ output.
 
 Exit codes: 0 success, 1 checks ran but failed, 2 usage or malformed input
 (an unreadable or unwritable file included), 3 path leaves the chamber margin,
-4 particle collision during simulation.  Commands raise their refusals;
-:func:`main` alone turns them into exit codes.
+4 particle collision during simulation.  A command returns its report and
+whether its checks passed, and raises its refusals; :func:`main` alone stamps
+the report with ``schemaVersion`` and ``command``, writes it, and maps the
+outcome or the refusal to an exit code.
 """
 
 from __future__ import annotations
@@ -74,37 +76,6 @@ def _float_vector(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a float vector: {text!r}") from exc
 
 
-def _finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
-    return value
-
-
-def _positive_finite(text: str) -> float:
-    value = _finite(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    value = _finite(text)
-    if value < MIN_TOL:
-        raise argparse.ArgumentTypeError(f"must be at least {MIN_TOL!r}: {text!r}")
-    return value
-
-
-def _non_negative_finite(text: str) -> float:
-    value = _finite(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative: {text!r}")
-    return value
-
-
 def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
@@ -115,6 +86,19 @@ def _int_at_least(low: int, high: int | None = None):
             raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
         if high is not None and value > high:
             raise argparse.ArgumentTypeError(f"must be at most {high}: {text!r}")
+        return value
+    return parse
+
+
+def _float_at_least(low: float, strictly: bool = False):
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+        if not (math.isfinite(value) and (value > low if strictly else value >= low)):
+            bound = "above" if strictly else "at least"
+            raise argparse.ArgumentTypeError(f"must be finite and {bound} {low!r}: {text!r}")
         return value
     return parse
 
@@ -170,39 +154,26 @@ def _report_text(report: dict) -> str:
     return text.replace('\n  "matrix": null', '\n  "matrix": ' + _matrix_text(matrix), 1) + "\n"
 
 
-def _emit(report: dict, out: str | None) -> None:
-    payload = _report_text(report)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
 # -- verify ---------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, bool]:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     with worker_pool(args.workers) as pool:
         records = [run_suite(name, args.n, args.deg, pool) for name in names]
     failure_count = sum(len(r["failures"]) for r in records)
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "verify",
+    return {
         "config": {"n": args.n, "deg": args.deg, "suite": args.suite,
                    "workers": args.workers},
         "suites": records,
         "failureCount": failure_count,
-    }
-    _emit(report, args.out)
-    return EXIT_OK if failure_count == 0 else EXIT_FAIL
+    }, failure_count == 0
 
 
 # -- transport ------------------------------------------------------------------
 
 
-def cmd_transport(args) -> int:
+def cmd_transport(args) -> tuple[dict, bool]:
     path = ChamberPath.load(args.path)
     conn = build_local_system(path.n, args.p, args.c)
     result = transport_ode(conn, path, tol=args.tol)
@@ -218,9 +189,7 @@ def cmd_transport(args) -> int:
             "steps": steps,
             "deviation": float(np.max(np.abs(dyson.matrix - result.matrix))),
         }
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "transport",
+    return {
         "config": {"path": args.path, "tol": args.tol},
         "method": result.method,
         "N": path.n,
@@ -230,15 +199,13 @@ def cmd_transport(args) -> int:
         "holonomyDeviation": holonomy,
         "stepStats": result.step_stats,
         "dysonComparison": comparison,
-    }
-    _emit(report, args.out)
-    return EXIT_OK
+    }, True
 
 
 # -- simulate -------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, bool]:
     state = PhasePoint(args.x, args.p, g2=args.g2, omega=args.omega)
     trajectory = integrate(state, args.t, args.dt, jmax=args.jmax,
                            sample_stride=args.sample_stride)
@@ -249,9 +216,7 @@ def cmd_simulate(args) -> int:
     trace_checked = state.omega == 0.0
     if trace_checked:
         ok = ok and all(drift[f"I{j+1}"] <= args.drift_tol for j in range(args.jmax))
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "simulate",
+    return {
         "config": {"x": list(args.x), "p": list(args.p), "g2": args.g2,
                    "omega": args.omega, "T": args.t, "dt": args.dt,
                    "jmax": args.jmax, "driftTol": args.drift_tol,
@@ -260,30 +225,22 @@ def cmd_simulate(args) -> int:
         "traceInvariantsChecked": trace_checked,
         "samples": int(len(trajectory.times)),
         "withinTolerance": bool(ok),
-    }
-    _emit(report, args.out)
-    return EXIT_OK if ok else EXIT_FAIL
+    }, bool(ok)
 
 
 # -- symbols --------------------------------------------------------------------
 
 
-def cmd_symbols(args) -> int:
-    if not (0 <= args.j < args.n and 0 <= args.k < args.n) or args.j == args.k:
-        raise ValueError("--j/--k must be distinct coordinates below --n")
+def cmd_symbols(args) -> tuple[dict, bool]:
     order = args.order if args.order is not None else args.deg
+    # refuses a --j/--k pair of equal or out-of-range coordinates before any work
     rep = realization_report(args.n, args.deg, args.j, args.k)
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "symbols",
+    return {
         "config": {"n": args.n, "deg": args.deg, "j": args.j, "k": args.k,
                    "order": order},
         "realizations": rep,
         "symbolTerms": symbol_terms(symbol_of_permutation(args.n, args.j, args.k, order)),
-    }
-    _emit(report, args.out)
-    all_match = all(r["matchesSwap"] for r in rep["realizations"].values())
-    return EXIT_OK if all_match else EXIT_FAIL
+    }, all(r["matchesSwap"] for r in rep["realizations"].values())
 
 
 # -- parser ---------------------------------------------------------------------
@@ -298,7 +255,6 @@ def _verify_options(p: argparse.ArgumentParser) -> None:
     # every worker is forked at once, so no more are started than there are CPUs
     p.add_argument("--workers", type=_int_at_least(1, os.cpu_count() or 1), default=1,
                    help="worker processes for every suite (1 to the CPU count)")
-    p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify)
 
 
@@ -307,14 +263,13 @@ def _transport_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=_rational_vector, required=True,
                    help="momenta, comma-separated rationals")
     p.add_argument("--c", type=_rational, default=Fraction(1), help="coupling")
-    p.add_argument("--tol", type=_tolerance, default=1e-10,
+    p.add_argument("--tol", type=_float_at_least(MIN_TOL), default=1e-10,
                    help=f"local error tolerance (finite, at least {MIN_TOL!r}, ten float64 "
                         f"epsilons: an error estimate cannot resolve less)")
     p.add_argument("--compare-dyson", nargs=2, type=_positive_int, metavar=("ORDER", "STEPS"),
                    default=None,
                    help="also run the iterated-integral series (integers >= 1) and report "
                         "the deviation")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_transport)
 
 
@@ -324,20 +279,19 @@ def _simulate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=_float_vector, required=True, help="initial momenta")
     p.add_argument("--g2", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=0.0)
-    p.add_argument("--t", type=_positive_finite, default=10.0,
+    p.add_argument("--t", type=_float_at_least(0.0, strictly=True), default=10.0,
                    help=f"duration (finite, > 0; t/dt at most {MAX_STEPS})")
-    p.add_argument("--dt", type=_positive_finite, default=1e-4,
+    p.add_argument("--dt", type=_float_at_least(0.0, strictly=True), default=1e-4,
                    help="RK4 step (finite, > 0)")
     p.add_argument("--jmax", type=_positive_int, default=4,
                    help="highest trace power tracked (>= 1)")
-    p.add_argument("--drift-tol", type=_non_negative_finite, default=1e-8,
+    p.add_argument("--drift-tol", type=_float_at_least(0.0), default=1e-8,
                    help="drift bound for the trace invariants (finite, >= 0)")
-    p.add_argument("--energy-tol", type=_non_negative_finite, default=1e-8,
+    p.add_argument("--energy-tol", type=_float_at_least(0.0), default=1e-8,
                    help="drift bound for the energy H (finite, >= 0)")
     p.add_argument("--sample-stride", type=_positive_int, default=100,
                    help="keep every k-th step as a sample (>= 1)")
     p.add_argument("--csv", default=None, help="write the sampled trajectory here")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
 
@@ -350,12 +304,12 @@ def _symbols_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--order", type=_symbol_order, default=None,
                    help=f"symbol truncation order (0 to {_SYMBOLS_MAX_ORDER}; default: --deg)")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_symbols)
 
 
 # name: (help line, function adding its options); each such function sets the
-# command function by its module global when the parser is built
+# command function by its module global when the parser is built, and --out is
+# added after the command's own options
 _COMMANDS = {
     "verify": ("run exact identity suites", _verify_options),
     "transport": ("parallel transport along a chamber path", _transport_options),
@@ -378,7 +332,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
     for name, (help_line, options) in _COMMANDS.items():
         if command is None or command == name:
-            options(sub.add_parser(name, help=help_line))
+            p = sub.add_parser(name, help=help_line)
+            options(p)
+            p.add_argument("--out", default=None, help="write the JSON report here")
     return parser
 
 
@@ -409,10 +365,12 @@ def _refuse(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one command; a refusal it raises becomes ``error: <message>`` on
-    stderr and its exit code.  Any other exception propagates.  Output files
-    (``--out``, ``--csv``) that cannot be written are refused before the run,
-    so a refusal leaves none of them written."""
+    """Run one command and write its report, stamped with ``schemaVersion``
+    and ``command``, to ``--out`` or stdout; exit 0 if its checks passed, else
+    1.  A refusal it raises becomes ``error: <message>`` on stderr and its exit
+    code.  Any other exception propagates.  Output files (``--out``, ``--csv``)
+    that cannot be written are refused before the run, so a refusal leaves
+    none of them written."""
     argv = _attach_signed_values(sys.argv[1:] if argv is None else list(argv))
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
@@ -420,13 +378,21 @@ def main(argv=None) -> int:
         for path in (args.out, vars(args).get("csv")):
             if path:
                 _check_writable(path)
-        return args.func(args)
+        report, ok = args.func(args)
+        text = _report_text({"schemaVersion": SCHEMA_VERSION, "command": args.command,
+                             **report})
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (PathValidationError, TransportStepError) as exc:
         return _refuse(exc, EXIT_CHAMBER)
     except CollisionError as exc:
         return _refuse(exc, EXIT_COLLISION)
     except (ValueError, OSError) as exc:  # after PathValidationError, a ValueError
         return _refuse(exc, EXIT_USAGE)
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -89,6 +89,8 @@ class PhasePoint(_Record):
 
     def __init__(self, x: tuple[float, ...], p: tuple[float, ...], g2: float = 1.0,
                  omega: float = 0.0):
+        # copied, so that the caller's lists cannot change a validated state
+        x, p = tuple(x), tuple(p)
         if len(x) != len(p):
             raise ValueError("position and momentum dimensions differ")
         if len(x) < 2:

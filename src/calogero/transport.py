@@ -368,6 +368,8 @@ class ChamberPath(_Record):
     _fields = ("waypoints", "margin")
 
     def __init__(self, waypoints: tuple[tuple[float, ...], ...], margin: float = 1e-6):
+        # copied, so that the caller's lists cannot change a validated path
+        waypoints = tuple(map(tuple, waypoints))
         # malformed input raises a plain ValueError, and only a real margin
         # or ordering violation a PathValidationError.  Non-finite values are
         # malformed: every comparison with NaN is false, so the chamber
@@ -494,17 +496,17 @@ MIN_TOL = 10 * math.ulp(1.0)
 
 
 def _integrate_dp45(stages: Callable[[np.ndarray], np.ndarray],
-                    t0: float, t1: float, y0: np.ndarray, tol: float,
+                    y0: np.ndarray, tol: float,
                     max_step: Callable[[float], float]) -> tuple[np.ndarray, dict]:
-    """One-directional embedded Dormand-Prince integration of the linear
-    system y' = A(t) y, where ``stages(ts)`` returns the stack of the seven
+    """Embedded Dormand-Prince integration of the linear system y' = A(t) y
+    from t = 0 to t = 1, where ``stages(ts)`` returns the stack of the seven
     matrices A(ts[s]) at the stage times ``ts = t + c h`` of a step.
 
     Each stage input and both solutions are one contraction of a complex
     tableau row with the stack of stage derivatives.  An underflowing step
     size raises ``OverflowError`` if the last error estimate was not finite
     (the solution overflowed), else :class:`TransportStepError`."""
-    t, y, h = t0, y0, t1 - t0
+    t, y, h = 0.0, y0, 1.0
     steps = rejected = 0
     max_err = err = 0.0
     shape = np.shape(y0)
@@ -515,8 +517,8 @@ def _integrate_dp45(stages: Callable[[np.ndarray], np.ndarray],
     # an overflowing solution shows as a non-finite error estimate, which
     # rejects every step until the step size underflows
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < t1:
-            h = min(h, t1 - t, max_step(t))
+        while t < 1.0:
+            h = min(h, 1.0 - t, max_step(t))
             if h < _MIN_STEP:
                 if not math.isfinite(err):
                     raise OverflowError(f"the transported frame overflowed at t={t:.6g}")
@@ -579,7 +581,7 @@ def transport_ode(conn: ConnectionMatrix, path: ChamberPath,
         if speed == 0.0:
             continue
         try:
-            w, seg_stats = _integrate_dp45(conn.stages(a, v), 0.0, 1.0, w, tol,
+            w, seg_stats = _integrate_dp45(conn.stages(a, v), w, tol,
                                            _step_cap(a, v, speed))
         except OverflowError as exc:
             coupling = max(map(abs, conn.q))

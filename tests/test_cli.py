@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from calogero import cli, laxdyn, suites
+from calogero import cli, laxdyn, suites, symbolcalc
 from calogero.cli import main
 from calogero.exactalg import EXPONENT_LIMIT, Permutation
 from calogero.transport import MIN_TOL
@@ -479,6 +479,19 @@ class TestSimulateCommand:
         assert code in (0, 1)
         assert report["config"]["driftTol"] == 0.0 and report["config"]["energyTol"] == 0.0
 
+    def test_failing_run_writes_its_whole_report(self, capsys, tmp_path):
+        # exit 1: the checks ran and failed, and the report is still written
+        argv = ["simulate", "--x=0,1,3", "--p=1,0,-1", "--t=0.01", "--dt=1e-3",
+                "--energy-tol=0", "--drift-tol=0"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["schemaVersion"] == cli.SCHEMA_VERSION
+        assert report["command"] == "simulate" and report["withinTolerance"] is False
+        file = tmp_path / "report.json"
+        assert run_cli(capsys, *argv, "--out", str(file)) == (1, "", "")
+        assert file.read_bytes() == out.encode()
+
 
 class TestReportBytes:
     """Each report is the canonical ``json.dumps(indent=2, sort_keys=True)``
@@ -566,9 +579,16 @@ class TestSymbolsCommand:
                 "normal-ordered-series", "quantized-symbol"} <= set(matches)
         assert {"xExponents", "pExponents", "coefficient"} == set(report["symbolTerms"][0])
 
-    def test_bad_indices(self, capsys):
-        code, _, _ = run_cli(capsys, "symbols", "--n", "2", "--j", "0", "--k", "0")
-        assert code == 2
+    def test_bad_indices(self, capsys, monkeypatch):
+        # refused before any work: the swap's symbol is never computed
+        def refuse(*args):
+            raise AssertionError("symbol computed for a refused pair")
+        monkeypatch.setattr(symbolcalc, "symbol_of_permutation", refuse)
+        monkeypatch.setattr(cli, "symbol_of_permutation", refuse)
+        for j, k in (("0", "0"), ("0", "2"), ("-1", "1")):
+            code, out, err = run_cli(capsys, "symbols", "--n", "2", "--j", j, "--k", k)
+            assert code == 2
+            assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("args", [
         ["--deg", "-1"], ["--order", "-1"], ["--deg=-3"],
@@ -738,6 +758,6 @@ class TestOneCommandParser:
     def test_command_function_is_read_when_the_parser_is_built(self, capsys, monkeypatch):
         # a replaced module global is the one that runs, as for a wrapper
         calls = []
-        monkeypatch.setattr(cli, "cmd_symbols", lambda args: calls.append(args.n) or 0)
+        monkeypatch.setattr(cli, "cmd_symbols", lambda args: calls.append(args.n) or ({}, True))
         assert main(["symbols", "--n", "3"]) == 0
         assert calls == [3]

@@ -103,6 +103,27 @@ def test_validated_record_is_not_equal_to_its_values():
     assert PhasePoint((0.0, 1.0), (0.0, 0.0)) != ((0.0, 1.0), (0.0, 0.0), 1.0, 0.0)
 
 
+def test_phase_point_copies_the_callers_lists():
+    x, p = [0.0, 1.0], [0.0, 0.0]
+    state = PhasePoint(x, p)
+    built = PhasePoint((0.0, 1.0), (0.0, 0.0))
+    assert state == built and hash(state) == hash(built)
+    x.append(2.0)
+    p[0] = 5.0
+    assert state.x == (0.0, 1.0) and state.p == (0.0, 0.0) and state == built
+
+
+def test_chamber_path_copies_the_callers_lists():
+    waypoints = [[0.0, 1.0], [0.5, 2.0]]
+    path = ChamberPath(waypoints, 0.25)
+    built = ChamberPath(((0.0, 1.0), (0.5, 2.0)), 0.25)
+    assert path == built and hash(path) == hash(built)
+    # a waypoint outside the chamber, and one more waypoint, set afterwards
+    waypoints[1][0] = 3.0
+    waypoints.append([0.0, 1.0])
+    assert path.waypoints == ((0.0, 1.0), (0.5, 2.0)) and path == built
+
+
 def _raised(build) -> tuple[type, str]:
     with pytest.raises(Exception) as err:
         build()

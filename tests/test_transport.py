@@ -584,7 +584,7 @@ class TestTransportOde:
         y0 = np.ones((2, 2), dtype=complex)
         stack = np.broadcast_to(-1e20 * np.eye(2, dtype=complex), (7, 2, 2))
         with pytest.raises(TransportStepError, match="underflow"):
-            _integrate_dp45(lambda ts: stack, 0.0, 1.0, y0, 1e-10, lambda t: 1.0)
+            _integrate_dp45(lambda ts: stack, y0, 1e-10, lambda t: 1.0)
 
     def test_step_cap_is_the_wall_distance_in_closed_form(self):
         # the reference is the numpy form: distance to the nearest wall
