@@ -23,7 +23,14 @@ from fractions import Fraction
 
 from . import _Numpy, __version__
 from .exactalg import EXPONENT_LIMIT
-from .laxdyn import MAX_STEPS, CollisionError, PhasePoint, integrate
+from .laxdyn import (
+    MAX_JMAX,
+    MAX_PARTICLES,
+    MAX_STEPS,
+    CollisionError,
+    PhasePoint,
+    integrate,
+)
 from .suites import SUITE_NAMES, run_suite, worker_pool
 from .symbolcalc import realization_report, symbol_of_permutation, symbol_terms
 from .transport import (
@@ -275,7 +282,7 @@ def _transport_options(p: argparse.ArgumentParser) -> None:
 
 def _simulate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", type=_float_vector, required=True,
-                   help="initial positions, strictly increasing")
+                   help=f"initial positions, strictly increasing (2 to {MAX_PARTICLES})")
     p.add_argument("--p", type=_float_vector, required=True, help="initial momenta")
     p.add_argument("--g2", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=0.0)
@@ -284,7 +291,7 @@ def _simulate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt", type=_float_at_least(0.0, strictly=True), default=1e-4,
                    help="RK4 step (finite, > 0)")
     p.add_argument("--jmax", type=_positive_int, default=4,
-                   help="highest trace power tracked (>= 1)")
+                   help=f"highest trace power tracked (1 to {MAX_JMAX})")
     p.add_argument("--drift-tol", type=_float_at_least(0.0), default=1e-8,
                    help="drift bound for the trace invariants (finite, >= 0)")
     p.add_argument("--energy-tol", type=_float_at_least(0.0), default=1e-8,

@@ -30,8 +30,10 @@ system y' = A(t) y gets the seven stage matrices of a step from one put into
 a preset stack.  Exact flatness scales each point's residuals to integers:
 with L the lcm of the numerators of the pair differences, each pair's
 ``q_ab L / (x_a - x_b)`` is an integer over the couplings' common denominator,
-taken once per point, and the curvature is a sum of Python ints walked
-through the column tables; only a nonzero total becomes a ``Fraction``.
+taken once per point.  Each pair's term ``q_ab L_ab d log(x_a - x_b)`` is
+closed, so the real residual is the commutator alone, and the imaginary one
+reads momentum differences taken once per call: sums of Python ints walked
+through the column tables, where only a nonzero total becomes a ``Fraction``.
 Momentum equivariance needs no point: it is an identity of the exact entries
 under one derived relabelling of the components.  The iterated integrals hold
 three complex d x d matrices per grid node and refuse grids above
@@ -108,9 +110,10 @@ class _OffEntry(NamedTuple):
 
 @functools.cache
 def _regular_tables(n: int):
-    """S_N in lexicographic order, the pairs a < b in ``itertools.combinations``
-    order, each pair's column of ``(a b) * s`` in every row s, and read-only
-    index arrays: the flat ``row*d+col`` positions and the pair of each."""
+    """S_N in lexicographic order, its row of each permutation (keyed by
+    ``images``), the pairs a < b in ``itertools.combinations`` order, each
+    pair's column of ``(a b) * s`` in every row s, and read-only index arrays:
+    the flat ``row*d+col`` positions and the pair of each."""
     perms = tuple(Permutation.all_elements(n))
     index = {s.images: i for i, s in enumerate(perms)}
     pairs = tuple(itertools.combinations(range(n), 2))
@@ -121,7 +124,7 @@ def _regular_tables(n: int):
     pa, pb = np.repeat(np.array(pairs, dtype=np.intp).T, d, axis=1)
     for arr in (pos, pa, pb):
         arr.flags.writeable = False
-    return perms, pairs, cols, pos, pa, pb
+    return perms, index, pairs, cols, pos, pa, pb
 
 
 class ConnectionMatrix(_Record):
@@ -156,7 +159,7 @@ class ConnectionMatrix(_Record):
             raise ValueError(f"{len(q)} couplings for the {n * (n - 1) // 2} pairs of N={n}")
         p = tuple(_float_sized(Fraction(v), "a momentum") for v in p)
         q = tuple(_float_sized(Fraction(v), "a coupling") for v in q)
-        perms, pairs, cols, pos, pa, pb = _regular_tables(n)
+        perms, _, pairs, cols, pos, pa, pb = _regular_tables(n)
         diag = tuple(tuple(p[s.images.index(k)] for s in perms) for k in range(n))
         coef = np.zeros((len(pairs), n))
         for i, ((a, b), qab) in enumerate(zip(pairs, q)):
@@ -237,9 +240,10 @@ class ConnectionMatrix(_Record):
         return np.diag(np.exp(1j * (np.asarray(dx, dtype=float) @ self._diag)))
 
 
-def _inverse_differences(point: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
+def _inverse_differences(point: Sequence[Fraction]) -> tuple[int, list[int]]:
     """L, the lcm of the numerators of the pair differences x_a - x_b, and the
-    integers ``inv[a][b] = L / (x_a - x_b)`` for a < b.
+    integer weight ``L / (x_a - x_b)`` of each pair a < b, in
+    ``itertools.combinations`` order.
 
     Raises :class:`PathValidationError` unless the point is strictly ordered,
     which also keeps every difference away from zero.
@@ -248,12 +252,9 @@ def _inverse_differences(point: Sequence[Fraction]) -> tuple[int, list[list[int]
     for i in range(n - 1):
         if point[i] >= point[i + 1]:
             raise PathValidationError(f"point {point} is not strictly ordered")
-    diffs = [(a, b, point[a] - point[b]) for a in range(n) for b in range(a + 1, n)]
-    lcm = math.lcm(*(dv.numerator for _, _, dv in diffs))
-    inv = [[0] * n for _ in range(n)]
-    for a, b, dv in diffs:
-        inv[a][b] = lcm * dv.denominator // dv.numerator
-    return lcm, inv
+    diffs = [point[a] - point[b] for a, b in itertools.combinations(range(n), 2)]
+    lcm = math.lcm(*(dv.numerator for dv in diffs))
+    return lcm, [lcm * dv.denominator // dv.numerator for dv in diffs]
 
 
 def build_local_system(n: int, p: Sequence[Fraction | int],
@@ -273,82 +274,78 @@ def build_local_system(n: int, p: Sequence[Fraction | int],
 # -- exact flatness ----------------------------------------------------------
 
 
-def _curvature(d: int, walk, diag_num, den: int, j: int, k: int):
-    """Scaled curvature of the pair j < k as two dicts keyed by ``row*d+col``,
-    in the order the terms are accumulated; ``walk[k]`` lists Omega_k's pairs
-    as ``(columns of L_ab, scaled entry, a, b, L / (x_a - x_b))``.  With R the
-    off-diagonal and D the diagonal parts, the real part is d_j R_k - d_k R_j
-    + [R_j, R_k], scaled by (coef_den * L)^2, and the imaginary part
-    [D_j, R_k] - [D_k, R_j], scaled by diag_den * coef_den * L."""
+def _curvature(d: int, walk, diffs, j: int, k: int):
+    """Scaled curvature of the pair j < k as two dicts of its nonzero entries
+    keyed by ``row*d+col``, in the order the terms are accumulated;
+    ``walk[k]`` lists Omega_k's pairs as ``(columns of L_ab, scaled entry,
+    pair index)`` and ``diffs[i][pair]`` the nonzero ``(row*d+col,
+    D_i[row] - D_i[col])`` at that pair's positions.  With R the off-diagonal
+    and D the constant diagonal parts, the real part is d_j R_k - d_k R_j
+    + [R_j, R_k] and the imaginary part [D_j, R_k] - [D_k, R_j].  The
+    derivative terms cancel for every input, as each pair's term
+    q_ab L_ab d log(x_a - x_b) is closed: R_k depends on x_j only through the
+    pair (j, k), whose entry is q / (x_j - x_k) in Omega_k and its negative in
+    Omega_j at the same positions, so d_j R_k and d_k R_j are both
+    -q L_jk / (x_j - x_k)^2.  The real part is [R_j, R_k], scaled by
+    (coef_den * L)^2; the imaginary part is scaled by diag_den * coef_den * L."""
     # L_cd L_ab is the left multiplication by one permutation, known by its
     # column in row 0: the products of [R_j, R_k] are summed per permutation,
-    # in the order they first appear, and a nonzero sum is walked down the rows
+    # in the order they first appear, and a nonzero sum is walked down the
+    # rows.  Distinct permutations have distinct columns in a row, so no two
+    # sums meet at a key
     sums: dict[int, list] = {}
     for first, second, sign in ((walk[j], walk[k], 1), (walk[k], walk[j], -1)):
-        for cols_a, va, *_ in first:
-            for cols_b, vb, *_ in second:
+        for cols_a, va, _ in first:
+            for cols_b, vb, _ in second:
                 group = sums.setdefault(cols_b[cols_a[0]], [cols_a, cols_b, 0])
                 group[2] += sign * va * vb
-    real: dict[int, int] = {}
-    for r in range(d):
-        for cols_a, cols_b, total in sums.values():
-            if total:
-                real[r * d + cols_b[cols_a[r]]] = total
+    real = {r * d + cols_b[cols_a[r]]: total for r in range(d)
+            for cols_a, cols_b, total in sums.values() if total}
+    # both passes walk the pair (j, k), at the same keys, so totals can cancel
     imag: dict[int, int] = {}
     for sign, kk, i in ((1, k, j), (-1, j, k)):
-        dn = diag_num[i]
-        for cols, v, a, b, w in walk[kk]:
-            # d_i (q / (x_a - x_b)) = -q (delta_ia - delta_ib) / (x_a - x_b)^2
-            delta = (i == a) - (i == b)
-            dr = sign * delta * den * v * w
-            for row, col in enumerate(cols):
-                key = row * d + col
-                if delta:
-                    real[key] = real.get(key, 0) - dr
-                dv = dn[row] - dn[col]
-                if dv:
-                    imag[key] = imag.get(key, 0) + sign * dv * v
-    return real, imag
+        for _, v, pair in walk[kk]:
+            for key, dv in diffs[i][pair]:
+                imag[key] = imag.get(key, 0) + sign * dv * v
+    return real, {key: v for key, v in imag.items() if v}
 
 
 def verify_flatness(conn: ConnectionMatrix, points: Sequence[Sequence[Fraction]]) -> dict:
     """Exact curvature d_j Omega_k - d_k Omega_j + [Omega_j, Omega_k] at each
     point; returns a report with any nonzero residual entries.
 
-    Each pair's scaled value ``q_ab L / (x_a - x_b)`` is taken once per
-    point and the residuals are integer sums over the column tables (see
-    ``_curvature``); only a nonzero total becomes a ``Fraction``.
+    The momentum differences over every pair's positions are taken once per
+    call and each pair's scaled value ``q_ab L / (x_a - x_b)`` once per
+    point; the residuals are integer sums over the column tables (see
+    ``_curvature``), and only a nonzero total becomes a ``Fraction``.
     """
     failures = []
-    checked = 0
-    n, d = conn.n, conn.dim
+    d = conn.dim
     coef_den, coef_num, diag_den, diag_num = conn._scaled
+    diffs = [[[(row * d + col, dn[row] - dn[col]) for row, col in enumerate(cols)
+               if dn[row] != dn[col]] for cols in conn._cols] for dn in diag_num]
     for point in points:
-        lcm, inv = _inverse_differences([Fraction(v) for v in point])
-        walk: list[list] = [[] for _ in range(n)]
-        for (a, b), num, cols in zip(conn._pairs, coef_num, conn._cols):
-            w = inv[a][b]
-            walk[b].append((cols, num * w, a, b, w))
-            walk[a].append((cols, -num * w, a, b, w))
+        lcm, weights = _inverse_differences([Fraction(v) for v in point])
+        walk: list[list] = [[] for _ in range(conn.n)]
+        for pair, ((a, b), num, cols, w) in enumerate(
+                zip(conn._pairs, coef_num, conn._cols, weights)):
+            walk[b].append((cols, num * w, pair))
+            walk[a].append((cols, -num * w, pair))
         real_scale = (coef_den * lcm) ** 2
         imag_scale = diag_den * coef_den * lcm
-        for j in range(n):
-            for k in range(j + 1, n):
-                checked += 1
-                real, imag = _curvature(d, walk, diag_num, coef_den, j, k)
-                nonzero_real = {key: v for key, v in real.items() if v}
-                nonzero_imag = {key: v for key, v in imag.items() if v}
-                if nonzero_real or nonzero_imag:
-                    failures.append({
-                        "point": [str(v) for v in point],
-                        "pair": [j, k],
-                        "real": {"%d,%d" % divmod(key, d): str(Fraction(v, real_scale))
-                                 for key, v in nonzero_real.items()},
-                        "imag": {"%d,%d" % divmod(key, d): str(Fraction(v, imag_scale))
-                                 for key, v in nonzero_imag.items()},
-                    })
-    return {"identity": "flatness", "N": n, "pointCount": len(points),
-            "caseCount": checked, "failures": failures}
+        for j, k in conn._pairs:
+            real, imag = _curvature(d, walk, diffs, j, k)
+            if real or imag:
+                failures.append({
+                    "point": [str(v) for v in point],
+                    "pair": [j, k],
+                    "real": {"%d,%d" % divmod(key, d): str(Fraction(v, real_scale))
+                             for key, v in real.items()},
+                    "imag": {"%d,%d" % divmod(key, d): str(Fraction(v, imag_scale))
+                             for key, v in imag.items()},
+                })
+    return {"identity": "flatness", "N": conn.n, "pointCount": len(points),
+            "caseCount": len(points) * len(conn._pairs), "failures": failures}
 
 
 # -- chamber paths -------------------------------------------------------------
@@ -777,11 +774,9 @@ def equivariance_check(conn_p: ConnectionMatrix, conn_sp: ConnectionMatrix,
         raise ValueError("systems have different sizes")
     if sigma.size != n:
         raise ValueError(f"sigma acts on {sigma.size} slots, not on N={n}")
-    index = {s.images: i for i, s in enumerate(conn_p.perms)}
-    rho = [index[(s * sigma).images] for s in conn_sp.perms]
-    back = [0] * len(rho)  # rho^-1: conn_p's label -> conn_sp's
-    for r, pr in enumerate(rho):
-        back[pr] = r
+    perms, index = _regular_tables(n)[:2]
+    rho = [index[(s * sigma).images] for s in perms]
+    back = [index[(s * sigma.inverse()).images] for s in perms]  # rho^-1
     failures = []
     for k in range(n):
         for r, pr in enumerate(rho):

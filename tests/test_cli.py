@@ -418,6 +418,42 @@ class TestSimulateCommand:
         assert code == 2
         assert out == "" and f"{quantity} of the initial state is inf" in err
 
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("simulate did work past a bound")
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_particle_count_bound(self, capsys, monkeypatch, past):
+        # the generated RK4 kernel grows as N^2: one particle past the bound
+        # is refused before its source is written
+        n = laxdyn.MAX_PARTICLES + past
+        if past:
+            monkeypatch.setattr(laxdyn, "_kernel_source", self._refuse)
+        code, out, err = run_cli(capsys, "simulate", f"--x={','.join(map(str, range(n)))}",
+                                 f"--p={','.join(['0'] * n)}", "--t=1e-3", "--dt=1e-3")
+        if past:
+            assert (code, out) == (2, "")
+            assert f"{n} particles are above MAX_PARTICLES = {n - 1}" in err
+        else:
+            assert code == 0 and len(json.loads(out)["config"]["x"]) == n
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_trace_power_bound(self, capsys, monkeypatch, past):
+        # every measured block holds (rows, jmax) floats twice; at g2 = 0 the
+        # traces 1 + (-1)^j stay finite and exactly conserved
+        jmax = laxdyn.MAX_JMAX + past
+        if past:
+            monkeypatch.setattr(laxdyn, "_conserved", self._refuse)
+        code, out, err = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1", "--g2=0",
+                                 "--t=1e-3", "--dt=1e-3", f"--jmax={jmax}")
+        if past:
+            assert (code, out) == (2, "")
+            assert f"jmax = {jmax} is above MAX_JMAX = {jmax - 1}" in err
+        else:
+            report = json.loads(out)
+            assert code == 0 and len(report["maxDrift"]) == jmax + 1
+            assert set(report["maxDrift"].values()) == {0.0}
+
     def test_accepted_report_is_strict_json(self, capsys):
         # the largest trace power that stays finite at this start state
         code, out, _ = run_cli(capsys, "simulate", "--x=0,1,3", "--p=3,0,-3",

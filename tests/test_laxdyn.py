@@ -8,6 +8,7 @@ import pytest
 
 from calogero import laxdyn
 from calogero.laxdyn import (
+    MAX_PARTICLES,
     MAX_STEPS,
     CollisionError,
     PhasePoint,
@@ -321,6 +322,22 @@ class TestStepCap:
         with pytest.raises(Started) as started:
             integrate(BENCH3, float(MAX_STEPS), 1.0)
         assert started.value.args == (MAX_STEPS,)
+
+
+class TestParticleBound:
+    def test_only_integrate_refuses_past_the_bound(self, monkeypatch):
+        # the numpy helpers read any N; only the generated kernel is bounded
+        def refuse(n):
+            raise AssertionError(f"a kernel for {n} particles was built")
+
+        monkeypatch.setattr(laxdyn, "_kernel_source", refuse)
+        n = MAX_PARTICLES + 1
+        state = PhasePoint(tuple(map(float, range(n))), (0.0,) * n)
+        assert trace_integrals(state, jmax=2)[0] == 0.0
+        assert math.isfinite(hamiltonian(state))
+        # the particle count is checked first, before the other arguments
+        with pytest.raises(ValueError, match="MAX_PARTICLES"):
+            integrate(state, -1.0, 0.0, jmax=0)
 
 
 class TestStep:
