@@ -240,8 +240,12 @@ def cmd_simulate(args) -> tuple[dict, bool]:
 
 def cmd_symbols(args) -> tuple[dict, bool]:
     order = args.order if args.order is not None else args.deg
-    # refuses a --j/--k pair of equal or out-of-range coordinates before any work
-    rep = realization_report(args.n, args.deg, args.j, args.k)
+    # refuses a --j/--k pair of equal or out-of-range coordinates before any
+    # work, its one refusal at the --n and --deg the parser admits
+    try:
+        rep = realization_report(args.n, args.deg, args.j, args.k)
+    except ValueError as exc:
+        raise ValueError(f"--j {args.j} --k {args.k} at --n {args.n}: {exc}") from None
     return {
         "config": {"n": args.n, "deg": args.deg, "j": args.j, "k": args.k,
                    "order": order},

@@ -41,7 +41,15 @@ __all__ = [
 ]
 
 class SymmetryError(ValueError):
-    """Input section does not have the declared S_N symmetry type."""
+    """Input section does not have the declared S_N symmetry type ``sign``;
+    ``swap`` is the first adjacent pair (i, i+1) whose swap breaks it."""
+
+    def __init__(self, sign: str, swap: tuple[int, int]):
+        super().__init__(sign, swap)  # as args, so that the error pickles
+        self.sign, self.swap = sign, swap
+
+    def __str__(self) -> str:
+        return f"section is not {self.sign} under the swap {self.swap}"
 
 
 def apply_dunkl(k: int, f: RationalSection) -> RationalSection:
@@ -144,8 +152,9 @@ def restricted_projection(f: RationalSection, sign: str) -> RationalSection:
     swapped = f if sign == "symmetric" else -f
     # adjacent transpositions generate S_N
     swaps = Permutation.transpositions(n)
-    if any(f.permute(swaps[i][i + 1]) != swapped for i in range(n - 1)):
-        raise SymmetryError(f"section is not {sign}")
+    for i in range(n - 1):
+        if f.permute(swaps[i][i + 1]) != swapped:
+            raise SymmetryError(sign, (i, i + 1))
     return _normal_ordered(f, lambda i, j: swapped)
 
 

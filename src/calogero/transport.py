@@ -99,15 +99,6 @@ def _float_sized(value: Fraction, what: str) -> Fraction:
     return value
 
 
-class _OffEntry(NamedTuple):
-    """One off-diagonal connection entry: coeff / (x_a - x_b), a < b."""
-    row: int
-    col: int
-    coeff: Fraction
-    a: int
-    b: int
-
-
 @functools.cache
 def _regular_tables(n: int):
     """S_N in lexicographic order, its row of each permutation (keyed by
@@ -143,9 +134,10 @@ class ConnectionMatrix(_Record):
     ``q`` of the wrong length and a value whose float overflows, reads S_N and
     the columns from ``_regular_tables``, and derives the float diagonal and a
     ``(positions, n)`` coefficient matrix (``-q_ab`` at a, ``q_ab`` at b) for
-    the puts of ``velocity_matrix`` and ``stages``.  The exact entries
-    ``off[k]`` (``q_ab / (x_a - x_b)`` in Omega_b, its negative in Omega_a)
-    and the integer forms ``_scaled`` are derived on first use.
+    the puts of ``velocity_matrix`` and ``stages``.  The exact checks read
+    ``p``, ``q``, ``diag`` and the column tables themselves: Omega_k's
+    off-diagonal entries are ``q_ab / (x_a - x_b)`` at row s, column
+    ``(a b) * s`` for every pair with b = k, and their negatives for a = k.
     """
 
     _fields = ("p", "q")
@@ -176,24 +168,6 @@ class ConnectionMatrix(_Record):
     @property
     def dim(self) -> int:
         return len(self.perms)
-
-    @functools.cached_property
-    def off(self) -> tuple[tuple[_OffEntry, ...], ...]:
-        off: list[list[_OffEntry]] = [[] for _ in range(self.n)]
-        for (a, b), qab, cols in zip(self._pairs, self.q, self._cols):
-            off[b] += (_OffEntry(row, col, qab, a, b) for row, col in enumerate(cols))
-            off[a] += (_OffEntry(row, col, -qab, a, b) for row, col in enumerate(cols))
-        return tuple(map(tuple, off))
-
-    @functools.cached_property
-    def _scaled(self) -> tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
-        """``(coef_den, coef_num, diag_den, diag_num)``: ``q`` as integers over
-        their common denominator and ``diag`` as integers over ``p``'s."""
-        coef_den = math.lcm(*(v.denominator for v in self.q))
-        diag_den = math.lcm(*(v.denominator for v in self.p))
-        return (coef_den, tuple(v.numerator * (coef_den // v.denominator) for v in self.q),
-                diag_den, tuple(tuple(v.numerator * (diag_den // v.denominator) for v in dk)
-                                for dk in self.diag))
 
     # -- float evaluation (transport) -------------------------------------
 
@@ -321,7 +295,11 @@ def verify_flatness(conn: ConnectionMatrix, points: Sequence[Sequence[Fraction]]
     """
     failures = []
     d = conn.dim
-    coef_den, coef_num, diag_den, diag_num = conn._scaled
+    # q as integers over their common denominator, diag over p's
+    coef_den = math.lcm(*(v.denominator for v in conn.q))
+    coef_num = [v.numerator * (coef_den // v.denominator) for v in conn.q]
+    diag_den = math.lcm(*(v.denominator for v in conn.p))
+    diag_num = [[v.numerator * (diag_den // v.denominator) for v in dk] for dk in conn.diag]
     diffs = [[[(row * d + col, dn[row] - dn[col]) for row, col in enumerate(cols)
                if dn[row] != dn[col]] for cols in conn._cols] for dn in diag_num]
     for point in points:
@@ -762,9 +740,10 @@ def equivariance_check(conn_p: ConnectionMatrix, conn_sp: ConnectionMatrix,
     The action is derived, not searched: with ``(sigma . p)_j =
     p_{sigma^-1(j)}``, row ``s`` of ``Omega_k(sigma . p)`` is row
     ``s * sigma`` of ``Omega_k(p)`` with every column relabelled the same way.
-    The diagonals are compared momentum by momentum.  The off-diagonal
-    coefficients of each side are summed by ``(row, col, a, b)``, zero totals
-    dropped, after relabelling ``conn_p``'s rows and columns by ``rho^-1``.
+    The diagonals are compared momentum by momentum.  The nonzero
+    off-diagonal coefficients of each side are keyed by ``(row, col, a, b)``,
+    a key that never repeats (see ``_coefficients``), after relabelling
+    ``conn_p``'s rows and columns by ``rho^-1``.
     Each entry is ``coeff / (x_a - x_b)`` and these functions are linearly
     independent for distinct pairs, so equal coefficients make the identity
     hold at every point of the chamber: no point is evaluated.
@@ -798,10 +777,12 @@ def equivariance_check(conn_p: ConnectionMatrix, conn_sp: ConnectionMatrix,
 
 def _coefficients(conn: ConnectionMatrix, k: int,
                   label: Sequence[int]) -> dict[tuple[int, int, int, int], Fraction]:
-    """Omega_k's off-diagonal coefficients keyed by ``(label[row],
-    label[col], a, b)``, equal keys summed and zero totals dropped."""
-    out: dict[tuple[int, int, int, int], Fraction] = {}
-    for e in conn.off[k]:
-        key = (label[e.row], label[e.col], e.a, e.b)
-        out[key] = out.get(key, 0) + e.coeff
-    return {key: q for key, q in out.items() if q}
+    """Omega_k's nonzero off-diagonal coefficients keyed by ``(label[row],
+    label[col], a, b)``: ``q_ab`` when k = b and ``-q_ab`` when k = a.
+
+    Nothing is summed, as no two entries share a key: distinct pairs differ
+    in ``(a, b)``, and ``label`` is a bijection on the rows, so one pair's
+    rows stay distinct.  A zero coupling gives no entry."""
+    return {(label[row], label[col], a, b): qab if k == b else -qab
+            for (a, b), qab, cols in zip(conn._pairs, conn.q, conn._cols)
+            if qab and k in (a, b) for row, col in enumerate(cols)}

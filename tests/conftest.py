@@ -1,3 +1,5 @@
+import inspect
+import types
 from fractions import Fraction
 
 import pytest
@@ -22,3 +24,14 @@ def benchmark_path() -> ChamberPath:
 def coupling_poly(n, *coeffs):
     """sum_k coeffs[k] c^k as a coordinate-free MultiPoly in n variables."""
     return MultiPoly(n, {(0,) * n + (k,): v for k, v in enumerate(coeffs)})
+
+
+def mutant_module(module, old, new):
+    """A fresh copy of ``module`` whose source has its one occurrence of
+    ``old`` replaced by ``new``, under the original name and package."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1, f"{old!r} occurs {source.count(old)} times"
+    mutant = types.ModuleType(module.__name__, module.__doc__)
+    mutant.__package__ = module.__package__
+    exec(compile(source.replace(old, new), module.__file__, "exec"), mutant.__dict__)
+    return mutant

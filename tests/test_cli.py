@@ -625,6 +625,8 @@ class TestSymbolsCommand:
             code, out, err = run_cli(capsys, "symbols", "--n", "2", "--j", j, "--k", k)
             assert code == 2
             assert out == "" and err.startswith("error: ") and "Traceback" not in err
+            # the refusal names the options and their values
+            assert err.startswith(f"error: --j {j} --k {k} at --n 2: ")
 
     @pytest.mark.parametrize("args", [
         ["--deg", "-1"], ["--order", "-1"], ["--deg=-3"],

@@ -1,12 +1,11 @@
-import inspect
 import itertools
 import multiprocessing
-import types
 from fractions import Fraction as F
 
 import pytest
 
 from calogero import dunkl, suites
+from calogero.cli import main
 from calogero.dunkl import (
     SymmetryError,
     antisymmetric_basis,
@@ -29,7 +28,7 @@ from calogero.exactalg import (
     monomial_exponents,
     parse_section,
 )
-from conftest import coupling_poly
+from conftest import coupling_poly, mutant_module
 
 
 def g_plus(n):
@@ -237,14 +236,8 @@ def test_c2_sign_mutation_in_shared_normal_ordered_loop_fails_both_suites(monkey
     # The normal form and the restricted projection share one loop; flipping
     # the sign of its c^2 term must break the sum-of-squares identity and the
     # restriction identity alike.
-    source = inspect.getsource(dunkl)
     term = "out = out.add_over_difference(f, i, j, 2, coupling=2, negate=True)"
-    assert source.count(term) == 1
-    mutant = types.ModuleType("calogero.dunkl", dunkl.__doc__)
-    mutant.__package__ = "calogero"
-    exec(compile(source.replace(term, term.replace("negate=True", "negate=False")),
-                 dunkl.__file__, "exec"),
-         mutant.__dict__)
+    mutant = mutant_module(dunkl, term, term.replace("negate=True", "negate=False"))
     monkeypatch.setattr(suites, "sum_of_squares_normal_form", mutant.sum_of_squares_normal_form)
     monkeypatch.setattr(suites, "restricted_projection", mutant.restricted_projection)
     sumsq = suites.sum_squares_suite(2, 2)
@@ -252,6 +245,30 @@ def test_c2_sign_mutation_in_shared_normal_ordered_loop_fails_both_suites(monkey
     assert len(sumsq["failures"]) == sumsq["caseCount"] > 0
     assert len(restriction["failures"]) == restriction["caseCount"] > 0
     assert {f["sign"] for f in restriction["failures"]} == {"symmetric", "antisymmetric"}
+
+
+def test_sign_twisted_swap_is_a_restriction_failure_not_a_refusal(monkeypatch, capsys):
+    # The twisted swap f -> -(f o s) on odd s maps a symmetric f to -f and an
+    # antisymmetric f to f, so the swap (0 1) already breaks the declared
+    # symmetry of every case of the suite: each becomes a failure record
+    # naming that swap, and verify exits 1, not 2 (refused input)
+    cases = ([("symmetric", f) for f in symmetric_basis(3, 3)]
+             + [("antisymmetric", f) for f in antisymmetric_basis(3, 3)])
+    permute = MultiPoly.permute
+
+    def twisted(self, sigma):
+        return -permute(self, sigma) if sigma.sign() == -1 else permute(self, sigma)
+
+    monkeypatch.setattr(MultiPoly, "permute", twisted)
+    record = suites.restriction_suite(3, 3)
+    assert record["caseCount"] == len(cases) > 0
+    assert record["failures"] == [{"sign": sign, "section": f.to_text(), "brokenSwap": [0, 1]}
+                                  for sign, f in cases]
+    with pytest.raises(SymmetryError, match=r"not symmetric under the swap \(0, 1\)"):
+        restricted_projection(cases[0][1], "symmetric")
+    assert main(["verify", "--n=3", "--deg=3", "--suite=restriction"]) == 1
+    out, err = capsys.readouterr()
+    assert '"brokenSwap"' in out and err == ""
 
 
 def _broken_dunkl(k, f):

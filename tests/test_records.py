@@ -22,7 +22,6 @@ from calogero.transport import (
     ConnectionMatrix,
     PathValidationError,
     TransportResult,
-    _OffEntry,
     build_local_system,
 )
 
@@ -45,8 +44,6 @@ RECORDS = {
                                                 (("steps", 3),)),
                         lambda: TransportResult(((1.0, 0.0), (0.0, 1.0)), "dyson",
                                                 (("steps", 3),))),
-    "_OffEntry": (lambda: _OffEntry(0, 1, F(1, 3), 0, 1),
-                  lambda: _OffEntry(0, 1, F(-1, 3), 0, 1)),
     "Shift": (lambda: Shift(0, 1, F(1)), lambda: Shift(1, 0, F(1))),
     "Scale": (lambda: Scale(0, F(-1)), lambda: Scale(0, F(2))),
 }

@@ -1,10 +1,8 @@
 import cmath
-import inspect
 import itertools
 import math
 import random
 import tracemalloc
-import types
 from fractions import Fraction as F
 
 import numpy as np
@@ -35,7 +33,7 @@ from calogero.transport import (
     transport_ode,
     verify_flatness,
 )
-from conftest import BENCHMARK_C, BENCHMARK_P
+from conftest import BENCHMARK_C, BENCHMARK_P, mutant_module
 
 P3 = (F(1, 2), F(-1, 3), F(1, 4))
 LOOP3 = ((0.0, 1.0, 2.0), (0.3, 1.2, 2.5), (-0.2, 0.9, 2.1), (0.0, 1.0, 2.0))
@@ -43,33 +41,51 @@ LOOP4 = ((0.0, 1.0, 2.0, 3.2), (0.3, 1.2, 2.5, 3.0), (-0.2, 0.9, 2.1, 3.5),
          (0.0, 1.0, 2.0, 3.2))
 
 
-def _entry_loop_velocity(conn, x, v):
+def _exact_entries(conn):
+    """Omega_k's exact off-diagonal entries ``(row, col, coeff, a, b)``, each
+    ``coeff / (x_a - x_b)``, for every k: in row s, column ``(a b) * s`` holds
+    ``q_ab`` in Omega_b and ``-q_ab`` in Omega_a.  The columns come from S_N
+    products, not from the tables the connection reads."""
+    index = {s.images: r for r, s in enumerate(conn.perms)}
+    entries = [[] for _ in range(conn.n)]
+    for (a, b), q in zip(itertools.combinations(range(conn.n), 2), conn.q):
+        swap = Permutation.transposition(conn.n, a, b)
+        for row, s in enumerate(conn.perms):
+            col = index[(swap * s).images]
+            entries[b].append((row, col, q, a, b))
+            entries[a].append((row, col, -q, a, b))
+    return entries
+
+
+def _entry_loop_velocity(conn, entries, x, v):
     """Reference sum_k v_k Omega_k(x), one entry at a time from the exact
-    entries, independent of the arrays the connection derives from them."""
+    diagonal and ``entries = _exact_entries(conn)``, independent of the arrays
+    the connection derives."""
     d = conn.dim
     out = np.zeros((d, d), dtype=complex)
     for k in range(conn.n):
         for row in range(d):
             out[row, row] += 1j * v[k] * float(conn.diag[k][row])
-        for e in conn.off[k]:
-            out[e.row, e.col] += v[k] * float(e.coeff) / (x[e.a] - x[e.b])
+        for row, col, coeff, a, b in entries[k]:
+            out[row, col] += v[k] * float(coeff) / (x[a] - x[b])
     return out
 
 
-def _dense_curvature(conn, point, j, k):
+def _dense_curvature(conn, entries, point, j, k):
     """Curvature of the pair (j, k) at a rational point from dense Fraction
-    matrices: nonzero real and imaginary entries as {"row,col": text}."""
+    matrices built from ``entries = _exact_entries(conn)``: nonzero real and
+    imaginary entries as {"row,col": text}."""
     d = conn.dim
 
     def off_part(kk, deriv=None):
         # Omega_kk's off-diagonal part, or its derivative along x_deriv
         m = [[F(0)] * d for _ in range(d)]
-        for e in conn.off[kk]:
-            gap = point[e.a] - point[e.b]
+        for row, col, coeff, a, b in entries[kk]:
+            gap = point[a] - point[b]
             if deriv is None:
-                m[e.row][e.col] += e.coeff / gap
+                m[row][col] += coeff / gap
             else:
-                m[e.row][e.col] -= ((deriv == e.a) - (deriv == e.b)) * e.coeff / gap ** 2
+                m[row][col] -= ((deriv == a) - (deriv == b)) * coeff / gap ** 2
         return m
 
     rj, rk = off_part(j), off_part(k)
@@ -104,10 +120,10 @@ class TestBuildLocalSystem:
 
     def test_three_particle_row_structure(self):
         conn = build_local_system(3, P3, F(1))
-        for k in range(3):
+        for entries in _exact_entries(conn):
             per_row = {}
-            for e in conn.off[k]:
-                per_row[e.row] = per_row.get(e.row, 0) + 1
+            for row, *_ in entries:
+                per_row[row] = per_row.get(row, 0) + 1
             assert len(per_row) == 6
             assert all(count == 2 for count in per_row.values())
 
@@ -117,10 +133,11 @@ class TestBuildLocalSystem:
             conn = build_local_system(n, [F(i + 1, 3) - 1 for i in range(n)], F(5, 4))
             xs = np.cumsum(rng.uniform(0.2, 1.5, size=(4, n)), axis=1)
             v = rng.normal(size=n)
+            entries = _exact_entries(conn)
             batch = conn.velocity_matrix(xs, v)
             assert batch.shape == (4, conn.dim, conn.dim)
             for x, m in zip(xs, batch):
-                ref = _entry_loop_velocity(conn, x, v)
+                ref = _entry_loop_velocity(conn, entries, x, v)
                 # off-diagonal entries are summed in the same order; only the
                 # diagonal's n-term sum may round differently
                 assert np.max(np.abs(m - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
@@ -128,7 +145,8 @@ class TestBuildLocalSystem:
                 for k in range(n):
                     unit = np.eye(n)[k]
                     assert np.allclose(conn.velocity_matrix(x, unit),
-                                       _entry_loop_velocity(conn, x, unit), rtol=0, atol=1e-14)
+                                       _entry_loop_velocity(conn, entries, x, unit),
+                                       rtol=0, atol=1e-14)
 
     def test_segment_form_matches_velocity_matrix(self):
         # every call rewrites all seven stage matrices of the stack
@@ -155,14 +173,13 @@ class TestBuildLocalSystem:
         build_local_system(4, [F(0)] * 4, F(-2, 3))
         assert _regular_tables.cache_info()[:2] == (1, 1)  # hits, misses
         x, v = np.array([0.0, 1.0, 2.5, 2.75]), np.array([0.3, -1.0, 0.7, 0.2])
-        conn.off, conn._scaled  # derived on first use, and not carried over
-        for change, part in (({"p": (F(4), F(3), F(-2), F(1, 2))}, "diag"),
-                             ({"q": tuple(F(i - 2, 3) for i in range(6))}, "off")):
+        # part 0 is the diagonal, part 1 the exact off-diagonal entries
+        for change, part in (({"p": (F(4), F(3), F(-2), F(1, 2))}, 0),
+                             ({"q": tuple(F(i - 2, 3) for i in range(6))}, 1)):
             moved = ConnectionMatrix(**{"p": conn.p, "q": conn.q, **change})
             fresh = ConnectionMatrix(**{"p": conn.p, "q": conn.q, **change})
-            assert (moved.diag, moved.off, moved._scaled) == (fresh.diag, fresh.off, fresh._scaled)
-            assert getattr(moved, part) != getattr(conn, part)
-            assert moved._scaled != conn._scaled
+            before, after, again = ((c.diag, _exact_entries(c)) for c in (conn, moved, fresh))
+            assert after == again and after[part] != before[part]
             assert np.array_equal(moved.velocity_matrix(x, v), fresh.velocity_matrix(x, v))
             assert not np.array_equal(moved.velocity_matrix(x, v), conn.velocity_matrix(x, v))
         assert _regular_tables.cache_info()[:2] == (5, 1)
@@ -269,9 +286,10 @@ class TestFlatness:
         # every residual the report names must equal the dense Fraction
         # curvature, derivative terms included
         failures = []
+        entries = _exact_entries(conn)
         for point in points:
             for j, k in itertools.combinations(range(conn.n), 2):
-                real, imag = _dense_curvature(conn, point, j, k)
+                real, imag = _dense_curvature(conn, entries, point, j, k)
                 if real or imag:
                     failures.append({"point": [str(v) for v in point], "pair": [j, k],
                                      "real": real, "imag": imag})
@@ -336,13 +354,7 @@ class TestFlatness:
     def test_inverted_diagonal_reports_exact_residuals(self, n):
         # a mutant whose diagonal reads p[s(k)] instead of p[s^-1(k)]: the
         # off-diagonal part is intact, so every residual is imaginary
-        source = inspect.getsource(transport)
-        term = "p[s.images.index(k)]"
-        assert source.count(term) == 1
-        mutant = types.ModuleType("calogero.transport", transport.__doc__)
-        mutant.__package__ = "calogero"
-        exec(compile(source.replace(term, "p[s.images[k]]"), transport.__file__, "exec"),
-             mutant.__dict__)
+        mutant = mutant_module(transport, "p[s.images.index(k)]", "p[s.images[k]]")
         p = (P3 + (F(2),))[:n]
         conn = build_local_system(n, p, F(1))
         bad = mutant.build_local_system(n, p, F(1))
@@ -376,16 +388,17 @@ class TestVectorizationAgainstScalarOperator:
         from calogero.dunkl import apply_dunkl
 
         conn = build_local_system(n, [F(i + 1) for i in range(n)], c)
+        entries = _exact_entries(conn)
         for row, sigma in enumerate(conn.perms):
             vectorized = psi.permute(sigma)
             for k in range(n):
                 m0 = sigma.inverse()(k)
                 rhs = apply_dunkl(m0, psi).specialize_coupling(c).permute(sigma)
-                for e in conn.off[k]:
-                    if e.row != row:
+                for e_row, col, coeff, a, b in entries[k]:
+                    if e_row != row:
                         continue
-                    term = psi.permute(conn.perms[e.col])
-                    rhs = rhs + term.mul_inverse_difference(e.a, e.b).scale(e.coeff)
+                    term = psi.permute(conn.perms[col])
+                    rhs = rhs + term.mul_inverse_difference(a, b).scale(coeff)
                 assert vectorized.partial(k) == rhs, (sigma, k)
 
     def test_three_particles_polynomial_section(self):
@@ -723,12 +736,14 @@ class TestScipyOracle:
         conn = build_local_system(len(p), p, F(1))
         d = conn.dim
         w = np.eye(d, dtype=complex)
+        entries = _exact_entries(conn)
         path = ChamberPath(waypoints, margin=0.1)
         for i, (a, b) in enumerate(path.segments()):
             v = b - a
 
             def rhs(t, y, a=a, v=v):
-                return (_entry_loop_velocity(conn, a + t * v, v) @ y.reshape(d, d)).ravel()
+                return (_entry_loop_velocity(conn, entries, a + t * v, v)
+                        @ y.reshape(d, d)).ravel()
 
             sol = integrate.solve_ivp(rhs, (0.0, 1.0), w.ravel(), method="DOP853",
                                       rtol=1e-12, atol=1e-12)
@@ -949,20 +964,24 @@ class TestEquivariance:
         assert all(f["pair"] is not None and f["found"] == str(-F(f["expected"]))
                    for f in failures)
         named = sorted((f["k"], f["entry"], tuple(f["pair"])) for f in failures)
-        assert named == sorted((k, f"{e.row},{e.col}", (e.a, e.b))
-                               for k in range(3) for e in permuted.off[k])
+        assert named == sorted((k, f"{row},{col}", (a, b))
+                               for k, entries in enumerate(_exact_entries(permuted))
+                               for row, col, _, a, b in entries)
 
-    @pytest.mark.parametrize("side", ["p", "sp"])
-    def test_one_tampered_entry_fails_exactly_there(self, side):
-        # the coupling of the pair (0, 1) moved to 7/5, on either side: the
-        # failures are exactly that pair's entries, -q in Omega_0 and q in
-        # Omega_1 at row s, column (0 1) * s, relabelled by rho^-1 on the
-        # p side
+    @pytest.mark.parametrize("side, value", [
+        ("p", F(7, 5)), ("sp", F(7, 5)), ("p", F(0)), ("sp", F(0)),
+    ], ids=["p", "sp", "p-zero", "sp-zero"])
+    def test_one_tampered_entry_fails_exactly_there(self, side, value):
+        # the coupling of the pair (0, 1) moved to 7/5 or to 0, on either
+        # side: the failures are exactly that pair's entries, -q in Omega_0
+        # and q in Omega_1 at row s, column (0 1) * s, relabelled by rho^-1
+        # on the p side.  A zero coupling has no entries, so its side reads
+        # "0" at each of them
         sigma = Permutation((1, 2, 0))
         conn = build_local_system(3, P3, F(1))
         permuted = build_local_system(3, permute_momenta(P3, sigma), F(1))
         target = conn if side == "p" else permuted
-        bad = ConnectionMatrix(target.p, (F(7, 5),) + target.q[1:])
+        bad = ConnectionMatrix(target.p, (value,) + target.q[1:])
         swap = Permutation.transposition(3, 0, 1)
         images = [s.images for s in conn.perms]
         cells = [(r, images.index((swap * s).images)) for r, s in enumerate(conn.perms)]
@@ -974,7 +993,7 @@ class TestEquivariance:
             report = equivariance_check(conn, bad, sigma)
         expected = []
         for k, sign in ((0, -1), (1, 1)):
-            built, tampered = str(sign * F(1)), str(sign * F(7, 5))
+            built, tampered = str(sign * F(1)), str(sign * value)
             for row, col in sorted(cells):
                 expected.append({"k": k, "entry": f"{row},{col}", "pair": [0, 1],
                                  "expected": tampered if side == "p" else built,
