@@ -22,7 +22,6 @@ import sys
 from fractions import Fraction
 
 from . import _Numpy, __version__
-from .exactalg import EXPONENT_LIMIT
 from .laxdyn import (
     MAX_JMAX,
     MAX_PARTICLES,
@@ -56,39 +55,45 @@ EXIT_COLLISION = 4
 
 # symbols work bounds, refused at parse time: the slowest run they admit,
 # --n 8 --deg 8 --order 48, takes 2.6 s and writes 13 MB (2-vCPU x86_64 VM,
-# Python 3.11); --n 2 --deg 60 took 22 s and --order 100 wrote 90 MB
+# Python 3.11); --n 2 --deg 60 took 22 s and --order 100 wrote 90 MB.  Every
+# admitted order lies far below exactalg.EXPONENT_LIMIT, the largest exponent a
+# packed key holds.
 _SYMBOLS_MAX_N = 8
 _SYMBOLS_MAX_DEG = 8
 _SYMBOLS_MAX_ORDER = 48
 
-
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
-
-
-def _rational_vector(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational vector: {text!r}") from exc
+# verify --deg bound per --n, refused before any suite runs or any worker is
+# started: a serial --suite all run at the bound takes about a minute or less,
+# 47, 46, 42 and 51 s at N=2..5, where --n 4 --deg 15 took 85 s (fresh
+# process, 2-vCPU x86_64 VM, Python 3.11)
+_VERIFY_MAX_DEG = {2: 400, 3: 40, 4: 13, 5: 5}
 
 
-def _float_vector(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part.strip()) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a float vector: {text!r}") from exc
+def _parsed(convert, what: str):
+    """An argparse type: ``convert(text)``, whose ``ValueError`` or
+    ``ZeroDivisionError`` is refused as ``not <what>: '<text>'``."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}") from exc
+    return parse
+
+
+def _vector(convert):
+    return lambda text: tuple(convert(part.strip()) for part in text.split(","))
+
+
+_rational = _parsed(Fraction, "an exact rational")
+_rational_vector = _parsed(_vector(Fraction), "a rational vector")
+_float_vector = _parsed(_vector(float), "a float vector")
 
 
 def _int_at_least(low: int, high: int | None = None):
+    integer = _parsed(int, "an integer")
+
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        value = integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
         if high is not None and value > high:
@@ -98,11 +103,10 @@ def _int_at_least(low: int, high: int | None = None):
 
 
 def _float_at_least(low: float, strictly: bool = False):
+    number = _parsed(float, "a number")
+
     def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+        value = number(text)
         if not (math.isfinite(value) and (value > low if strictly else value >= low)):
             bound = "above" if strictly else "at least"
             raise argparse.ArgumentTypeError(f"must be finite and {bound} {low!r}: {text!r}")
@@ -111,17 +115,6 @@ def _float_at_least(low: float, strictly: bool = False):
 
 
 _positive_int = _int_at_least(1)
-_non_negative_int = _int_at_least(0)
-
-
-def _symbol_order(text: str) -> int:
-    """``symbols --order``: 0 to ``_SYMBOLS_MAX_ORDER``; an order a packed key
-    cannot hold is refused in the words of the symbol calculus."""
-    value = _non_negative_int(text)
-    if value >= EXPONENT_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"truncation order {value} reaches the exponent limit {EXPONENT_LIMIT}")
-    return _int_at_least(0, _SYMBOLS_MAX_ORDER)(text)
 
 
 def _check_writable(path: str) -> None:
@@ -165,12 +158,16 @@ def _report_text(report: dict) -> str:
 
 
 def cmd_verify(args) -> tuple[dict, bool]:
+    bound = _VERIFY_MAX_DEG[args.n]
+    deg = min(6, bound) if args.deg is None else args.deg
+    if deg > bound:
+        raise ValueError(f"--deg {deg} at --n {args.n}: must be at most {bound}")
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     with worker_pool(args.workers) as pool:
-        records = [run_suite(name, args.n, args.deg, pool) for name in names]
+        records = [run_suite(name, args.n, deg, pool) for name in names]
     failure_count = sum(len(r["failures"]) for r in records)
     return {
-        "config": {"n": args.n, "deg": args.deg, "suite": args.suite,
+        "config": {"n": args.n, "deg": deg, "suite": args.suite,
                    "workers": args.workers},
         "suites": records,
         "failureCount": failure_count,
@@ -218,18 +215,18 @@ def cmd_simulate(args) -> tuple[dict, bool]:
                            sample_stride=args.sample_stride)
     if args.csv:
         trajectory.write_csv(args.csv)
+    # every invariant integrate reports is conserved at this omega: tr P^k at
+    # omega = 0, tr (L+ L-)^k at omega > 0
     drift = trajectory.max_drift
-    ok = drift["H"] <= args.energy_tol
-    trace_checked = state.omega == 0.0
-    if trace_checked:
-        ok = ok and all(drift[f"I{j+1}"] <= args.drift_tol for j in range(args.jmax))
+    ok = drift["H"] <= args.energy_tol and all(
+        value <= args.drift_tol for name, value in drift.items() if name != "H")
     return {
         "config": {"x": list(args.x), "p": list(args.p), "g2": args.g2,
                    "omega": args.omega, "T": args.t, "dt": args.dt,
                    "jmax": args.jmax, "driftTol": args.drift_tol,
                    "energyTol": args.energy_tol},
         "maxDrift": drift,
-        "traceInvariantsChecked": trace_checked,
+        "traceInvariantsChecked": True,
         "samples": int(len(trajectory.times)),
         "withinTolerance": bool(ok),
     }, bool(ok)
@@ -260,8 +257,10 @@ def cmd_symbols(args) -> tuple[dict, bool]:
 def _verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_int_at_least(2, MAX_N), required=True,
                    help=f"particle count (2 to {MAX_N})")
-    p.add_argument("--deg", type=_positive_int, default=6,
-                   help="spanning-set degree bound (>= 1; no upper bound)")
+    p.add_argument("--deg", type=_positive_int,
+                   help="spanning-set degree bound (>= 1; at most "
+                        + ", ".join(f"{d} at --n {n}" for n, d in _VERIFY_MAX_DEG.items())
+                        + "; default: 6, or the bound if it is smaller)")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     # every worker is forked at once, so no more are started than there are CPUs
     p.add_argument("--workers", type=_int_at_least(1, os.cpu_count() or 1), default=1,
@@ -313,7 +312,7 @@ def _symbols_options(p: argparse.ArgumentParser) -> None:
                    help=f"monomial degree bound (0 to {_SYMBOLS_MAX_DEG})")
     p.add_argument("--j", type=int, default=0)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--order", type=_symbol_order, default=None,
+    p.add_argument("--order", type=_int_at_least(0, _SYMBOLS_MAX_ORDER), default=None,
                    help=f"symbol truncation order (0 to {_SYMBOLS_MAX_ORDER}; default: --deg)")
     p.set_defaults(func=cmd_symbols)
 

@@ -4,9 +4,11 @@ The Hermitian matrix ``P`` with momenta on the diagonal and
 ``i g/(x_j - x_k)`` off-diagonal, ``g = sqrt(g2)`` (Moser's Lax matrix), has
 conserved trace powers along the Hamiltonian flow of
 
-    H = sum_i (p_i^2/2 + omega^2 x_i^2/2) + sum_{i<j} g^2/(x_i - x_j)^2.
+    H = sum_i (p_i^2/2 + omega^2 x_i^2/2) + sum_{i<j} g^2/(x_i - x_j)^2
 
-At ``g2 = 0`` it is ``diag(p)``.
+at ``omega = 0``.  At ``omega > 0`` they are not conserved; the trace powers
+of ``L+ L-`` are, with ``L+- = P +- i omega Q`` and ``Q = diag(x)``.  At
+``g2 = 0`` P is ``diag(p)``.
 
 Every pair quantity (the Lax matrix, the potential, the forces and the
 explicit cubic trace) is read from one array ``inv[..., i, j] =
@@ -27,8 +29,8 @@ hold bit for bit.  At three or four particles a step takes about a quarter
 of the time of a loop over lists and a tenth of a step on numpy arrays; from
 about eighteen particles on a numpy step would be faster (the README gives
 the measured times and the compile cost).  Each full or final block is then
-measured at once: one stacked pair array gives H and tr P^1..tr P^jmax of
-every state, the drift is taken over every step, and every
+measured at once: one stacked pair array gives H and the invariants 1..jmax
+of every state, the drift is taken over every step, and every
 ``sample_stride``-th state is kept.  ``duration / dt`` is capped at
 ``MAX_STEPS``, the particle count at ``MAX_PARTICLES`` and ``jmax`` at
 ``MAX_JMAX``.
@@ -151,9 +153,22 @@ def _lax(p: np.ndarray, inv: np.ndarray, g: float) -> np.ndarray:
     return out
 
 
-def _trace_powers(p: np.ndarray, inv: np.ndarray, g: float, jmax: int) -> np.ndarray:
+def _invariant_matrix(x: np.ndarray, p: np.ndarray, inv: np.ndarray, g: float,
+                      omega: float) -> np.ndarray:
+    """The matrix whose trace powers the flow conserves: P at omega = 0, and
+    L+ L- at omega > 0, with L+- = P +- i omega Q and Q = diag(x).
+
+    L- is the adjoint of L+, so L+ L- is Hermitian and its traces are real."""
     lax = _lax(p, inv, g)
-    out = np.empty(p.shape[:-1] + (jmax,))
+    if omega == 0:
+        return lax
+    _diagonal(lax)[...] += 1j * omega * x
+    return lax @ lax.conj().swapaxes(-2, -1)
+
+
+def _trace_powers(lax: np.ndarray, jmax: int) -> np.ndarray:
+    """tr lax^1..tr lax^jmax, real parts, of a stack of Hermitian matrices."""
+    out = np.empty(lax.shape[:-2] + (jmax,))
     out[..., 0] = np.trace(lax, axis1=-2, axis2=-1).real
     power = lax
     for j in range(1, jmax):
@@ -189,7 +204,7 @@ def trace_integrals(state: PhasePoint, jmax: int = 4) -> np.ndarray:
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
     x, p = _arrays(state)
-    return _trace_powers(p, _inverse_differences(x), math.sqrt(state.g2), jmax)
+    return _trace_powers(_lax(p, _inverse_differences(x), math.sqrt(state.g2)), jmax)
 
 
 def trace_p3_explicit(state: PhasePoint) -> float:
@@ -220,15 +235,14 @@ class Trajectory(NamedTuple):
     ps: np.ndarray
     energies: np.ndarray
     invariants: np.ndarray  # shape (samples, jmax)
-    max_drift: dict
+    max_drift: dict         # H, then the invariants in column order
 
     def write_csv(self, path: str) -> None:
         import csv  # only ``simulate --csv`` writes one
 
         n = self.xs.shape[1]
-        jmax = self.invariants.shape[1]
         header = (["t"] + [f"x{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
-                  + ["H"] + [f"I{j+1}" for j in range(jmax)])
+                  + list(self.max_drift))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -351,12 +365,13 @@ def _step_blocks(state: PhasePoint, steps: int, dt: float):
 
 def _conserved(x: np.ndarray, p: np.ndarray, g2: float, omega: float,
                jmax: int) -> np.ndarray:
-    """H and tr P^1..tr P^jmax of states (..., n), from one pair array:
-    shape (..., jmax + 1)."""
+    """H and the invariants 1..jmax of states (..., n), from one pair array:
+    shape (..., jmax + 1).  The invariants are tr P^k at omega = 0 and
+    tr (L+ L-)^k at omega > 0 (:func:`_invariant_matrix`)."""
     inv = _inverse_differences(x)
     out = np.empty(x.shape[:-1] + (jmax + 1,))
     out[..., 0] = _energy(x, p, inv, g2, omega)
-    out[..., 1:] = _trace_powers(p, inv, math.sqrt(g2), jmax)
+    out[..., 1:] = _trace_powers(_invariant_matrix(x, p, inv, math.sqrt(g2), omega), jmax)
     return out
 
 
@@ -366,11 +381,15 @@ def integrate(state: PhasePoint, duration: float, dt: float,
 
     Energy and invariant drifts are tracked at every step; the stored arrays
     are downsampled by ``sample_stride``, and the final step is always kept.
+    The invariants are ``I1..I{jmax}``, tr P^k, at omega = 0 and
+    ``J1..J{jmax}``, tr (L+ L-)^k with L+- = P +- i omega diag(x), at
+    omega > 0, where the trace powers of P are not conserved.
+
     A state that leaves the open chamber, or blows up to inf or NaN, raises
     :class:`CollisionError`.  More than ``MAX_PARTICLES`` particles, a
     ``jmax`` above ``MAX_JMAX``, ``duration / dt`` above ``MAX_STEPS``, one
-    that rounds to zero steps, or a start state whose H or some tr P^j
-    (j <= jmax) is not a finite float raises ``ValueError`` before anything
+    that rounds to zero steps, or a start state whose H or some invariant
+    (k <= jmax) is not a finite float raises ``ValueError`` before anything
     runs; a start state whose force is not finite either is the collision of
     the first step.
     """
@@ -392,6 +411,7 @@ def integrate(state: PhasePoint, duration: float, dt: float,
     if steps == 0:
         raise ValueError(f"duration / dt = {ratio:.6g} rounds to zero steps")
     g2, omega = state.g2, state.omega
+    key, quantity = ("I", "tr P^") if omega == 0 else ("J", "tr (L+ L-)^")
     drift = np.zeros(jmax + 1)
     times, xs, ps, samples = [], [], [], []
     # overflow near a collision leaves inf or NaN in x, which the ordering
@@ -404,7 +424,7 @@ def integrate(state: PhasePoint, duration: float, dt: float,
         bad = [j for j, v in enumerate(start) if not math.isfinite(v)]
         if bad and all(map(math.isfinite, _force(list(state.x), g2, omega))):
             j = bad[0]
-            raise ValueError(f"{f'tr P^{j}' if j else 'H'} of the initial state is "
+            raise ValueError(f"{f'{quantity}{j}' if j else 'H'} of the initial state is "
                              f"{start[j]}, not a finite float")
         for first, bx, bp in _step_blocks(state, steps, dt):
             conserved = _conserved(bx, bp, g2, omega, jmax)
@@ -422,7 +442,7 @@ def integrate(state: PhasePoint, duration: float, dt: float,
     samples = np.concatenate(samples)
     max_drift = {"H": float(drift[0])}
     for j in range(1, jmax + 1):
-        max_drift[f"I{j}"] = float(drift[j])
+        max_drift[f"{key}{j}"] = float(drift[j])
     return Trajectory(times=np.concatenate(times), xs=np.concatenate(xs),
                       ps=np.concatenate(ps), energies=samples[:, 0],
                       invariants=samples[:, 1:], max_drift=max_drift)

@@ -156,6 +156,45 @@ class TestVerifyCommand:
         assert out == "" and "must be at most 5" in err
         assert len(calls) == 1
 
+    def test_degree_past_the_bound_is_refused_before_any_suite(self, capsys, monkeypatch):
+        # the bound is per --n; past it neither a suite nor a worker pool runs
+        assert set(cli._VERIFY_MAX_DEG) == set(range(2, cli.MAX_N + 1))
+        calls = []
+        run_suite = cli.run_suite
+        monkeypatch.setattr(cli, "run_suite", lambda *args: calls.append(args) or run_suite(*args))
+        bound = cli._VERIFY_MAX_DEG[5]
+        code, out, _ = run_cli(capsys, "verify", "--n", "5", "--deg", str(bound),
+                               "--suite", "permrel")
+        assert code == 0 and json.loads(out)["failureCount"] == 0
+        assert len(calls) == 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was built past the degree bound")
+
+        monkeypatch.setattr(cli, "worker_pool", refuse)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        for n, bound in cli._VERIFY_MAX_DEG.items():
+            code, out, err = run_cli(capsys, "verify", "--n", str(n), "--deg", str(bound + 1),
+                                     "--workers", "2")
+            assert (code, out) == (2, "")
+            assert err == f"error: --deg {bound + 1} at --n {n}: must be at most {bound}\n"
+        assert len(calls) == 1
+
+    def test_default_degree_is_six_or_the_bound(self, capsys, monkeypatch):
+        # a bare run works at every --n: the default degree is 6, or the
+        # per-N bound where that is smaller
+        code, out, _ = run_cli(capsys, "verify", "--n", "5", "--suite", "permrel")
+        report = json.loads(out)
+        assert code == 0 and report["failureCount"] == 0
+        assert report["config"]["deg"] == cli._VERIFY_MAX_DEG[5] == 5
+        degrees = []
+        monkeypatch.setattr(cli, "run_suite",
+                            lambda name, n, deg, pool: degrees.append(deg) or {"failures": []})
+        for n in (2, 3, 4):
+            code, out, _ = run_cli(capsys, "verify", "--n", str(n), "--suite", "permrel")
+            assert code == 0 and json.loads(out)["config"]["deg"] == 6
+        assert degrees == [6, 6, 6]
+
 
 class TestTransportCommand:
     def test_closed_loop_holonomy(self, capsys, tmp_path):
@@ -355,6 +394,23 @@ class TestSimulateCommand:
         assert report["traceInvariantsChecked"] is True
         assert max(report["maxDrift"].values()) <= 1e-8
 
+    def test_harmonic_invariants_are_checked(self, capsys):
+        # at omega > 0 the report holds the drifts of tr (L+ L-)^k, each
+        # checked against --drift-tol; tr P^k is not conserved there
+        code, out, _ = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1", "--t=1",
+                               "--dt=1e-3", "--g2=2", "--omega=0.5")
+        report = json.loads(out)
+        assert code == 0 and report["withinTolerance"] is True
+        assert report["traceInvariantsChecked"] is True
+        assert list(report["maxDrift"]) == ["H", "J1", "J2", "J3", "J4"]
+        assert max(report["maxDrift"].values()) <= 1e-10
+
+    def test_harmonic_drift_past_the_tolerance_fails(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1", "--t=1",
+                               "--dt=1e-3", "--g2=2", "--omega=0.5", "--energy-tol=1",
+                               "--drift-tol=1e-15")
+        assert code == 1 and json.loads(out)["withinTolerance"] is False
+
     def test_free_flight(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--x", "0,1", "--p", "0.5,1",
                                "--g2", "0", "--t", "1", "--dt", "1e-3")
@@ -417,6 +473,14 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", *args, "--t=1e-2", "--dt=1e-3")
         assert code == 2
         assert out == "" and f"{quantity} of the initial state is inf" in err
+
+    def test_start_state_with_overflowing_harmonic_invariant_is_usage_error(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(laxdyn, "_step_blocks", self._refuse)
+        code, out, err = run_cli(capsys, "simulate", "--x=0,1e90,3e90", "--p=1e90,0,-1e90",
+                                 "--omega=0.5", "--t=1e-2", "--dt=1e-3")
+        assert code == 2
+        assert out == "" and "error: tr (L+ L-)^2 of the initial state is " in err
 
     @staticmethod
     def _refuse(*args, **kwargs):
@@ -638,11 +702,13 @@ class TestSymbolsCommand:
 
     def test_order_at_the_exponent_limit_is_usage_error(self, capsys):
         # the symbol's x exponents reach the order, and a packed key holds
-        # exponents below EXPONENT_LIMIT only
+        # exponents below EXPONENT_LIMIT only: the work bound lies below it,
+        # so it refuses such an order too
+        assert cli._SYMBOLS_MAX_ORDER < EXPONENT_LIMIT
         code, out, err = run_cli(capsys, "symbols", "--n", "2", "--deg", "1",
                                  "--order", str(EXPONENT_LIMIT))
         assert code == 2
-        assert out == "" and "limit" in err and "Traceback" not in err
+        assert out == "" and "must be at most 48" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("option, bound, base", [
         ("--n", cli._SYMBOLS_MAX_N, ["--deg=1"]),
@@ -678,6 +744,30 @@ class TestSymbolsCommand:
         code, out, _ = run_cli(capsys, "symbols", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["transport", "--path", "LOOP3", "--p=1,0,-1", "--c=abc"],
+     "argument --c: not an exact rational: 'abc'"),
+    (["transport", "--path", "LOOP3", "--p=1,0,-1", "--c=1/0"],
+     "argument --c: not an exact rational: '1/0'"),
+    (["transport", "--path", "LOOP3", "--p=1,a"],
+     "argument --p: not a rational vector: '1,a'"),
+    (["transport", "--path", "LOOP3", "--p=1,0,-1", "--tol=abc"],
+     "argument --tol: not a number: 'abc'"),
+    (["transport", "--path", "LOOP3", "--p=1,0,-1", "--compare-dyson", "abc", "400"],
+     "argument --compare-dyson: not an integer: 'abc'"),
+    (["simulate", "--x=0,a", "--p=1,0"],
+     "argument --x: not a float vector: '0,a'"),
+])
+def test_value_that_does_not_parse_is_refused_by_its_option(capsys, tmp_path, argv, message):
+    # every value parser refuses through one conversion step
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps(LOOP3))
+    argv = [str(loop) if a == "LOOP3" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: {message}\n") and "Traceback" not in err
 
 
 def _refuse_to_run(monkeypatch):

@@ -73,6 +73,10 @@ class TestZeroCurvature:
     def test_commutator_high_degree_two_particles(self):
         assert commutator_dunkl(0, 1, mono(2, 5, 0)).is_zero()
 
+    def test_equal_indices_are_refused(self):
+        with pytest.raises(ValueError, match="commutator needs distinct indices"):
+            commutator_dunkl(1, 1, mono(2, 1, 0))
+
     def test_free_limit_partials_commute(self):
         f = mono(2, 3, 2)
         assert (f.partial(0).partial(1) - f.partial(1).partial(0)).is_zero()
@@ -164,6 +168,10 @@ class TestRestriction:
             MultiPoly.monomial(2, (2, 0)) + MultiPoly.monomial(2, (0, 2)))
         res = restricted_projection(f, "symmetric").specialize_coupling(0)
         assert res == laplacian(f)
+
+    def test_unknown_symmetry_type_is_refused(self):
+        with pytest.raises(ValueError, match="sign must be 'symmetric' or 'antisymmetric'"):
+            restricted_projection(RationalSection.one(2), "odd")
 
     def test_wrong_symmetry_raises(self):
         with pytest.raises(SymmetryError):
@@ -269,6 +277,76 @@ def test_sign_twisted_swap_is_a_restriction_failure_not_a_refusal(monkeypatch, c
     assert main(["verify", "--n=3", "--deg=3", "--suite=restriction"]) == 1
     out, err = capsys.readouterr()
     assert '"brokenSwap"' in out and err == ""
+
+
+def _collapsed(exp, i, k):
+    """Exponents of x^exp after x_i -> x_k, with x_k left in place."""
+    out = list(exp)
+    out[k] += out[i]
+    out[i] = 0
+    return tuple(out)
+
+
+def _collapsing_permute(self, sigma):
+    """Not a group action: sigma sends its first moved variable x_i to
+    x_{sigma(i)} and sends nothing back, so x_i is lost."""
+    moved = [v for v in range(sigma.size) if sigma(v) != v]
+    if not moved:
+        return self
+    i = moved[0]
+    terms = {}
+    for exp, coef in self.tuple_terms().items():
+        key = _collapsed(exp, i, sigma(i))
+        terms[key] = terms.get(key, 0) + coef
+    return MultiPoly(self.arity, {key: coef for key, coef in terms.items() if coef})
+
+
+def _collapsing_relation_failures(n, degree):
+    """The permutation-relations records of the collapsing map, derived from
+    its definition: on a monomial the swap (a b), a < b, moves a's exponent
+    onto b, so each side of a relation is one monomial."""
+    assert n == 3  # no two disjoint swaps
+
+    def swap(exp, a, b):
+        return _collapsed(exp, min(a, b), max(a, b))
+
+    out = []
+
+    def relation(exp, tag, indices, lhs, rhs):
+        if lhs != rhs:
+            residual = MultiPoly(n, {lhs + (0,): 1, rhs + (0,): -1})
+            out.append({"monomial": list(exp), "relation": tag, "indices": list(indices),
+                        "residual": RationalSection(residual).to_text()})
+
+    for exp in monomial_exponents(n, degree):
+        for i, k in itertools.combinations(range(n), 2):
+            relation(exp, "involution", (i, k), swap(swap(exp, i, k), i, k), exp)
+        for i, k, l in itertools.permutations(range(n), 3):
+            # s_ik s_kl = s_il s_ik = s_kl s_il, the right factor acting first
+            first = swap(swap(exp, k, l), i, k)
+            relation(exp, "fusion-a", (i, k, l), first, swap(swap(exp, i, k), i, l))
+            relation(exp, "fusion-b", (i, k, l), first, swap(swap(exp, i, l), k, l))
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched module only when forked"))])
+def test_map_that_is_no_action_fails_the_permutation_relations(monkeypatch, workers):
+    # every group action passes this suite, the sign-twisted swap included; a
+    # map that loses a variable must fail it with exactly its own residuals
+    monkeypatch.setattr(MultiPoly, "permute", _collapsing_permute)
+    expected = _collapsing_relation_failures(3, 2)
+    with suites.worker_pool(workers) as pool:
+        record = suites.permutation_relations_suite(3, 2, pool)
+    assert len(expected) > 0
+    assert {f["relation"] for f in expected} == {"involution", "fusion-a", "fusion-b"}
+    assert record["failures"] == expected
+
+
+def test_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        suites.run_suite("nope", 2, 1)
 
 
 def _broken_dunkl(k, f):

@@ -378,6 +378,15 @@ class TestRationalSection:
                 with pytest.raises(ValueError, match="out of range"):
                     one.mul_inverse_difference(*pair, power)
 
+    def test_pair_of_one_coordinate_in_text_is_refused(self):
+        with pytest.raises(ValueError, match="pair indices must differ"):
+            parse_section("[(1) x^(0,0)] / [(x1-x1)^2]")
+
+    def test_negative_coupling_power_is_refused(self):
+        f = RationalSection.one(2)
+        with pytest.raises(ValueError, match=r"power -1 is outside 0\.\."):
+            f.add_over_difference(f, 0, 1, coupling=-1)
+
     def test_negative_exponent_is_refused(self):
         for exp in ((-1, 0, 0), (0, 1, -2)):
             with pytest.raises(ValueError):

@@ -58,6 +58,10 @@ class TestBuildLax:
             lax = build_lax(state)
             assert np.allclose(lax, lax.conj().T)
 
+    def test_one_particle_rejected(self):
+        with pytest.raises(ValueError, match="need at least two particles"):
+            PhasePoint((0.0,), (1.0,))
+
     def test_coincident_coordinates_rejected(self):
         with pytest.raises(ValueError):
             PhasePoint((0.0, 0.0), (1.0, -1.0))
@@ -112,6 +116,10 @@ class TestTraceIntegrals:
         assert abs(trace_integrals(state, 3)[2]) < 1e-12
         assert abs(trace_p3_explicit(state)) < 1e-12
 
+    def test_no_trace_power_is_refused(self):
+        with pytest.raises(ValueError, match="jmax must be >= 1"):
+            trace_integrals(BENCH3, 0)
+
     def test_dilation_scaling_of_potential_parts(self):
         state = BENCH3
         doubled = PhasePoint(tuple(2 * v for v in state.x), state.p)
@@ -137,6 +145,10 @@ class TestNoether:
 
     def test_zero_diagonal(self):
         assert np.allclose(np.diag(noether_matrix(6)), 0.0)
+
+    def test_one_particle_rejected(self):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            noether_matrix(1)
 
 
 class TestIntegrate:
@@ -197,6 +209,48 @@ class TestIntegrate:
             integrate(BENCH3, 1.0, 1e-3, jmax=0)
         with pytest.raises(ValueError):
             integrate(BENCH3, 1.0, 1e-3, sample_stride=0)
+
+
+HARMONIC = [
+    PhasePoint((0.0, 1.0, 3.0), (1.0, 0.0, -1.0), g2=2.0, omega=0.5),
+    PhasePoint((-1.5, 0.0, 1.0, 2.5), (1.0, 0.5, -0.5, -1.0), g2=2.0, omega=0.5),
+]
+
+
+class TestHarmonicInvariants:
+    """At omega > 0 the trace powers of P are not conserved; those of L+ L-,
+    L+- = P +- i omega diag(x), are, and they are what ``integrate`` reports."""
+
+    @pytest.mark.parametrize("state", HARMONIC, ids=["n3", "n4"])
+    def test_conserved(self, state):
+        traj = integrate(state, 3.0, 1e-3, jmax=4, sample_stride=1000)
+        assert list(traj.max_drift) == ["H", "J1", "J2", "J3", "J4"]
+        assert max(traj.max_drift.values()) <= 1e-10
+        # tr L+ L- = tr P^2 + omega^2 sum x^2 = 2 H
+        assert np.allclose(traj.invariants[:, 0], 2 * traj.energies, rtol=1e-12)
+
+    @pytest.mark.parametrize("state", HARMONIC, ids=["n3", "n4"])
+    def test_wrong_frequency_in_the_invariant_fails(self, monkeypatch, state):
+        make = laxdyn._invariant_matrix
+        monkeypatch.setattr(laxdyn, "_invariant_matrix",
+                            lambda x, p, inv, g, omega: make(x, p, inv, g, 1.1 * omega))
+        drift = integrate(state, 3.0, 1e-3, jmax=3, sample_stride=1000).max_drift
+        assert drift["H"] <= 1e-10
+        assert min(drift[f"J{k}"] for k in (1, 2, 3)) > 1e-2
+
+    def test_csv_names_the_invariants(self, tmp_path):
+        traj = integrate(HARMONIC[0], 0.01, 1e-3, jmax=2, sample_stride=5)
+        file = tmp_path / "traj.csv"
+        traj.write_csv(str(file))
+        with open(file, newline="") as fh:
+            header = next(csv.reader(fh))
+        assert header == ["t", "x0", "x1", "x2", "p0", "p1", "p2", "H", "J1", "J2"]
+
+    def test_start_state_refusal_names_the_invariant(self):
+        state = PhasePoint((0.0, 1e90, 3e90), (1e90, 0.0, -1e90), omega=0.5)
+        # H and tr L+ L- = 2 H are finite; the square overflows
+        with pytest.raises(ValueError, match=r"^tr \(L\+ L-\)\^2 of the initial state is "):
+            integrate(state, 1e-2, 1e-3)
 
 
 def _hamilton_rhs(g2, omega):
@@ -263,13 +317,17 @@ def _reference_step(x, p, dt, g2, omega):
 
 
 def _reference_measure(x, p, g2, omega, jmax):
-    """H and tr P^1..tr P^jmax of one state, measured as the per-step
-    simulator measured them."""
+    """H and the traces of the first jmax powers of P (omega = 0) or of
+    L+ L- (omega > 0) of one state, measured as the per-step simulator
+    measured them."""
     diff = x[:, None] - x
     np.fill_diagonal(diff, np.inf)
     inv = 1.0 / diff
     lax = 1j * math.sqrt(g2) * inv
     np.fill_diagonal(lax, p)
+    if omega:
+        raising = lax + 1j * omega * np.diag(x)
+        lax = raising @ raising.conj().T
     out = [p @ p / 2 + omega ** 2 * (x @ x) / 2 + g2 / 2 * np.sum(inv * inv)]
     power = np.eye(len(x))
     for _ in range(jmax):
@@ -418,8 +476,13 @@ class TestKernel:
 
 
 class TestBlocks:
-    @pytest.mark.parametrize("n", [3, 7])
-    def test_blocks_match_per_step_reference(self, monkeypatch, n):
+    # both invariant matrices: L+ L- at omega > 0 (keys J), P at omega = 0
+    # (keys I), each with its off-diagonal terms at g2 > 0
+    @pytest.mark.parametrize("n, omega, key", [
+        pytest.param(3, 0.4, "J", id="3"), pytest.param(7, 0.4, "J", id="7"),
+        pytest.param(3, 0.0, "I", id="3-omega0"), pytest.param(7, 0.0, "I", id="7-omega0"),
+    ])
+    def test_blocks_match_per_step_reference(self, monkeypatch, n, omega, key):
         length, stride, dt = 50, 7, 1e-3
         steps = 2 * length + 23
         # two full blocks and a partial one; the stride does not divide the
@@ -430,7 +493,7 @@ class TestBlocks:
         rng = random.Random(n)
         x = np.cumsum([0.0] + [rng.uniform(0.5, 1.5) for _ in range(n - 1)])
         p = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-        state = PhasePoint(tuple(x), tuple(p), g2=1.5, omega=0.4)
+        state = PhasePoint(tuple(x), tuple(p), g2=1.5, omega=omega)
         traj = integrate(state, steps * dt, dt, jmax=4, sample_stride=stride)
         times, xs, ps, samples, drift, scale = _reference_integrate(
             state, steps * dt, dt, 4, stride)
@@ -440,7 +503,8 @@ class TestBlocks:
         assert traj.times[-1] == steps * dt
         assert np.all(np.abs(traj.energies - samples[:, 0]) <= 1e-15 * scale[0])
         assert np.all(np.abs(traj.invariants - samples[:, 1:]) <= 1e-15 * scale[1:])
-        got = np.array([traj.max_drift[k] for k in ("H", "I1", "I2", "I3", "I4")])
+        keys = ["H"] + [f"{key}{j}" for j in range(1, 5)]
+        got = np.array([traj.max_drift[k] for k in keys])
         assert np.all(np.abs(got - drift) <= 1e-15)
 
     def test_drift_includes_every_block_head(self, monkeypatch):

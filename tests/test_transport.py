@@ -542,6 +542,17 @@ class TestTransportOde:
         res = transport_ode(conn, ChamberPath(((0.0, 1.0),), margin=0.1))
         assert np.allclose(res.matrix, np.eye(2))
 
+    def test_repeated_waypoint_changes_nothing(self):
+        # a zero-length segment takes no step: the transport is bit for bit
+        # that of the path without it
+        conn = build_local_system(3, P3, F(1))
+        points = list(LOOP3)
+        plain = transport_ode(conn, ChamberPath(tuple(points), margin=0.1), tol=1e-10)
+        for i in range(len(points)):
+            repeated = ChamberPath(tuple(points[:i + 1] + points[i:]), margin=0.1)
+            res = transport_ode(conn, repeated, tol=1e-10)
+            assert res.matrix.tobytes() == plain.matrix.tobytes()
+
     def test_free_segment_matches_phase_formula(self):
         conn = build_local_system(3, P3, 0)
         path = ChamberPath(((0.0, 1.0, 2.0), (0.1, 1.05, 2.2)), margin=0.1)
@@ -702,6 +713,11 @@ class TestTransportDyson:
             transport_dyson(conn, benchmark_path, order=0)
         with pytest.raises(ValueError):
             transport_dyson(conn, benchmark_path, steps=0)
+
+    def test_path_of_another_n_rejected(self, benchmark_path):
+        conn = build_local_system(2, (F(1), F(2)), F(1))
+        with pytest.raises(PathValidationError, match="path dimension does not match"):
+            transport_dyson(conn, benchmark_path)
 
     def test_zero_length_path_gives_identity(self):
         conn = build_local_system(2, (F(1), F(2)), F(1))
@@ -870,6 +886,11 @@ class TestPlaneWaveMap:
         conn = build_local_system(2, (F(1), F(2)), F(1))
         with pytest.raises(ValueError, match=match):
             plane_wave_map(conn, point, 4.0)
+
+    def test_lam_max_below_one_rejected(self):
+        conn = build_local_system(2, (F(1), F(2)), F(1))
+        with pytest.raises(ValueError, match="lam_max must be >= 1"):
+            plane_wave_map(conn, (0.0, 1.0), 0.5)
 
     @pytest.mark.parametrize("lam_max", [float("nan"), float("inf")])
     def test_non_finite_lam_max_rejected(self, lam_max):
