@@ -84,16 +84,16 @@ def _vector(convert):
     return lambda text: tuple(convert(part.strip()) for part in text.split(","))
 
 
+_integer = _parsed(int, "an integer")
+_number = _parsed(float, "a number")
 _rational = _parsed(Fraction, "an exact rational")
 _rational_vector = _parsed(_vector(Fraction), "a rational vector")
 _float_vector = _parsed(_vector(float), "a float vector")
 
 
 def _int_at_least(low: int, high: int | None = None):
-    integer = _parsed(int, "an integer")
-
     def parse(text: str) -> int:
-        value = integer(text)
+        value = _integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
         if high is not None and value > high:
@@ -103,10 +103,8 @@ def _int_at_least(low: int, high: int | None = None):
 
 
 def _float_at_least(low: float, strictly: bool = False):
-    number = _parsed(float, "a number")
-
     def parse(text: str) -> float:
-        value = number(text)
+        value = _number(text)
         if not (math.isfinite(value) and (value > low if strictly else value >= low)):
             bound = "above" if strictly else "at least"
             raise argparse.ArgumentTypeError(f"must be finite and {bound} {low!r}: {text!r}")
@@ -287,8 +285,8 @@ def _simulate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", type=_float_vector, required=True,
                    help=f"initial positions, strictly increasing (2 to {MAX_PARTICLES})")
     p.add_argument("--p", type=_float_vector, required=True, help="initial momenta")
-    p.add_argument("--g2", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=0.0)
+    p.add_argument("--g2", type=_number, default=1.0)
+    p.add_argument("--omega", type=_number, default=0.0)
     p.add_argument("--t", type=_float_at_least(0.0, strictly=True), default=10.0,
                    help=f"duration (finite, > 0; t/dt at most {MAX_STEPS})")
     p.add_argument("--dt", type=_float_at_least(0.0, strictly=True), default=1e-4,
@@ -310,8 +308,8 @@ def _symbols_options(p: argparse.ArgumentParser) -> None:
                    help=f"particle count (2 to {_SYMBOLS_MAX_N})")
     p.add_argument("--deg", type=_int_at_least(0, _SYMBOLS_MAX_DEG), default=6,
                    help=f"monomial degree bound (0 to {_SYMBOLS_MAX_DEG})")
-    p.add_argument("--j", type=int, default=0)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--j", type=_integer, default=0)
+    p.add_argument("--k", type=_integer, default=1)
     p.add_argument("--order", type=_int_at_least(0, _SYMBOLS_MAX_ORDER), default=None,
                    help=f"symbol truncation order (0 to {_SYMBOLS_MAX_ORDER}; default: --deg)")
     p.set_defaults(func=cmd_symbols)

@@ -17,23 +17,27 @@ states at once.
 
 The simulator (fixed-step RK4) steps first and measures in blocks.  A
 ``PhasePoint`` is validated once; the stepping loop then carries the
-positions, momenta and force, runs one RK4 step and the ordering test per
-step, and writes every state into a preallocated block.  The step runs on
-plain Python floats, in a kernel generated once per particle count:
-straight-line source on scalar locals ``x0, x1, ...``, with no loop or list
-indexing inside a step, compiled with ``exec`` and cached on N.  Each of its
-force evaluations divides every pair once, in row-major order, so each row
-sum adds its terms left to right; every float operation runs in the order a
-numpy reference of the step runs it below eight particles, which the tests
-hold bit for bit.  At three or four particles a step takes about a quarter
-of the time of a loop over lists and a tenth of a step on numpy arrays; from
-about eighteen particles on a numpy step would be faster (the README gives
-the measured times and the compile cost).  Each full or final block is then
-measured at once: one stacked pair array gives H and the invariants 1..jmax
-of every state, the drift is taken over every step, and every
-``sample_stride``-th state is kept.  ``duration / dt`` is capped at
-``MAX_STEPS``, the particle count at ``MAX_PARTICLES`` and ``jmax`` at
-``MAX_JMAX``.
+positions, momenta and force, and each step is one ``_rk4_step`` call whose
+new positions and momenta are appended to two flat buffers.  Each full or
+final block is viewed as (rows, N) arrays and tested once: its first state
+that is not strictly ordered or not finite is the collision, reported at that
+state's step.  The step runs on plain Python floats, in a kernel generated
+once per particle count and per omega = 0 or not: straight-line source on
+scalar locals ``x0, x1, ...``, with no loop or list indexing inside a step,
+compiled with ``exec`` and cached.  At omega = 0 the kernel has no trap term,
+which there would subtract ``0.0 * y``.  Each of its force evaluations
+divides every pair once, in row-major order, so each row sum adds its terms
+left to right; every float operation runs in the order a numpy reference of
+the step runs it below eight particles, which the tests hold bit for bit.  At
+three or four particles a step takes about a quarter of the time of a loop
+over lists and a tenth of a step on numpy arrays, and from about eighteen
+particles on a numpy step would be faster; the whole loop takes 2.9 us per
+step at N=3 and omega = 0 (the README gives the measured times, the machine
+and the compile cost).  Each full or final block is then measured at once:
+one stacked pair array gives H and the invariants 1..jmax of every state,
+the drift is taken over every step, and every ``sample_stride``-th state is
+kept.  ``duration / dt`` is capped at ``MAX_STEPS``, the particle count at
+``MAX_PARTICLES`` and ``jmax`` at ``MAX_JMAX``.
 
 The rank-two constant matrix ``I - e e^T`` driving the reduction has
 spectrum {1 (N-1 times), 1-N}.
@@ -46,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import Callable, NamedTuple
 
 from . import _Numpy, _Record
@@ -184,9 +187,13 @@ def _square(v: np.ndarray) -> np.ndarray:
 
 def _energy(x: np.ndarray, p: np.ndarray, inv: np.ndarray, g2: float,
             omega: float) -> np.ndarray:
-    # the pair sum runs over ordered pairs, so it counts each pair twice
-    return (_square(p) / 2 + omega ** 2 * _square(x) / 2
-            + g2 / 2 * (inv * inv).sum(axis=(-2, -1)))
+    # the pair sum runs over ordered pairs, so it counts each pair twice.  At
+    # omega = 0 the harmonic term is left out: 0.0 * |x|^2 is NaN where |x|^2
+    # overflows, and elsewhere adding it leaves the nonnegative sum unchanged
+    kinetic = _square(p) / 2
+    if omega:
+        kinetic = kinetic + omega ** 2 * _square(x) / 2
+    return kinetic + g2 / 2 * (inv * inv).sum(axis=(-2, -1))
 
 
 def _arrays(state: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
@@ -254,9 +261,9 @@ class Trajectory(NamedTuple):
                                 + [repr(float(v)) for v in self.invariants[i]])
 
 
-def _force_block(n: int, y: str, f: str) -> list[str]:
+def _force_block(n: int, y: str, f: str, harmonic: bool) -> list[str]:
     """Source lines that set ``f0..`` to the force -dH/dx at positions
-    ``y0..``, given ``k = 2.0 * g2`` and ``w = omega ** 2``.
+    ``y0..``, given ``k = 2.0 * g2`` and, if ``harmonic``, ``w = omega ** 2``.
 
     Each pair is divided once, in row-major order, so every row sum of
     inv[i, j]**3 adds its terms left to right (inv[j, i]**3 is
@@ -268,37 +275,44 @@ def _force_block(n: int, y: str, f: str) -> list[str]:
         for j in range(i + 1, n):
             body += [f"a = 1.0 / ({y}{i} - {y}{j})", "c = a * a * a",
                      f"s{i} += c", f"s{j} -= c"]
-    body += [f"{f}{i} = k * s{i} - w * {y}{i}" for i in range(n)]
+    body += [f"{f}{i} = k * s{i}" + (f" - w * {y}{i}" if harmonic else "")
+             for i in range(n)]
     return (["try:"] + ["    " + line for line in body]
             + ["except ZeroDivisionError:",
                "    " + " = ".join(f"{f}{i}" for i in range(n)) + " = inf"])
 
 
-def _kernel_source(n: int) -> str:
+def _kernel_source(n: int, harmonic: bool) -> str:
     """Python source of ``force`` and ``step`` for ``n`` particles: the float
     operations of one force evaluation and one RK4 step, written out on scalar
-    locals in the order the tests hold bit for bit to a numpy reference."""
+    locals in the order the tests hold bit for bit to a numpy reference.
+
+    Without ``harmonic`` (omega = 0) the trap term is left out: there it is
+    ``0.0 * y``, whose subtraction leaves every finite force as it was, bar
+    the sign of a zero."""
     def names(prefix):
         return ", ".join(f"{prefix}{i}" for i in range(n))
 
     def each(template):
         return [template.format(i=i) for i in range(n)]
 
-    force = (["def force(x, g2, omega):", f"[{names('y')}] = x",
-              "k = 2.0 * g2", "w = omega ** 2"]
-             + _force_block(n, "y", "f") + [f"return [{names('f')}]"])
+    def forces(y, f):
+        return _force_block(n, y, f, harmonic)
+
+    setup = ["k = 2.0 * g2"] + (["w = omega ** 2"] if harmonic else [])
+    force = (["def force(x, g2, omega):", f"[{names('y')}] = x"] + setup
+             + forces("y", "f") + [f"return [{names('f')}]"])
     step = (["def step(x, p, f, dt, g2, omega):", f"[{names('x')}] = x",
-             f"[{names('p')}] = p", f"[{names('f')}] = f",
-             "k = 2.0 * g2", "w = omega ** 2", "h = 0.5 * dt"]
+             f"[{names('p')}] = p", f"[{names('f')}] = f"] + setup + ["h = 0.5 * dt"]
             + each("k2x{i} = p{i} + h * f{i}") + each("y{i} = x{i} + h * p{i}")
-            + _force_block(n, "y", "k2p")
+            + forces("y", "k2p")
             + each("k3x{i} = p{i} + h * k2p{i}") + each("y{i} = x{i} + h * k2x{i}")
-            + _force_block(n, "y", "k3p")
+            + forces("y", "k3p")
             + each("k4x{i} = p{i} + dt * k3p{i}") + each("y{i} = x{i} + dt * k3x{i}")
-            + _force_block(n, "y", "k4p")
+            + forces("y", "k4p")
             + each("xn{i} = x{i} + dt * (p{i} + 2.0 * k2x{i} + 2.0 * k3x{i} + k4x{i}) / 6.0")
             + each("pn{i} = p{i} + dt * (f{i} + 2.0 * k2p{i} + 2.0 * k3p{i} + k4p{i}) / 6.0")
-            + _force_block(n, "xn", "fn")
+            + forces("xn", "fn")
             + [f"return [{names('xn')}], [{names('pn')}], [{names('fn')}]"])
     return "\n\n".join("\n    ".join(lines) for lines in (force, step)) + "\n"
 
@@ -309,16 +323,18 @@ class _Kernel(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(n: int) -> _Kernel:
-    """The force and RK4 step for ``n`` particles, compiled once per process."""
+def _kernel(n: int, harmonic: bool) -> _Kernel:
+    """The force and RK4 step for ``n`` particles, with or without the trap
+    term, compiled once per process."""
     namespace = {"inf": math.inf}
-    exec(compile(_kernel_source(n), f"<laxdyn kernel, n={n}>", "exec"), namespace)
+    exec(compile(_kernel_source(n, harmonic),
+                 f"<laxdyn kernel, n={n}, harmonic={harmonic}>", "exec"), namespace)
     return _Kernel(namespace["force"], namespace["step"])
 
 
 def _force(x: list, g2: float, omega: float) -> list:
     """Force -dH/dx at one state."""
-    return _kernel(len(x)).force(x, g2, omega)
+    return _kernel(len(x), omega != 0).force(x, g2, omega)
 
 
 def _rk4_step(x: list, p: list, f: list, dt: float, g2: float, omega: float):
@@ -327,7 +343,7 @@ def _rk4_step(x: list, p: list, f: list, dt: float, g2: float, omega: float):
 
     ``integrate`` makes one call per step, which the benchmark's layer tracer
     (``perfbench/layertrace.py``) counts as ``laxdyn.steps``."""
-    return _kernel(len(x)).step(x, p, f, dt, g2, omega)
+    return _kernel(len(x), omega != 0).step(x, p, f, dt, g2, omega)
 
 
 def _block_length(n: int) -> int:
@@ -339,28 +355,37 @@ def _block_length(n: int) -> int:
 def _step_blocks(state: PhasePoint, steps: int, dt: float):
     """Run ``steps`` RK4 steps from ``state`` and yield the states, initial
     one first, as (first step, positions, momenta) blocks of at most
-    ``_block_length`` rows.  The rows are overwritten by the next block.
+    ``_block_length`` rows.
 
-    A state that leaves the open chamber, or blows up to inf or NaN, raises
-    :class:`CollisionError`.
+    A step is one ``_rk4_step`` call, whose new positions and momenta are
+    appended to two flat ``array('d')`` buffers; a full or final block is
+    viewed as (rows, n) arrays and tested once.  Its first state that leaves
+    the open chamber, or blows up to inf or NaN, raises
+    :class:`CollisionError` at that state's step, so on that path at most one
+    block of steps past the collision is taken.
     """
-    g2, omega = state.g2, state.omega
+    from array import array  # only the stepper fills flat buffers
+
+    g2, omega, n, step = state.g2, state.omega, state.n, _rk4_step
     x, p = [float(v) for v in state.x], [float(v) for v in state.p]
     f = _force(x, g2, omega)
-    xs = np.empty((min(_block_length(state.n), steps + 1), state.n))
-    ps = np.empty_like(xs)
-    xs[0], ps[0] = x, p
-    first, row = 0, 1
-    for step in range(1, steps + 1):
-        if row == len(xs):
-            yield first, xs, ps
-            first, row = step, 0
-        x, p, f = _rk4_step(x, p, f, dt, g2, omega)
-        if not all(map(operator.lt, x, x[1:])):
-            raise CollisionError(step * dt)
-        xs[row], ps[row] = x, p
-        row += 1
-    yield first, xs[:row], ps[:row]
+    length = _block_length(n)
+    # the first block starts with the initial state
+    first, xs, ps = 0, array("d", x), array("d", p)
+    while True:
+        for _ in range(min(length, steps + 1 - first) - len(xs) // n):
+            x, p, f = step(x, p, f, dt, g2, omega)
+            xs.extend(x)
+            ps.extend(p)
+        bx = np.frombuffer(xs).reshape(-1, n)
+        inside = np.all(bx[:, :-1] < bx[:, 1:], axis=1) & np.all(np.isfinite(bx), axis=1)
+        if not inside.all():
+            raise CollisionError((first + int(inside.argmin())) * dt)
+        yield first, bx, np.frombuffer(ps).reshape(-1, n)
+        first += len(bx)
+        if first > steps:
+            return
+        xs, ps = array("d"), array("d")
 
 
 def _conserved(x: np.ndarray, p: np.ndarray, g2: float, omega: float,

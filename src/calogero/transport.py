@@ -655,8 +655,12 @@ def transport_dyson(conn: ConnectionMatrix, path: ChamberPath,
             f0, f1, f2 = f[:-1:2], f[1::2], f[2::2]
             cum = nxt[seg]
             cum[0] = 0.0
-            np.cumsum(h * (f0 + 4 * f1 + f2) / 3.0, axis=0, out=cum[2::2])
-            cum[1::2] = cum[:-1:2] + h * (5 * f0 + 8 * f1 - f2) / 12.0
+            # numpy divides a complex by a real by multiplying both parts by
+            # the rounded reciprocal, so these products equal the quotients
+            # up to the sign of a zero part, which adding carry (+0.0 from the
+            # start) clears; the multiply costs about a quarter of the divide
+            np.cumsum(h * (f0 + 4 * f1 + f2) * (1 / 3), axis=0, out=cum[2::2])
+            cum[1::2] = cum[:-1:2] + h * (5 * f0 + 8 * f1 - f2) * (1 / 12)
             cum += carry
             carry = cum[-1].copy()
         prev, nxt = nxt, prev

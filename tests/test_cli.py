@@ -458,6 +458,14 @@ class TestSimulateCommand:
         assert code == 2
         assert out == "" and "finite" in err
 
+    def test_far_position_without_trap_is_accepted(self, capsys):
+        # at omega = 0, H has no harmonic term: 0.0 * |x|^2 with |x|^2 = inf
+        # would make it NaN
+        code, out, err = run_cli(capsys, "simulate", "--x=0,1,1e200", "--p=0,0,0",
+                                 "--t=1e-3", "--dt=1e-3")
+        assert code == 0 and err == ""
+        assert json.loads(out)["withinTolerance"] is True
+
     @pytest.mark.parametrize("args, quantity", [
         (["--x=0,1e90,3e90", "--p=1e90,0,-1e90"], "tr P^4"),
         (["--x=0,1,3", "--p=3,0,-3", "--jmax=700"], "tr P^592"),
@@ -759,6 +767,14 @@ class TestSymbolsCommand:
      "argument --compare-dyson: not an integer: 'abc'"),
     (["simulate", "--x=0,a", "--p=1,0"],
      "argument --x: not a float vector: '0,a'"),
+    (["simulate", "--x=0,1", "--p=1,0", "--g2=abc"],
+     "argument --g2: not a number: 'abc'"),
+    (["simulate", "--x=0,1", "--p=1,0", "--omega=abc"],
+     "argument --omega: not a number: 'abc'"),
+    (["symbols", "--n", "3", "--j=x"],
+     "argument --j: not an integer: 'x'"),
+    (["symbols", "--n", "3", "--k=1.5"],
+     "argument --k: not an integer: '1.5'"),
 ])
 def test_value_that_does_not_parse_is_refused_by_its_option(capsys, tmp_path, argv, message):
     # every value parser refuses through one conversion step

@@ -292,6 +292,26 @@ def test_energy_value_spot_check():
     assert abs(hamiltonian(BENCH2) - 2.0) < 1e-14
 
 
+def test_energy_without_trap_reads_far_positions():
+    # at omega = 0, H has no harmonic term, where 0.0 * |x|^2 would be NaN
+    # once |x|^2 overflows: H = 1/(0-1)^2 plus two pair terms that underflow
+    assert hamiltonian(PhasePoint((0.0, 1.0, 1e200), (0.0, 0.0, 0.0))) == 1.0
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+def test_energy_keeps_the_bytes_of_the_full_sum(omega):
+    # with the term at omega > 0; without it at omega = 0, where the sum is
+    # nonnegative and adding 0.0 leaves it unchanged
+    rng = random.Random(7)
+    states = [random_state(rng, 5) for _ in range(50)]
+    x = np.array([s.x for s in states])
+    p = np.array([s.p for s in states])
+    inv = laxdyn._inverse_differences(x)
+    full = (laxdyn._square(p) / 2 + omega ** 2 * laxdyn._square(x) / 2
+            + 1.5 / 2 * (inv * inv).sum(axis=(-2, -1)))
+    assert laxdyn._energy(x, p, inv, 1.5, omega).tobytes() == full.tobytes()
+
+
 def _reference_force(y, g2, omega):
     """Force -dH/dx at one state, written out on numpy arrays."""
     diff = y[:, None] - y
@@ -402,13 +422,18 @@ class TestStep:
     # numpy sums a row of eight or more terms pairwise, not left to right, so
     # the reference's last bits differ from N=8 on; the scipy oracle above
     # covers N=8
-    @pytest.mark.parametrize("n", range(2, 8))
-    def test_step_matches_reference_bit_for_bit(self, n):
+    # at omega = 0 the kernel has no trap term, where the reference
+    # subtracts 0.0 * y
+    @pytest.mark.parametrize("n, omega", [
+        pytest.param(n, omega, id=f"{n}" if omega else f"{n}-omega0")
+        for omega in (0.4, 0.0) for n in range(2, 8)
+    ])
+    def test_step_matches_reference_bit_for_bit(self, n, omega):
         rng = random.Random(100 + n)
         x0 = np.cumsum([rng.uniform(-1.0, 1.0)]
                        + [rng.uniform(0.5, 2.0) for _ in range(n - 1)])
         p0 = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
-        g2, omega, dt = 1.5, 0.4, 1e-3
+        g2, dt = 1.5, 1e-3
         x, p = x0.tolist(), p0.tolist()
         f = laxdyn._force(x, g2, omega)
         assert np.array(f).tobytes() == _reference_force(x0, g2, omega).tobytes()
@@ -466,13 +491,23 @@ class TestKernel:
         assert laxdyn._force([0.0, 1.0, 1.0], 1.0, 0.0) == [math.inf] * 3
 
     def test_kernel_is_compiled_once_per_particle_count(self):
+        # one kernel per particle count with the trap term and one without
         laxdyn._kernel.cache_clear()
+        four = random_state(random.Random(4), 4)
+        states = [PhasePoint(s.x, s.p, omega=omega)
+                  for s in (BENCH3, BENCH3, four) for omega in (0.0, 0.5, 0.0)]
         for _ in range(2):
-            for state in (BENCH3, BENCH3, random_state(random.Random(4), 4)):
+            for state in states:
                 integrate(state, 0.01, 1e-3, jmax=1)
         info = laxdyn._kernel.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
+        assert (info.misses, info.currsize) == (4, 4)
         assert info.hits > 0
+
+    def test_kernel_without_trap_has_no_trap_term(self):
+        free, trapped = (laxdyn._kernel_source(3, harmonic) for harmonic in (False, True))
+        assert "w *" not in free and "w = " not in free
+        # five force evaluations of three particles: one in force, four in step
+        assert trapped.count("w *") == 5 * 3
 
 
 class TestBlocks:
@@ -534,6 +569,29 @@ class TestBlocks:
         with pytest.raises(CollisionError) as err:
             integrate(state, 2.0, 1e-3, jmax=1)
         assert err.value.time == ref.value.time
+
+    # the block holding step k is steps 8..15: k = 10 is inside it, k = 15
+    # its last row
+    @pytest.mark.parametrize("k", [10, 15])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_position_is_a_collision_at_its_step(self, monkeypatch, bad, k):
+        _small_blocks(monkeypatch, 2, 8)
+        real, calls = laxdyn._rk4_step, []
+
+        def step(x, p, f, dt, g2, omega):
+            calls.append(len(calls) + 1)
+            x, p, f = real(x, p, f, dt, g2, omega)
+            if calls[-1] == k:
+                x = x[:-1] + [bad]
+            return x, p, f
+
+        monkeypatch.setattr(laxdyn, "_rk4_step", step)
+        dt = 1e-3
+        with pytest.raises(CollisionError) as err:
+            integrate(PhasePoint((-1.0, 1.0), (0.0, 0.0)), 40 * dt, dt, jmax=1)
+        assert err.value.time == k * dt
+        # the positions are tested once per block: the steps run to its end
+        assert len(calls) == 15
 
     @pytest.mark.parametrize("state, dt, steps", [
         # the first force overflows to inf
