@@ -37,7 +37,7 @@ through the column tables, where only a nonzero total becomes a ``Fraction``.
 Momentum equivariance needs no point: it is an identity of the exact entries
 under one derived relabelling of the components.  The iterated integrals hold
 three complex d x d matrices per grid node and refuse grids above
-``DYSON_MAX_BYTES``.
+``DYSON_MAX_BYTES`` and orders above ``DYSON_MAX_ORDER``.
 
 ``np`` is the package's numpy stand-in until the first numerical call, so
 importing this module, as every ``calogero`` command does, does not load numpy.
@@ -64,6 +64,7 @@ __all__ = [
     "PathValidationError",
     "TransportStepError",
     "DYSON_MAX_BYTES",
+    "DYSON_MAX_ORDER",
     "MAX_N",
     "MIN_TOL",
     "build_local_system",
@@ -590,6 +591,12 @@ def free_transport(conn: ConnectionMatrix, path: ChamberPath) -> np.ndarray:
 # and the current order).  At N=5 (d=120) it allows about 770 grid nodes.
 DYSON_MAX_BYTES = 512 * 2**20
 
+# Bound on the series order of transport_dyson: each order is one d x d
+# product and one quadrature per grid node, about 0.55 ms per node at N=5
+# (d=120) on a 2-vCPU Xeon, so at the largest N=5 grid DYSON_MAX_BYTES allows
+# (about 770 nodes, 0.43 s per order) this bound is about two minutes
+DYSON_MAX_ORDER = 256
+
 
 def _segment_grids(path: ChamberPath, steps: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """Distribute an even number of intervals over each segment, proportional
@@ -612,11 +619,14 @@ def transport_dyson(conn: ConnectionMatrix, path: ChamberPath,
 
     Term n+1 at every node is the cumulative integral of A T_n, quadratic
     through each consecutive node triple (Simpson's rule at the even nodes).
-    The grid is refused with ``ValueError`` before anything is allocated when
-    its node stacks would exceed ``DYSON_MAX_BYTES``.
+    An order above ``DYSON_MAX_ORDER``, or a grid whose node stacks would
+    exceed ``DYSON_MAX_BYTES``, is refused with ``ValueError`` before anything
+    is allocated.
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
+    if order > DYSON_MAX_ORDER:
+        raise ValueError(f"series order {order} is above DYSON_MAX_ORDER = {DYSON_MAX_ORDER}")
     if steps < 1:
         raise ValueError("step count must be >= 1")
     if path.n != conn.n:

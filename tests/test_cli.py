@@ -332,6 +332,14 @@ class TestTransportCommand:
         assert code == 2
         assert out == "" and "MiB bound" in err
 
+    def test_dyson_order_above_bound_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(LOOP3))
+        code, out, err = run_cli(capsys, "transport", "--path", str(path),
+                                 "--p", "1/2,-1/3,1/4", "--compare-dyson", "100000000", "400")
+        assert code == 2
+        assert out == "" and "above DYSON_MAX_ORDER" in err
+
     @pytest.mark.parametrize("args", [
         ["--p=1,0,-1", "--c=1e400"], ["--p=1,0,-1e400"],
     ])
@@ -548,6 +556,14 @@ class TestSimulateCommand:
                                  "--t=0.01", "--dt=1e-3", *args)
         assert code == 2
         assert out == "" and "Traceback" not in err
+
+    def test_stride_past_the_steps_keeps_first_and_last(self, capsys):
+        # a stride past int64 once overflowed ``step % sample_stride``
+        args = ["simulate", "--x=0,1,3", "--p=1,0,-1", "--t=1e-3", "--dt=1e-3"]
+        code, out, err = run_cli(capsys, *args, "--sample-stride=" + "1" + "0" * 21)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["samples"] == 2
+        assert (code, out, err) == run_cli(capsys, *args, "--sample-stride=2")
 
     def test_omega_with_infinite_square_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--x=0,1,3", "--p=1,0,-1",

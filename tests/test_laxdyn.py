@@ -13,6 +13,7 @@ from calogero.laxdyn import (
     CollisionError,
     PhasePoint,
     build_lax,
+    exact_positions,
     hamiltonian,
     integrate,
     noether_matrix,
@@ -131,6 +132,114 @@ class TestTraceIntegrals:
         assert abs((i2d[2] - kinetic3) - (i2[2] - kinetic3) / 4) < 1e-12
 
 
+def _random_hermitian(rng, shape, n):
+    a = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+    return (a + a.conj().swapaxes(-2, -1)) / 2
+
+
+def _check_trace_powers(trace_powers, m, jmax):
+    """``trace_powers(m, jmax)`` against the traces of ``matrix_power``, each
+    relative to n |m|^j, the bound on |tr m^j| from the spectral norm |m|."""
+    got = trace_powers(m, jmax)
+    assert got.shape == m.shape[:-2] + (jmax,)
+    norm = np.linalg.norm(m, 2, axis=(-2, -1))
+    for j in range(1, jmax + 1):
+        ref = np.trace(np.linalg.matrix_power(m, j), axis1=-2, axis2=-1).real
+        scale = m.shape[-1] * norm ** j
+        assert np.all(np.abs(got[..., j - 1] - ref) <= 1e-12 * scale), j
+
+
+def _trace_powers_keeping_m_low(m, jmax):
+    """The products of ``_trace_powers`` with ``low`` left at m, so tr m^4
+    reads tr(m m^2)."""
+    out = np.empty(m.shape[:-2] + (jmax,))
+    out[..., 0] = np.einsum("...ii->...", m).real
+    high = m
+    for j in range(2, jmax + 1):
+        if j % 2:
+            high = high @ m
+        out[..., j - 1] = np.einsum("...ij,...ji->...", m, high).real
+    return out
+
+
+class _CountedProducts(np.ndarray):
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedProducts.products += 1
+        return super().__matmul__(other)
+
+
+class TestTracePowers:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_matrix_power_on_hermitian_stacks(self, n):
+        rng = np.random.default_rng(n)
+        m = _random_hermitian(rng, (5,), n)
+        for jmax in range(1, 10):
+            _check_trace_powers(laxdyn._trace_powers, m, jmax)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_matrix_power_on_harmonic_invariant_matrix(self, n):
+        # L+ L- at omega > 0, over a stack of states
+        rng = np.random.default_rng(10 + n)
+        x = np.sort(rng.uniform(-3.0, 3.0, size=(6, n)), axis=-1)
+        p = rng.uniform(-1.0, 1.0, size=(6, n))
+        m = laxdyn._invariant_matrix(x, p, laxdyn._inverse_differences(x), 1.2, 0.5)
+        _check_trace_powers(laxdyn._trace_powers, m, 9)
+
+    def test_low_power_left_at_m_fails(self):
+        m = _random_hermitian(np.random.default_rng(0), (5,), 4)
+        _check_trace_powers(_trace_powers_keeping_m_low, m, 3)
+        with pytest.raises(AssertionError):
+            _check_trace_powers(_trace_powers_keeping_m_low, m, 4)
+
+    @pytest.mark.parametrize("jmax", range(1, 10))
+    def test_half_the_products_and_no_trace(self, monkeypatch, jmax):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.trace was called")
+
+        m = _random_hermitian(np.random.default_rng(jmax), (3,), 3).view(_CountedProducts)
+        monkeypatch.setattr(_CountedProducts, "products", 0)
+        monkeypatch.setattr(np, "trace", refuse)
+        laxdyn._trace_powers(m, jmax)
+        assert _CountedProducts.products == math.ceil(jmax / 2) - 1
+
+
+class TestExactFlow:
+    """RK4 against the exact flow of the projection method: the positions at
+    time t are the eigenvalues of Q0 + t L0 (omega = 0) or of
+    Q0 cos(omega t) + L0 sin(omega t) / omega."""
+
+    @staticmethod
+    def _state(n, omega):
+        rng = random.Random(20 + n)
+        x = np.cumsum([rng.uniform(-1.0, 1.0)] + [rng.uniform(0.5, 1.5) for _ in range(n - 1)])
+        p = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        return PhasePoint(tuple(x), tuple(p), g2=1.5, omega=omega)
+
+    @staticmethod
+    def _deviation(traj, state):
+        return max(np.max(np.abs(x - exact_positions(state, t)))
+                   for t, x in zip(traj.times, traj.xs))
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rk4_agrees_to_fourth_order(self, n, omega):
+        # the global error of RK4 is C dt^4; here C reads at most 19
+        state = self._state(n, omega)
+        assert np.array_equal(exact_positions(state, 0.0), state.x)
+        for dt in (1e-3, 2e-3):
+            traj = integrate(state, 1.0, dt, jmax=1, sample_stride=100)
+            assert self._deviation(traj, state) <= 100 * dt ** 4
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    def test_wrong_coupling_in_the_oracle_fails(self, omega):
+        state = self._state(4, omega)
+        traj = integrate(state, 1.0, 1e-3, jmax=1, sample_stride=100)
+        wrong = PhasePoint(state.x, state.p, g2=1.1 * state.g2, omega=omega)
+        assert self._deviation(traj, wrong) > 1e-2
+
+
 class TestNoether:
     def test_multiplicities_match_eigensolver_up_to_eight(self):
         for n in range(2, 9):
@@ -209,6 +318,18 @@ class TestIntegrate:
             integrate(BENCH3, 1.0, 1e-3, jmax=0)
         with pytest.raises(ValueError):
             integrate(BENCH3, 1.0, 1e-3, sample_stride=0)
+
+    @pytest.mark.parametrize("stride", [11, 10**21])
+    def test_stride_past_the_steps_keeps_first_and_last(self, stride):
+        # 10**21 is past int64, where ``step % sample_stride`` overflowed
+        traj = integrate(BENCH3, 0.01, 1e-3, jmax=2, sample_stride=stride)
+        ref = integrate(BENCH3, 0.01, 1e-3, jmax=2, sample_stride=10)
+        assert np.array_equal(traj.times, [0.0, 0.01])
+        for got, want in zip(traj, ref):
+            if isinstance(got, dict):
+                assert got == want
+            else:
+                assert got.tobytes() == want.tobytes()
 
 
 HARMONIC = [

@@ -12,6 +12,7 @@ from calogero import transport
 from calogero.exactalg import Permutation, RationalSection
 from calogero.transport import (
     DYSON_MAX_BYTES,
+    DYSON_MAX_ORDER,
     MIN_TOL,
     ChamberPath,
     ConnectionMatrix,
@@ -737,6 +738,20 @@ class TestTransportDyson:
         finally:
             tracemalloc.stop()
         assert peak < 2**20 < DYSON_MAX_BYTES
+
+    def test_order_above_bound_refused_before_any_work(self, benchmark_path, monkeypatch):
+        # each order costs one product per grid node: the bound is checked
+        # before the grid is laid out, at any step count
+        def refuse(*args):
+            raise AssertionError("the grid was laid out")
+
+        conn = build_local_system(3, BENCHMARK_P, BENCHMARK_C)
+        monkeypatch.setattr(transport, "_segment_grids", refuse)
+        for order in (DYSON_MAX_ORDER + 1, 10**8, 10**400):
+            with pytest.raises(ValueError, match=f"above DYSON_MAX_ORDER = {DYSON_MAX_ORDER}"):
+                transport_dyson(conn, benchmark_path, order=order, steps=10**12)
+        with pytest.raises(AssertionError, match="laid out"):
+            transport_dyson(conn, benchmark_path, order=DYSON_MAX_ORDER, steps=4)
 
 
 class TestScipyOracle:
